@@ -2,9 +2,11 @@
 
 Basic graph patterns inside GRAPH are matched once per named graph while
 the version dimension stays a bitmap: joining two patterns ANDs their
-bitmaps, and a row only expands into per-version solutions when a later
-operator needs the versioned-graph binding itself. Counting matches per
-version never expands at all; it just sums bit columns.
+bitmaps. `GRAPH ?vng { BGP }`, alone or joined with the linking metadata
+patterns on ?vng, stays condensed as `VersionedRows`: the links are
+resolved from each row's graph id and bits. GROUP BY folds over those rows
+(counting a version is summing a bit column); every other consumer expands
+them into per-version solutions.
 
 `eval_oracle` is the deliberately naive reference: it evaluates the same
 plan over the flat quad list with nested loops, no dictionary, no indexes,
@@ -17,12 +19,15 @@ from __future__ import annotations
 import csv
 import io
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 
 from .errors import EvalError, UnknownVngError
 from .model import (
     IS_IN_VERSION,
+    IS_VERSION_OF,
+    VERSION_NS,
     XSD,
     Term,
     literal,
@@ -39,12 +44,12 @@ from .sparql import (
     Minus,
     Query,
     SelectAgg,
-    SelectVar,
     SubSelect,
     Var,
     column_names,
     parse_query,
     validate_and_name,
+    visible_vars,
 )
 from .store import Store, bit_for, bitmap_ordinals
 
@@ -215,14 +220,134 @@ def eval_bgp_in_graph_var(store: Store, patterns, graph_var: str):
     return out
 
 
-def eval_count_by_version_fast(store: Store, patterns, graph_var: str) -> list[int]:
-    """Per-version match counts without expanding bitmap rows: each row
-    adds one at every set bit position."""
-    counts = [0] * store.version_count
-    for _binding, _graph_id, bits in eval_bgp_in_graph_var(store, patterns, graph_var):
-        for ordinal in bitmap_ordinals(bits):
-            counts[ordinal - 1] += 1
-    return counts
+# ---------------------------------------------------------- versioned rows
+
+
+def _version_terms(store: Store) -> list[Term]:
+    return [version_iri(ordinal) for ordinal in range(1, store.version_count + 1)]
+
+
+def _version_bit(store: Store, term: Term) -> int:
+    """The bit of the existing version `term` names; 0 for any other term."""
+    if term.is_iri and term.lexical.startswith(VERSION_NS):
+        digits = term.lexical[len(VERSION_NS):]
+        if digits.isdecimal():
+            ordinal = int(digits)
+            if 1 <= ordinal <= store.version_count and version_iri(ordinal) == term:
+                return bit_for(ordinal)
+    return 0
+
+
+def _vng_bit(store: Store, term: Term, graph_id: int) -> int:
+    """The bit of `term` when it names a versioned graph of `graph_id`."""
+    try:
+        vng_graph, ordinal = store.resolve_vng(term)
+    except UnknownVngError:
+        return 0
+    return bit_for(ordinal) if vng_graph == graph_id else 0
+
+
+def _is_link(pattern, vng_var: str) -> bool:
+    """`?vng is-in-version X` or `?vng is-version-of X`, X not ?vng."""
+    return (
+        isinstance(pattern.subject, Var)
+        and pattern.subject.name == vng_var
+        and pattern.predicate in (IS_IN_VERSION, IS_VERSION_OF)
+        and pattern.object != Var(vng_var)
+    )
+
+
+@dataclass
+class VersionedRows:
+    """Solutions of `GRAPH ?vng { BGP }` and its link patterns, condensed.
+
+    Each (binding, graph id, bits) row stands for one solution per set bit
+    m: the binding, plus `vng_var` bound to the versioned graph (graph id,
+    m) and every name in `version_vars` bound to version m.
+    """
+
+    store: Store
+    rows: list
+    vng_var: str
+    version_vars: tuple = ()
+
+    @property
+    def per_bit(self) -> set[str]:
+        """The variables whose value changes with the bit position."""
+        return {self.vng_var, *self.version_vars}
+
+    def expand(self) -> list[Solution]:
+        vng_iri_for = self.store.vng_iri_for
+        versions = _version_terms(self.store)
+        out = []
+        for binding, graph_id, bits in self.rows:
+            for ordinal in bitmap_ordinals(bits):
+                solution = dict(binding)
+                solution[self.vng_var] = vng_iri_for(graph_id, ordinal)
+                for name in self.version_vars:
+                    solution[name] = versions[ordinal - 1]
+                out.append(solution)
+        return out
+
+    def values(self, members, name: str) -> Counter:
+        """Multiplicity of each value `name` takes over the solutions that
+        `members` (a subset of the rows) stand for."""
+        values: Counter = Counter()
+        if name == self.vng_var:
+            vng_iri_for = self.store.vng_iri_for
+            for _binding, graph_id, bits in members:
+                for ordinal in bitmap_ordinals(bits):
+                    values[vng_iri_for(graph_id, ordinal)] += 1
+        elif name in self.version_vars:
+            versions = _version_terms(self.store)
+            for _binding, _graph_id, bits in members:
+                for ordinal in bitmap_ordinals(bits):
+                    values[versions[ordinal - 1]] += 1
+        else:
+            for binding, _graph_id, bits in members:
+                term = binding.get(name)
+                if term is not None:
+                    values[term] += bits.bit_count()
+        return values
+
+
+def eval_versioned(store: Store, graph: GraphPat, links) -> VersionedRows:
+    """`graph` (GRAPH ?vng { BGP }) joined with the link patterns `links`.
+
+    A link to a constant filters rows by graph id or ANDs in that version's
+    bit; a link to a new variable binds it once per row (the graph) or makes
+    it per-bit (the version); a link to a variable already bound filters.
+    """
+    vng_var = graph.target.name
+    rows = eval_bgp_in_graph_var(store, graph.inner.patterns, vng_var)
+    bound = visible_vars(graph.inner)
+    if vng_var in bound:
+        rows = [(b, g, bits & _vng_bit(store, b[vng_var], g)) for b, g, bits in rows]
+    version_vars: tuple = ()
+    decode = store.dictionary.decode
+    for pattern in links:
+        obj = pattern.object
+        name = obj.name if isinstance(obj, Var) else None
+        if pattern.predicate == IS_VERSION_OF:
+            if name is None:
+                graph_id = store.dictionary.lookup(obj)
+                rows = [row for row in rows if row[1] == graph_id]
+            elif name in version_vars:
+                rows = [(b, g, bits & _version_bit(store, decode(g))) for b, g, bits in rows]
+            elif name in bound:
+                rows = [row for row in rows if row[0][name] == decode(row[1])]
+            else:
+                rows = [({**b, name: decode(g)}, g, bits) for b, g, bits in rows]
+                bound.add(name)
+        elif name is None:
+            mask = _version_bit(store, obj)
+            rows = [(b, g, bits & mask) for b, g, bits in rows]
+        elif name in bound:
+            rows = [(b, g, bits & _version_bit(store, b[name])) for b, g, bits in rows]
+        elif name not in version_vars:
+            version_vars += (name,)
+    rows = [row for row in rows if row[2]]
+    return VersionedRows(store, rows, vng_var, version_vars)
 
 
 # ------------------------------------------------------ pattern evaluation
@@ -247,7 +372,34 @@ class _CondensedEvaluator:
     def __init__(self, store: Store):
         self.store = store
 
+    def versioned(self, node, ctx):
+        """`node` as VersionedRows when it is GRAPH ?vng { BGP }, alone or
+        joined in the default graph with link patterns on ?vng; else None."""
+        if isinstance(node, GraphPat):
+            graph, links = node, []
+        elif isinstance(node, Join) and ctx is None:
+            graphs = [p for p in node.parts if isinstance(p, GraphPat)]
+            if len(graphs) != 1 or not all(isinstance(p, (Bgp, GraphPat)) for p in node.parts):
+                return None
+            graph = graphs[0]
+            links = [pat for p in node.parts if isinstance(p, Bgp) for pat in p.patterns]
+        else:
+            return None
+        if not isinstance(graph.target, Var) or not isinstance(graph.inner, Bgp):
+            return None
+        if not all(_is_link(pattern, graph.target.name) for pattern in links):
+            return None
+        return eval_versioned(self.store, graph, links)
+
+    def eval_rows(self, node, ctx):
+        """VersionedRows where `node` stays condensed, else solutions."""
+        versioned = self.versioned(node, ctx)
+        return versioned if versioned is not None else self.eval(node, ctx)
+
     def eval(self, node, ctx) -> list[Solution]:
+        versioned = self.versioned(node, ctx)
+        if versioned is not None:
+            return versioned.expand()
         if isinstance(node, Bgp):
             return self.eval_bgp(node, ctx)
         if isinstance(node, Join):
@@ -274,7 +426,7 @@ class _CondensedEvaluator:
 
     def eval_bgp(self, node: Bgp, ctx) -> list[Solution]:
         if ctx is None:
-            return _match_triples(list(self.store.metadata_graph()), node.patterns)
+            return _match_triples(self.store.metadata_graph(), node.patterns)
         graph_id, ordinal = ctx
         rows = _match_bgp_in_graph(self.store, node.patterns, graph_id, bit_for(ordinal))
         return [binding for binding, _bits in rows]
@@ -283,16 +435,6 @@ class _CondensedEvaluator:
         store = self.store
         if isinstance(node.target, Var):
             name = node.target.name
-            if isinstance(node.inner, Bgp):
-                out = []
-                for binding, graph_id, bits in eval_bgp_in_graph_var(
-                    store, node.inner.patterns, name
-                ):
-                    for ordinal in bitmap_ordinals(bits):
-                        extended = _extend(binding, name, store.vng_iri_for(graph_id, ordinal))
-                        if extended is not None:
-                            out.append(extended)
-                return out
             out = []
             for rec in store.vng_records:
                 graph_id = store.dictionary.lookup(rec.graph)
@@ -355,11 +497,11 @@ def _numeric_or_fail(term: Term, group_desc: str) -> Decimal:
     return value
 
 
-def _sum_literal(values: list[Term], group_desc: str) -> Term:
+def _sum_literal(values: Counter, group_desc: str) -> Term:
     total = Decimal(0)
     integral = True
-    for term in values:
-        total += _numeric_or_fail(term, group_desc)
+    for term, multiplicity in values.items():
+        total += _numeric_or_fail(term, group_desc) * multiplicity
         if term.datatype != _XSD_INTEGER and not (
             term.datatype is None and term.lexical.lstrip("+-").isdigit()
         ):
@@ -369,17 +511,17 @@ def _sum_literal(values: list[Term], group_desc: str) -> Term:
     return literal(str(total), datatype=_XSD_DECIMAL)
 
 
-def _apply_aggregate(spec: SelectAgg, values: list[Term], group_desc: str):
+def _count_literal(n: int) -> Term:
+    return literal(str(n), datatype=_XSD_INTEGER)
+
+
+def _apply_aggregate(spec: SelectAgg, values: Counter, group_desc: str):
+    """Fold one aggregate over a group's argument values, given as each
+    distinct bound value with its multiplicity."""
     if spec.distinct:
-        seen = set()
-        deduped = []
-        for v in values:
-            if v not in seen:
-                seen.add(v)
-                deduped.append(v)
-        values = deduped
+        values = Counter(dict.fromkeys(values, 1))
     if spec.func == "COUNT":
-        return literal(str(len(values)), datatype=_XSD_INTEGER)
+        return _count_literal(sum(values.values()))
     if not values:
         return None  # MAX/MIN/SUM over nothing is unbound
     if spec.func == "MAX":
@@ -391,15 +533,16 @@ def _apply_aggregate(spec: SelectAgg, values: list[Term], group_desc: str):
     raise EvalError(f"unknown aggregate {spec.func}")
 
 
-def eval_group_aggregate(rows: list[Solution], group_by, aggregates) -> list[Solution]:
-    """Partition by the GROUP BY key tuple (first-occurrence order) and fold
-    each aggregate over its bound argument values; with no GROUP BY the whole
-    input forms a single group, even when empty."""
+def _group_and_fold(rows, binding_of, group_by, aggregates, fold) -> list[Solution]:
+    """Partition `rows` by the GROUP BY key of `binding_of(row)` (first-
+    occurrence order); each group gives one result row, its key plus every
+    aggregate's `fold(spec, members, group_desc)`. With no GROUP BY the
+    whole input forms a single group, even when empty."""
     group_vars = [v.name for v in group_by] if group_by else []
-    groups: dict[tuple, list[Solution]] = {}
+    groups: dict[tuple, list] = {}
     for row in rows:
-        key = tuple(row.get(name) for name in group_vars)
-        groups.setdefault(key, []).append(row)
+        binding = binding_of(row)
+        groups.setdefault(tuple(binding.get(name) for name in group_vars), []).append(row)
     if not group_vars and not groups:
         groups[()] = []
     out = []
@@ -413,12 +556,124 @@ def eval_group_aggregate(rows: list[Solution], group_by, aggregates) -> list[Sol
             else "(all rows)"
         )
         for spec, alias in aggregates:
-            values = [row[spec.arg.name] for row in members if spec.arg.name in row]
-            term = _apply_aggregate(spec, values, desc)
+            term = fold(spec, members, desc)
             if term is not None:
                 result[alias] = term
         out.append(result)
     return out
+
+
+def eval_group_aggregate(rows: list[Solution], group_by, aggregates) -> list[Solution]:
+    """GROUP BY over solutions: each aggregate folds over its bound
+    argument values."""
+
+    def fold(spec, members, desc):
+        name = spec.arg.name
+        return _apply_aggregate(spec, Counter(row[name] for row in members if name in row), desc)
+
+    return _group_and_fold(rows, lambda row: row, group_by, aggregates, fold)
+
+
+def fold_group_aggregate(vrows: VersionedRows, group_by, aggregates):
+    """GROUP BY over versioned rows without expanding them.
+
+    Keys bound once per row group whole rows, each weighing popcount(bits)
+    solutions. Keys on ?vng or a version variable group per bit position:
+    COUNT sums bit columns, MAX and MIN hand each position to the best value
+    whose bits cover it. Returns None when an aggregate has no folded form
+    for the keys; the caller then expands the rows.
+    """
+    per_bit = vrows.per_bit
+    group_vars = [v.name for v in group_by] if group_by else []
+    if per_bit.isdisjoint(group_vars):
+        return _fold_by_row(vrows, group_by, aggregates)
+    for spec, _alias in aggregates:
+        if spec.func == "COUNT" and not spec.distinct:
+            continue
+        if spec.func in ("MAX", "MIN") and spec.arg.name not in per_bit:
+            continue
+        return None
+    return _fold_by_bit(vrows, group_vars, aggregates)
+
+
+def _fold_by_row(vrows: VersionedRows, group_by, aggregates) -> list[Solution]:
+    def fold(spec, members, desc):
+        if spec.distinct and spec.func == "COUNT" and spec.arg.name in vrows.version_vars:
+            union = 0
+            for _binding, _graph_id, bits in members:
+                union |= bits
+            return _count_literal(union.bit_count())
+        return _apply_aggregate(spec, vrows.values(members, spec.arg.name), desc)
+
+    return _group_and_fold(vrows.rows, lambda row: row[0], group_by, aggregates, fold)
+
+
+def _fold_by_bit(vrows: VersionedRows, group_vars, aggregates) -> list[Solution]:
+    per_bit = vrows.per_bit
+    row_keys = [name for name in group_vars if name not in per_bit]
+    by_graph = vrows.vng_var in group_vars
+    if row_keys or by_graph:
+        groups: dict[tuple, list] = {}
+        for row in vrows.rows:
+            key = (tuple(row[0].get(name) for name in row_keys), row[1] if by_graph else None)
+            groups.setdefault(key, []).append(row)
+    else:
+        groups = {((), None): vrows.rows}
+    store = vrows.store
+    versions = _version_terms(store)
+    out = []
+    for (key, graph_id), members in groups.items():
+        present = 0
+        for _binding, _graph_id, bits in members:
+            present |= bits
+        folded = [_fold_positions(spec, members, per_bit, store.version_count) for spec, _ in aggregates]
+        for ordinal in bitmap_ordinals(present):
+            result: Solution = {
+                name: term for name, term in zip(row_keys, key) if term is not None
+            }
+            for name in group_vars:
+                if name == vrows.vng_var:
+                    result[name] = store.vng_iri_for(graph_id, ordinal)
+                elif name in per_bit:
+                    result[name] = versions[ordinal - 1]
+            for (_spec, alias), by_position in zip(aggregates, folded):
+                term = by_position[ordinal - 1]
+                if term is not None:
+                    result[alias] = term
+            out.append(result)
+    return out
+
+
+def _fold_positions(spec: SelectAgg, members, per_bit, width: int) -> list:
+    """COUNT, MAX or MIN of `spec` at every bit position over `members`."""
+    name = spec.arg.name
+    if spec.func == "COUNT":
+        counts = [0] * width
+        always_bound = name in per_bit
+        for binding, _graph_id, bits in members:
+            if always_bound or name in binding:
+                while bits:
+                    low = bits & -bits
+                    counts[low.bit_length() - 1] += 1
+                    bits ^= low
+        return [_count_literal(n) for n in counts]
+    coverage: dict[Term, int] = {}
+    for binding, _graph_id, bits in members:
+        term = binding.get(name)
+        if term is not None:
+            coverage[term] = coverage.get(term, 0) | bits
+    best: list = [None] * width
+    unclaimed = 0
+    for bits in coverage.values():
+        unclaimed |= bits
+    for term in sorted(coverage, key=term_order_key, reverse=spec.func == "MAX"):
+        claimed = coverage[term] & unclaimed
+        for ordinal in bitmap_ordinals(claimed):
+            best[ordinal - 1] = term
+        unclaimed ^= claimed
+        if not unclaimed:
+            break
+    return best
 
 
 # ------------------------------------------------------------ select logic
@@ -439,14 +694,21 @@ def eval_select(store: Store, query: Query, ctx=None):
     Returns (columns, rows); rows only carry the projected names.
     """
     evaluator = _CondensedEvaluator(store)
-    rows = evaluator.eval(query.pattern, ctx)
+    rows = evaluator.eval_rows(query.pattern, ctx)
     return _project(query, rows)
 
 
-def _project(query: Query, rows: list[Solution]):
+def _project(query: Query, rows):
     columns = column_names(query)
     aggregates = _aggregates_with_aliases(query)
-    if aggregates or query.group_by:
+    grouped = bool(aggregates or query.group_by)
+    if isinstance(rows, VersionedRows):
+        folded = fold_group_aggregate(rows, query.group_by, aggregates) if grouped else None
+        if folded is None:
+            rows = rows.expand()
+        else:
+            rows, grouped = folded, False
+    if grouped:
         rows = eval_group_aggregate(rows, query.group_by, aggregates)
     projected = []
     for row in rows:
@@ -457,75 +719,6 @@ def _project(query: Query, rows: list[Solution]):
                 out[name] = term
         projected.append(out)
     return columns, projected
-
-
-# ------------------------------------------------------- fast-path planner
-
-
-def _detect_count_by_version(plan: AlgebraPlan):
-    """Recognize: COUNT grouped by the version variable of a metadata join
-    against a single GRAPH-variable BGP. Returns (patterns, graph var,
-    version var, count column) or None."""
-    query = plan.query
-    if not query.group_by or len(query.group_by) != 1:
-        return None
-    version_var = query.group_by[0].name
-    if len(query.projection) != 2:
-        return None
-    agg = None
-    for item in query.projection:
-        if isinstance(item, SelectAgg):
-            agg = item
-        elif isinstance(item, SelectVar):
-            if item.var.name != version_var:
-                return None
-        else:
-            return None
-    if agg is None or agg.func != "COUNT" or agg.distinct:
-        return None
-    if not isinstance(query.pattern, Join) or len(query.pattern.parts) != 2:
-        return None
-    graph_block = meta_block = None
-    for part in query.pattern.parts:
-        if isinstance(part, GraphPat):
-            graph_block = part
-        elif isinstance(part, Bgp):
-            meta_block = part
-    if graph_block is None or meta_block is None:
-        return None
-    if not isinstance(graph_block.target, Var) or not isinstance(graph_block.inner, Bgp):
-        return None
-    graph_var = graph_block.target.name
-    if graph_var == version_var:
-        return None
-    if len(meta_block.patterns) != 1:
-        return None
-    meta = meta_block.patterns[0]
-    if (
-        not isinstance(meta.subject, Var)
-        or meta.subject.name != graph_var
-        or meta.predicate != IS_IN_VERSION
-        or not isinstance(meta.object, Var)
-        or meta.object.name != version_var
-    ):
-        return None
-    bgp_vars = {
-        atom.name
-        for pat in graph_block.inner.patterns
-        for atom in (pat.subject, pat.predicate, pat.object)
-        if isinstance(atom, Var)
-    }
-    # The counted variable must be bound on every row or the count is off.
-    if agg.arg.name not in bgp_vars | {graph_var, version_var}:
-        return None
-    if version_var in bgp_vars or graph_var in bgp_vars:
-        return None
-    count_column = next(
-        col
-        for item, col in zip(query.projection, plan.columns)
-        if isinstance(item, SelectAgg)
-    )
-    return graph_block.inner.patterns, graph_var, version_var, count_column
 
 
 # ------------------------------------------------------------ result table
@@ -558,17 +751,7 @@ def _table(columns, projected_rows) -> ResultTable:
 
 
 def execute_plan(store: Store, plan: AlgebraPlan):
-    """(columns, projected solution rows), fast paths applied."""
-    fast = _detect_count_by_version(plan)
-    if fast is not None:
-        patterns, graph_var, version_var, count_column = fast
-        counts = eval_count_by_version_fast(store, patterns, graph_var)
-        rows = [
-            {version_var: version_iri(ordinal), count_column: literal(str(c), datatype=_XSD_INTEGER)}
-            for ordinal, c in enumerate(counts, start=1)
-            if c > 0
-        ]
-        return plan.columns, rows
+    """(columns, projected solution rows)."""
     return eval_select(store, plan.query, None)
 
 

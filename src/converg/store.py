@@ -21,6 +21,8 @@ from typing import Iterable, Iterator, Optional
 from .dictionary import TermDictionary
 from .errors import IngestError, SnapshotError, UnknownVngError
 from .model import (
+    IS_IN_VERSION,
+    IS_VERSION_OF,
     VNG_NS,
     MetadataGraph,
     Quad,
@@ -33,6 +35,8 @@ from .nquads import parse_nquads, parse_term, serialize_term
 
 SNAPSHOT_FORMAT_VERSION = 1
 _SNAPSHOT_FILES = ("MANIFEST", "DICT", "VNG", "ENTRIES", "META")
+# Predicates of the linking triples the store derives from its vng records.
+_LINK_PREDICATES = (IS_IN_VERSION, IS_VERSION_OF)
 
 
 def bit_for(ordinal: int) -> int:
@@ -114,6 +118,8 @@ class Store:
         self._vng_by_pair: dict[tuple[int, int], Term] = {}
         for pos, entry in enumerate(self.entries):
             self._index_entry(pos, entry)
+        self._user_metadata_set = set(self.user_metadata)
+        self._metadata: Optional[MetadataGraph] = None  # built on first use
         for rec in self.vng_records:
             self._index_vng(rec)
 
@@ -165,6 +171,7 @@ class Store:
 
         # Mutation phase: nothing below raises.
         self.version_count = ordinal
+        self._metadata = None
         if label is not None:
             self.version_labels[ordinal] = label
         mask = bit_for(ordinal)
@@ -197,25 +204,35 @@ class Store:
         """Extra default-graph metadata (creation date, authorship, ...).
 
         The two linking triples per versioned graph are maintained
-        automatically and cannot be added or removed here. Returns the
-        number of triples actually new.
+        automatically; their predicates are rejected here. Every triple is
+        checked before any is added. Returns the number of triples actually
+        new.
         """
-        auto = self.metadata_graph()
-        added = 0
-        for triple in triples:
-            s, p, o = triple
+        triples = list(triples)
+        for _s, p, _o in triples:
             if not p.is_iri:
                 raise IngestError("metadata predicate must be an IRI")
-            if triple in auto or triple in self.user_metadata:
-                continue
-            self.user_metadata.append((s, p, o))
-            added += 1
+            if p in _LINK_PREDICATES:
+                raise IngestError(
+                    f"metadata may not use the reserved predicate {serialize_term(p)}"
+                )
+        added = 0
+        for s, p, o in triples:
+            if (s, p, o) not in self._user_metadata_set:
+                self._user_metadata_set.add((s, p, o))
+                self.user_metadata.append((s, p, o))
+                self._metadata = None
+                added += 1
         return added
 
     # ------------------------------------------------------------------- read
 
     def metadata_graph(self) -> MetadataGraph:
-        return MetadataGraph.for_records(self.vng_records, self.user_metadata)
+        """The default graph; built once per change to the store, so
+        callers must not modify it."""
+        if self._metadata is None:
+            self._metadata = MetadataGraph.for_records(self.vng_records, self.user_metadata)
+        return self._metadata
 
     def lookup_pattern(
         self,
@@ -542,6 +559,11 @@ def _rebuild(raw: dict[str, str]) -> Store:
         for quad in doc.quads:
             if quad.graph is not None:
                 raise SnapshotError(f"META line {lineno + 1} must be a default-graph triple")
+            if quad.predicate in _LINK_PREDICATES:
+                raise SnapshotError(
+                    f"META line {lineno + 1} uses the reserved predicate "
+                    f"{serialize_term(quad.predicate)}"
+                )
             user_metadata.append(quad.triple())
 
     store = Store(

@@ -2,12 +2,21 @@
 
 The generator stays inside small bounds (<= 4 versions, <= 3 graphs,
 <= 50 quads per version) so the naive flat-model evaluator stays fast,
-and only emits queries that are valid by construction.
+and only emits queries that are valid by construction. A few cases use a
+store of more than 64 versions with few quads each, so that version
+bitmaps are wider than a machine word.
 """
 
 from collections import Counter
 
-from converg.engine import eval_oracle, execute_plan
+from converg.engine import (
+    VersionedRows,
+    _aggregates_with_aliases,
+    _CondensedEvaluator,
+    eval_oracle,
+    execute_plan,
+    fold_group_aggregate,
+)
 from converg.errors import EvalError
 from converg.model import XSD, Quad, iri, literal
 from converg.nquads import ParsedDocument, serialize_term
@@ -17,7 +26,9 @@ from converg.store import Store
 GRAPH_POOL = [iri(f"urn:g:{i}") for i in (1, 2, 3)]
 SUBJECT_POOL = [iri(f"urn:s:{i}") for i in range(1, 7)]
 PREDICATE_POOL = [iri(f"urn:p:{i}") for i in (1, 2, 3)]
-OBJECT_IRIS = [iri(f"urn:o:{i}") for i in (1, 2)]
+# Besides plain IRIs, objects may name a versioned graph or a version, so
+# that GRAPH blocks can bind the values the linking metadata uses.
+OBJECT_IRIS = [iri("urn:o:1"), iri("urn:o:2"), iri("urn:converg:vng:1"), iri("urn:converg:version:2")]
 WORDS = ["red", "green", "blue", "sensor"]
 
 
@@ -56,6 +67,26 @@ def random_store(rng, numeric_only=False, max_versions=4):
     return store, docs
 
 
+def random_wide_store(rng):
+    """A store of 65-70 versions; each version keeps most quads of the one
+    before, so entries stay present across more than 64 bit positions."""
+    store = Store()
+    quads: list[Quad] = []
+    for _ in range(rng.randint(65, 70)):
+        quads = [q for q in quads if rng.random() < 0.85]
+        for _ in range(rng.randint(0, 3)):
+            quads.append(
+                Quad(
+                    rng.choice(SUBJECT_POOL),
+                    rng.choice(PREDICATE_POOL),
+                    random_object(rng),
+                    rng.choice(GRAPH_POOL[:2]),
+                )
+            )
+        store.ingest_version(ParsedDocument(quads=list(quads)))
+    return store
+
+
 def random_query(rng, store) -> str:
     visible: set[str] = set()
     var_pool = ["a", "b", "c", "o"]
@@ -74,11 +105,36 @@ def random_query(rng, store) -> str:
         return f"<{rng.choice(PREDICATE_POOL).lexical}>"
 
     def object_text():
+        if rng.random() < 0.05:
+            visible.add("vng")
+            return "?vng"
         if rng.random() < 0.55:
             v = rng.choice(var_pool)
             visible.add(v)
             return f"?{v}"
         return serialize_term(random_object(rng))
+
+    def link_object(predicate):
+        roll = rng.random()
+        if roll < 0.7:
+            name = "version" if predicate == "is-in-version" else "graph"
+        elif roll < 0.8:
+            name = rng.choice(var_pool)  # may meet a variable of the GRAPH block
+        elif predicate == "is-version-of":
+            return f"<{rng.choice(GRAPH_POOL).lexical}>"
+        else:
+            # an existing version, one past the last, or a non-canonical
+            # spelling: only the first may match
+            count = store.version_count
+            ordinal = rng.choice([str(rng.randint(1, count)), str(count + 1), "0", "01"])
+            return f"<urn:converg:version:{ordinal}>"
+        visible.add(name)
+        return f"?{name}"
+
+    def link_block():
+        predicates = rng.sample(["is-in-version", "is-version-of"], rng.randint(1, 2))
+        links = " ; ".join(f"<urn:converg:vocab:{p}> {link_object(p)}" for p in predicates)
+        return f"?vng {links} ."
 
     def bgp_text(max_patterns):
         # First subject is always a variable so the query has something
@@ -116,10 +172,7 @@ def random_query(rng, store) -> str:
             target_is_var = False
         parts.append(f"GRAPH {target} {{ {bgp_text(3)} }}")
         if target_is_var and rng.random() < 0.6:
-            predicate = rng.choice(["is-in-version", "is-version-of"])
-            other = "version" if predicate == "is-in-version" else "graph"
-            visible.add(other)
-            parts.append(f"?vng <urn:converg:vocab:{predicate}> ?{other} .")
+            parts.append(link_block())
         pattern = " ".join(parts)
         if rng.random() < 0.25:
             kept_visible = set(visible)
@@ -131,14 +184,19 @@ def random_query(rng, store) -> str:
             pattern = f"{{ {pattern} }} MINUS {{ {right} }}"
 
     ordered = sorted(visible)
-    if rng.random() < 0.3 and len(ordered) >= 1:
-        group_var = rng.choice(ordered)
-        arg_var = rng.choice(ordered)
+    if rng.random() < 0.3:
+        linked = [v for v in ("version", "graph", "vng") if v in visible]
+        per_bit = [v for v in ("version", "vng") if v in visible]
+        group_vars = [rng.choice(linked if linked and rng.random() < 0.6 else ordered)]
+        if len(ordered) > 1 and rng.random() < 0.2:
+            group_vars.append(rng.choice([v for v in ordered if v != group_vars[0]]))
+        arg_var = rng.choice(per_bit if per_bit and rng.random() < 0.35 else ordered)
         func = rng.choice(["COUNT", "COUNT", "MAX", "MIN", "SUM"])
-        distinct = " DISTINCT" if func == "COUNT" and rng.random() < 0.4 else ""
+        distinct = "DISTINCT " if func == "COUNT" and rng.random() < 0.4 else ""
+        keys = " ".join(f"?{v}" for v in group_vars)
         return (
-            f"SELECT ?{group_var} {func}({distinct.strip() + ' ' if distinct else ''}?{arg_var}) "
-            f"WHERE {{ {pattern} }} GROUP BY ?{group_var}"
+            f"SELECT {keys} {func}({distinct}?{arg_var}) "
+            f"WHERE {{ {pattern} }} GROUP BY {keys}"
         )
     count = rng.randint(1, len(ordered))
     projected = rng.sample(ordered, count)
@@ -149,9 +207,36 @@ def rows_counter(columns, rows) -> Counter:
     return Counter(tuple(row.get(c) for c in columns) for row in rows)
 
 
-def run_differential_case(rng) -> str:
-    """One random (store, query) case; asserts engine == oracle."""
-    store, _ = random_store(rng)
+def folds(store, plan) -> bool:
+    """Whether the engine answers `plan` by folding versioned rows, without
+    expanding them into per-version solutions."""
+    query = plan.query
+    aggregates = _aggregates_with_aliases(query)
+    rows = _CondensedEvaluator(store).eval_rows(query.pattern, None)
+    return (
+        isinstance(rows, VersionedRows)
+        and bool(aggregates or query.group_by)
+        and fold_group_aggregate(rows, query.group_by, aggregates) is not None
+    )
+
+
+def check_against_oracle(store, plan):
+    """Assert the engine's answer to `plan` equals the oracle's on the flat
+    export; returns the engine's rows."""
+    columns, rows = execute_plan(store, plan)
+    oracle_columns, oracle_rows = eval_oracle(list(store.export_flat()), plan)
+    assert columns == oracle_columns
+    assert rows_counter(columns, rows) == rows_counter(oracle_columns, oracle_rows)
+    return rows
+
+
+def run_differential_case(rng, wide=None) -> str:
+    """One random (store, query) case; asserts engine == oracle. About one
+    case in thirty (or every case, with `wide=True`) uses a store of more
+    than 64 versions."""
+    if wide is None:
+        wide = rng.random() < 1 / 30
+    store = random_wide_store(rng) if wide else random_store(rng)[0]
     text = random_query(rng, store)
     plan = validate_and_name(parse_query(text))
     flat = list(store.export_flat())

@@ -13,7 +13,6 @@ from conftest import (
 )
 from converg.engine import (
     eval_bgp_in_graph_var,
-    eval_count_by_version_fast,
     eval_group_aggregate,
     eval_join,
     eval_minus,
@@ -29,7 +28,10 @@ from converg.store import render_bitmap
 from randcases import (
     PREDICATE_POOL,
     SUBJECT_POOL,
+    check_against_oracle,
+    folds,
     random_store,
+    random_wide_store,
     rows_counter,
     run_differential_case,
 )
@@ -306,38 +308,42 @@ def test_unbound_aggregate_arguments_are_skipped():
 # ---------------------------------------------------------- fast count path
 
 
-def test_fast_count_vector(buildings_store):
-    counts = eval_count_by_version_fast(
-        buildings_store, [_pattern(Var("s"), HEIGHT, Var("o"))], "g"
+def _count_by_version_plan(bgp_text):
+    return _plan(
+        f"SELECT ?version COUNT(?s) WHERE {{ GRAPH ?g {{ {bgp_text} }} "
+        "?g <urn:converg:vocab:is-in-version> ?version . } GROUP BY ?version"
     )
-    assert counts == [3, 3]
+
+
+def test_fast_count_vector(buildings_store):
+    plan = _count_by_version_plan("?s <urn:ex:height> ?o .")
+    assert folds(buildings_store, plan)
+    rows = check_against_oracle(buildings_store, plan)
+    counts = {row["version"]: int(row["agg1"].lexical) for row in rows}
+    assert counts == {version_iri(1): 3, version_iri(2): 3}
 
 
 def test_fast_count_zero_vector(buildings_store):
-    counts = eval_count_by_version_fast(
-        buildings_store, [_pattern(Var("s"), iri("urn:ex:nothere"), Var("o"))], "g"
-    )
-    assert counts == [0, 0]
+    plan = _count_by_version_plan("?s <urn:ex:nothere> ?o .")
+    assert folds(buildings_store, plan)
+    assert check_against_oracle(buildings_store, plan) == []
 
 
 def test_fast_path_is_detected_and_used(buildings_store):
-    from converg.engine import _detect_count_by_version
-
     plan = _plan(read_query("count_by_version.rq"))
-    assert _detect_count_by_version(plan) is not None
-    # DISTINCT must not take the fast path
+    assert folds(buildings_store, plan)
+    check_against_oracle(buildings_store, plan)
+    # COUNT DISTINCT of a per-row variable by version expands the rows
     distinct_text = read_query("count_by_version.rq").replace("COUNT(?subj", "COUNT(DISTINCT ?subj")
-    assert _detect_count_by_version(_plan(distinct_text)) is None
-    # nor a query whose graph and version variables coincide
+    assert not folds(buildings_store, _plan(distinct_text))
+    check_against_oracle(buildings_store, _plan(distinct_text))
+    # and a query whose graph and version variables coincide is no link
     degenerate = _plan(
         "SELECT ?vng COUNT(?s) WHERE { GRAPH ?vng { ?s ?p ?o . } "
         "?vng <urn:converg:vocab:is-in-version> ?vng . } GROUP BY ?vng"
     )
-    assert _detect_count_by_version(degenerate) is None
-    flat = list(buildings_store.export_flat())
-    columns, rows = execute_plan(buildings_store, degenerate)
-    oracle_columns, oracle_rows = eval_oracle(flat, degenerate)
-    assert rows_counter(columns, rows) == rows_counter(oracle_columns, oracle_rows)
+    assert not folds(buildings_store, degenerate)
+    check_against_oracle(buildings_store, degenerate)
 
 
 def test_fast_path_equals_naive_pipeline_random():
@@ -354,7 +360,6 @@ def test_fast_path_equals_naive_pipeline_random():
         )
         if not arg_vars:
             continue
-        counts = eval_count_by_version_fast(store, patterns, "vng")
         body = " ".join(
             " ".join(
                 f"?{a.name}" if isinstance(a, Var) else f"<{a.lexical}>"
@@ -369,13 +374,8 @@ def test_fast_path_equals_naive_pipeline_random():
             f"?vng <urn:converg:vocab:is-in-version> ?version . }} GROUP BY ?version"
         )
         plan = _plan(text)
-        columns, rows = eval_select(store, plan.query)  # naive pipeline, no fast path
-        naive = [0] * store.version_count
-        count_col = [c for c in columns if c != "version"][0]
-        for row in rows:
-            ordinal = int(row["version"].lexical.rsplit(":", 1)[1])
-            naive[ordinal - 1] = int(row[count_col].lexical)
-        assert counts == naive, text
+        assert folds(store, plan), text
+        check_against_oracle(store, plan)
 
 
 # ------------------------------------------------------------ executeQuery
@@ -446,4 +446,13 @@ def test_oracle_on_empty_store():
 def test_differential_equivalence_quick():
     rng = random.Random(123456)
     outcomes = Counter(run_differential_case(rng) for _ in range(150))
+    assert outcomes["ok"] > 0
+
+
+def test_differential_equivalence_wide_stores():
+    store = random_wide_store(random.Random(64))
+    assert store.version_count > 64
+    assert any(entry.bits >> 64 for entry in store.entries)
+    rng = random.Random(6464)
+    outcomes = Counter(run_differential_case(rng, wide=True) for _ in range(40))
     assert outcomes["ok"] > 0

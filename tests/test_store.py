@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 
@@ -15,8 +16,8 @@ from conftest import (
     row_triples as _row_triples,
 )
 from converg.errors import IngestError, SnapshotError, UnknownVngError
-from converg.model import XSD, Quad, blank, iri, literal
-from converg.nquads import ParsedDocument, parse_nquads, serialize_nquads
+from converg.model import IS_IN_VERSION, IS_VERSION_OF, XSD, Quad, blank, iri, literal
+from converg.nquads import ParsedDocument, parse_nquads, serialize_nquads, serialize_term
 from converg.store import (
     Store,
     bit_for,
@@ -393,20 +394,34 @@ def test_load_detects_corruption(tmp_path, buildings_store):
         load_snapshot(tmp_path)
 
 
+def _rewrite_checksums(directory):
+    """Make CHECKSUM match the files again after a test edited them."""
+    lines = (directory / "CHECKSUM").read_text().splitlines()
+    fixed = []
+    for line in lines:
+        name, _ = line.split(" ", 1)
+        digest = hashlib.sha256((directory / name).read_bytes()).hexdigest()
+        fixed.append(f"{name} {digest}")
+    (directory / "CHECKSUM").write_text("".join(l + "\n" for l in fixed))
+
+
 def test_load_rejects_future_format(tmp_path, buildings_store):
     save_snapshot(buildings_store, tmp_path)
     manifest = (tmp_path / "MANIFEST").read_text().replace("format-version=1", "format-version=2")
     (tmp_path / "MANIFEST").write_text(manifest)
-    import hashlib
-
-    lines = (tmp_path / "CHECKSUM").read_text().splitlines()
-    fixed = []
-    for line in lines:
-        name, _ = line.split(" ", 1)
-        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        fixed.append(f"{name} {digest}")
-    (tmp_path / "CHECKSUM").write_text("".join(l + "\n" for l in fixed))
+    _rewrite_checksums(tmp_path)
     with pytest.raises(SnapshotError, match="format"):
+        load_snapshot(tmp_path)
+
+
+@pytest.mark.parametrize("predicate", [IS_IN_VERSION, IS_VERSION_OF], ids=["in-version", "version-of"])
+def test_load_rejects_linking_predicate_in_meta(tmp_path, buildings_store, predicate):
+    save_snapshot(buildings_store, tmp_path)
+    (tmp_path / "META").write_text(
+        f"<urn:converg:vng:1> {serialize_term(predicate)} <urn:converg:version:7> .\n"
+    )
+    _rewrite_checksums(tmp_path)
+    with pytest.raises(SnapshotError, match="META line 1 uses the reserved predicate"):
         load_snapshot(tmp_path)
 
 
@@ -419,6 +434,32 @@ def test_snapshot_preserves_labels_and_user_metadata(tmp_path):
     assert loaded.version_labels == {1: "survey 2023"}
     assert loaded.user_metadata == [(iri("urn:dataset"), iri("urn:dc:creator"), literal("city lab"))]
     assert loaded == store
+
+
+@pytest.mark.parametrize("predicate", [IS_IN_VERSION, IS_VERSION_OF], ids=["in-version", "version-of"])
+def test_add_metadata_rejects_linking_predicates(buildings_store, predicate):
+    before = list(buildings_store.metadata_graph())
+    note = (iri("urn:dataset"), iri("urn:dc:title"), literal("heights"))
+    link = (iri("urn:converg:vng:1"), predicate, iri("urn:converg:version:7"))
+    with pytest.raises(IngestError, match="reserved predicate"):
+        buildings_store.add_metadata([note, link])
+    assert buildings_store.user_metadata == []
+    assert list(buildings_store.metadata_graph()) == before
+
+
+def test_add_metadata_dedups_and_keeps_the_metadata_graph(buildings_store):
+    graph = buildings_store.metadata_graph()
+    assert len(graph) == 8
+    assert buildings_store.metadata_graph() is graph
+    note = (iri("urn:dataset"), iri("urn:dc:title"), literal("heights"))
+    assert buildings_store.add_metadata([note, note]) == 1
+    assert buildings_store.add_metadata([note]) == 0
+    assert buildings_store.user_metadata == [note]
+    graph = buildings_store.metadata_graph()
+    assert note in graph and len(graph) == 9
+    assert buildings_store.metadata_graph() is graph
+    buildings_store.ingest_version(parse_nquads(read_fixture("buildings_v1.nq")))
+    assert len(buildings_store.metadata_graph()) == 13
 
 
 def test_metadata_graph_round_trips_through_flat_export(buildings_store):
