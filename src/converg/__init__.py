@@ -20,12 +20,10 @@ from .errors import (
 )
 from .gen import GenConfig, generate_version, write_version_files
 from .model import (
-    MetadataGraph,
     Quad,
     Term,
     VngRecord,
     blank,
-    compare_terms,
     iri,
     literal,
     mint_vng_iri,
@@ -44,7 +42,6 @@ __all__ = [
     "GenConfig",
     "IngestError",
     "IngestReport",
-    "MetadataGraph",
     "ParseError",
     "ParsedDocument",
     "Quad",
@@ -59,7 +56,6 @@ __all__ = [
     "UnsupportedQueryError",
     "VngRecord",
     "blank",
-    "compare_terms",
     "eval_oracle",
     "execute_query",
     "generate_version",

@@ -10,7 +10,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Optional
 
 IRI = "iri"
 LITERAL = "literal"
@@ -156,17 +156,10 @@ class VngRecord:
             raise ValueError("version ordinals are 1-based")
 
 
-def mint_vng_iri(graph: Term, ordinal: int, counter: int) -> Term:
-    """Mint the IRI for versioned named graph number `counter`.
-
-    The identity is the global counter alone; graph and ordinal are accepted
-    so call sites read like the record they are minting, and to make misuse
-    (non-IRI graph, bad ordinal) fail here rather than later.
-    """
-    if not graph.is_iri:
-        raise ValueError("graph must be an IRI")
-    if ordinal < 1 or counter < 1:
-        raise ValueError("ordinal and counter are 1-based")
+def mint_vng_iri(counter: int) -> Term:
+    """Mint the IRI for versioned named graph number `counter`."""
+    if counter < 1:
+        raise ValueError("vng counters are 1-based")
     return iri(f"{VNG_NS}{counter}")
 
 
@@ -174,60 +167,6 @@ def version_iri(ordinal: int) -> Term:
     if ordinal < 1:
         raise ValueError("version ordinals are 1-based")
     return iri(f"{VERSION_NS}{ordinal}")
-
-
-class MetadataGraph:
-    """The default graph: two linking triples per versioned named graph,
-    plus whatever extra metadata triples the user ingested."""
-
-    __slots__ = ("_triples", "_index")
-
-    def __init__(self, triples=()):
-        self._triples: list[tuple[Term, Term, Term]] = []
-        self._index: set[tuple[Term, Term, Term]] = set()
-        for t in triples:
-            self.add(t)
-
-    @classmethod
-    def for_records(cls, records, user_triples=()) -> "MetadataGraph":
-        g = cls()
-        for rec in records:
-            g.add((rec.vng_iri, IS_VERSION_OF, rec.graph))
-            g.add((rec.vng_iri, IS_IN_VERSION, version_iri(rec.ordinal)))
-        for t in user_triples:
-            g.add(t)
-        return g
-
-    def add(self, triple: tuple[Term, Term, Term]) -> bool:
-        """Insert one (s, p, o); set semantics, returns False on duplicate."""
-        s, p, o = triple
-        if not isinstance(s, Term) or not isinstance(p, Term) or not isinstance(o, Term):
-            raise TypeError("metadata triples are built from Terms")
-        if not p.is_iri:
-            raise ValueError("metadata predicate must be an IRI")
-        key = (s, p, o)
-        if key in self._index:
-            return False
-        self._index.add(key)
-        self._triples.append(key)
-        return True
-
-    def __iter__(self) -> Iterator[tuple[Term, Term, Term]]:
-        return iter(self._triples)
-
-    def __len__(self) -> int:
-        return len(self._triples)
-
-    def __contains__(self, triple) -> bool:
-        return triple in self._index
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MetadataGraph):
-            return NotImplemented
-        return self._index == other._index
-
-    def __repr__(self) -> str:
-        return f"MetadataGraph({len(self._triples)} triples)"
 
 
 @lru_cache(maxsize=1 << 16)
@@ -275,13 +214,3 @@ def term_order_key(term: Term):
     if value is not None:
         return (rank, 0, value, term.lexical, dt, lang)
     return (rank, 1, term.lexical, dt, lang)
-
-
-def compare_terms(a: Term, b: Term) -> int:
-    """Three-way comparison under the total term order: -1, 0, or 1."""
-    ka, kb = term_order_key(a), term_order_key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0

@@ -13,19 +13,15 @@ from dataclasses import dataclass, field
 from .errors import ParseError
 from .model import Quad, Term, blank, iri, literal
 
-STRICT = "strict"
-LENIENT = "lenient"
-
 _ESCAPES = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "\\": "\\"}
 _UNESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 
 
 @dataclass
 class ParsedDocument:
-    """Quads in file line order plus any lenient-mode warnings."""
+    """Quads in file line order."""
 
     quads: list[Quad] = field(default_factory=list)
-    warnings: list[tuple[int, str]] = field(default_factory=list)
 
 
 class _LineScanner:
@@ -185,35 +181,19 @@ def _parse_line(text: str, lineno: int, require_graph: bool) -> Quad | None:
         raise scanner.fail(str(exc))
 
 
-def parse_nquads(data, mode: str = STRICT, require_graph: bool = False) -> ParsedDocument:
+def parse_nquads(data, require_graph: bool = False) -> ParsedDocument:
     """Parse an N-Quads document from bytes or text.
 
-    Strict mode raises ParseError at the first malformed line; lenient mode
-    skips bad lines, recording (line number, message) warnings. Line order of
-    the surviving quads is preserved.
+    Raises ParseError at the first malformed line. Line order is preserved.
     """
-    if mode not in (STRICT, LENIENT):
-        raise ValueError(f"unknown parse mode: {mode!r}")
-    doc = ParsedDocument()
     if isinstance(data, (bytes, bytearray)):
-        if mode == STRICT:
-            try:
-                text = bytes(data).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"input is not UTF-8: {exc}")
-        else:
-            text = bytes(data).decode("utf-8", errors="replace")
-    else:
-        text = data
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.rstrip("\r")
         try:
-            quad = _parse_line(line, lineno, require_graph)
-        except ParseError as exc:
-            if mode == STRICT:
-                raise
-            doc.warnings.append((lineno, exc.message))
-            continue
+            data = bytes(data).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"input is not UTF-8: {exc}")
+    doc = ParsedDocument()
+    for lineno, line in enumerate(data.split("\n"), start=1):
+        quad = _parse_line(line.rstrip("\r"), lineno, require_graph)
         if quad is not None:
             doc.quads.append(quad)
     return doc

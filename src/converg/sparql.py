@@ -167,8 +167,6 @@ class AlgebraPlan:
     """Normalized query: absolute IRIs only, ``a`` and paths desugared."""
 
     query: Query
-    columns: tuple
-    variables: tuple
 
 
 # -------------------------------------------------------------------- lexer
@@ -807,51 +805,8 @@ class _Normalizer:
         return Query((), q.projection, self.pattern(q.pattern), q.group_by)
 
 
-def _numbering(query: Query) -> tuple:
-    order: list[str] = []
-    seen: set[str] = set()
-
-    def visit_var(name: str):
-        if name not in seen:
-            seen.add(name)
-            order.append(name)
-
-    def visit_pattern(node):
-        if isinstance(node, Bgp):
-            for pat in node.patterns:
-                for atom in (pat.subject, pat.predicate, pat.object):
-                    if isinstance(atom, Var):
-                        visit_var(atom.name)
-        elif isinstance(node, GraphPat):
-            if isinstance(node.target, Var):
-                visit_var(node.target.name)
-            visit_pattern(node.inner)
-        elif isinstance(node, Join):
-            for part in node.parts:
-                visit_pattern(part)
-        elif isinstance(node, Minus):
-            visit_pattern(node.left)
-            visit_pattern(node.right)
-        elif isinstance(node, SubSelect):
-            visit_query(node.query)
-
-    def visit_query(q: Query):
-        for item in q.projection:
-            if isinstance(item, SelectVar):
-                visit_var(item.var.name)
-            else:
-                visit_var(item.arg.name)
-        if q.group_by:
-            for v in q.group_by:
-                visit_var(v.name)
-        visit_pattern(q.pattern)
-
-    visit_query(query)
-    return tuple(order)
-
-
 def validate_and_name(ast: Union[Query, AlgebraPlan]) -> AlgebraPlan:
-    """Expand prefixes, desugar ``a`` and predicate paths, number variables.
+    """Expand prefixes, desugar ``a`` and predicate paths, check the result.
 
     Idempotent: validating an already-normalized query (or a plan) returns
     an equal plan.
@@ -879,7 +834,7 @@ def validate_and_name(ast: Union[Query, AlgebraPlan]) -> AlgebraPlan:
         sub_cols = column_names(sub)
         if len(set(sub_cols)) != len(sub_cols):
             raise QueryValidationError(f"duplicate output column in sub-select: {sub_cols}")
-    return AlgebraPlan(normalized, columns, _numbering(normalized))
+    return AlgebraPlan(normalized)
 
 
 # ------------------------------------------------------------ pretty print

@@ -24,12 +24,12 @@ from .model import (
     IS_IN_VERSION,
     IS_VERSION_OF,
     VNG_NS,
-    MetadataGraph,
     Quad,
     Term,
     VngRecord,
     blank,
     mint_vng_iri,
+    version_iri,
 )
 from .nquads import parse_nquads, parse_term, serialize_term
 
@@ -119,7 +119,7 @@ class Store:
         for pos, entry in enumerate(self.entries):
             self._index_entry(pos, entry)
         self._user_metadata_set = set(self.user_metadata)
-        self._metadata: Optional[MetadataGraph] = None  # built on first use
+        self._metadata: Optional[tuple[tuple[Term, Term, Term], ...]] = None  # built on first use
         for rec in self.vng_records:
             self._index_vng(rec)
 
@@ -192,7 +192,7 @@ class Store:
         minted: list[VngRecord] = []
         for graph in graph_order:
             self.vng_counter += 1
-            rec = VngRecord(mint_vng_iri(graph, ordinal, self.vng_counter), graph, ordinal)
+            rec = VngRecord(mint_vng_iri(self.vng_counter), graph, ordinal)
             self.vng_records.append(rec)
             self._index_vng(rec)
             minted.append(rec)
@@ -205,19 +205,26 @@ class Store:
 
         The two linking triples per versioned graph are maintained
         automatically; their predicates are rejected here. Every triple is
-        checked before any is added. Returns the number of triples actually
-        new.
+        checked as a default-graph quad (Terms only, IRI or blank subject,
+        IRI predicate) before any is added, so the store can always save
+        and reopen what it holds. Returns the number of triples actually new.
         """
-        triples = list(triples)
-        for _s, p, _o in triples:
-            if not p.is_iri:
-                raise IngestError("metadata predicate must be an IRI")
+        checked: list[tuple[Term, Term, Term]] = []
+        for triple in triples:
+            try:
+                s, p, o = triple
+                if not (isinstance(s, Term) and isinstance(p, Term) and isinstance(o, Term)):
+                    raise TypeError("every position must be a Term")
+                Quad(s, p, o)
+            except (TypeError, ValueError) as exc:
+                raise IngestError(f"metadata triple {triple!r} rejected: {exc}")
             if p in _LINK_PREDICATES:
                 raise IngestError(
                     f"metadata may not use the reserved predicate {serialize_term(p)}"
                 )
+            checked.append((s, p, o))
         added = 0
-        for s, p, o in triples:
+        for s, p, o in checked:
             if (s, p, o) not in self._user_metadata_set:
                 self._user_metadata_set.add((s, p, o))
                 self.user_metadata.append((s, p, o))
@@ -227,11 +234,16 @@ class Store:
 
     # ------------------------------------------------------------------- read
 
-    def metadata_graph(self) -> MetadataGraph:
-        """The default graph; built once per change to the store, so
-        callers must not modify it."""
+    def metadata_graph(self) -> tuple[tuple[Term, Term, Term], ...]:
+        """The default graph: `is-version-of` and `is-in-version` for each
+        vng record in record order, then the user metadata. Built once per
+        change to the store."""
         if self._metadata is None:
-            self._metadata = MetadataGraph.for_records(self.vng_records, self.user_metadata)
+            links = []
+            for rec in self.vng_records:
+                links.append((rec.vng_iri, IS_VERSION_OF, rec.graph))
+                links.append((rec.vng_iri, IS_IN_VERSION, version_iri(rec.ordinal)))
+            self._metadata = (*links, *self.user_metadata)
         return self._metadata
 
     def lookup_pattern(
@@ -513,6 +525,7 @@ def _rebuild(raw: dict[str, str]) -> Store:
     records: list[VngRecord] = []
     seen_counters: set[int] = set()
     seen_pairs: set[tuple[int, int]] = set()
+    minted_bits: dict[int, int] = {}  # graph id -> bits of its minted versions
     for lineno, line in enumerate(raw["VNG"].splitlines()):
         try:
             counter_text, graph_id_text, ordinal_text = line.split("\t")
@@ -526,7 +539,10 @@ def _rebuild(raw: dict[str, str]) -> Store:
         seen_counters.add(counter)
         seen_pairs.add((graph_id, ordinal))
         graph = dictionary.decode(graph_id)
-        records.append(VngRecord(mint_vng_iri(graph, ordinal, counter), graph, ordinal))
+        if not graph.is_iri:
+            raise SnapshotError(f"VNG line {lineno + 1} names graph id {graph_id}, which is not an IRI")
+        minted_bits[graph_id] = minted_bits.get(graph_id, 0) | bit_for(ordinal)
+        records.append(VngRecord(mint_vng_iri(counter), graph, ordinal))
 
     entries: list[CondensedEntry] = []
     seen_keys: set[tuple[int, int, int, int]] = set()
@@ -541,6 +557,10 @@ def _rebuild(raw: dict[str, str]) -> Store:
             raise SnapshotError(f"ENTRIES line {lineno + 1} malformed: {exc}")
         if bits == 0:
             raise SnapshotError(f"ENTRIES line {lineno + 1} has an all-zero bitmap")
+        if bits & ~minted_bits.get(entry.graph, 0):
+            raise SnapshotError(
+                f"ENTRIES line {lineno + 1} sets a version with no versioned graph for its graph"
+            )
         if entry.key() in seen_keys:
             raise SnapshotError(f"ENTRIES line {lineno + 1} duplicates a quad key")
         seen_keys.add(entry.key())
@@ -549,6 +569,7 @@ def _rebuild(raw: dict[str, str]) -> Store:
         entries.append(entry)
 
     user_metadata: list[tuple[Term, Term, Term]] = []
+    seen_meta: set[tuple[Term, Term, Term]] = set()
     for lineno, line in enumerate(raw["META"].splitlines()):
         if not line.strip():
             continue
@@ -564,7 +585,11 @@ def _rebuild(raw: dict[str, str]) -> Store:
                     f"META line {lineno + 1} uses the reserved predicate "
                     f"{serialize_term(quad.predicate)}"
                 )
-            user_metadata.append(quad.triple())
+            triple = quad.triple()
+            if triple in seen_meta:
+                raise SnapshotError(f"META line {lineno + 1} duplicates a metadata triple")
+            seen_meta.add(triple)
+            user_metadata.append(triple)
 
     store = Store(
         dictionary=dictionary,

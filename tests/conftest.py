@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import os
 
@@ -57,6 +58,17 @@ def read_fixture(name: str) -> str:
 def read_query(name: str) -> str:
     with open(query_path(name), "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def rewrite_checksums(directory):
+    """Make a snapshot's CHECKSUM match its files again after a test edited them."""
+    lines = (directory / "CHECKSUM").read_text().splitlines()
+    fixed = []
+    for line in lines:
+        name, _ = line.split(" ", 1)
+        digest = hashlib.sha256((directory / name).read_bytes()).hexdigest()
+        fixed.append(f"{name} {digest}")
+    (directory / "CHECKSUM").write_text("".join(l + "\n" for l in fixed))
 
 
 def build_buildings_store() -> Store:

@@ -1,6 +1,9 @@
 import os
+import pathlib
 
-from conftest import fixture_path, query_path
+import pytest
+
+from conftest import fixture_path, query_path, rewrite_checksums
 from converg.cli import main
 from converg.store import load_snapshot
 
@@ -134,6 +137,27 @@ def test_corrupt_snapshot_exits_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["stats", store_dir]) == 2
     assert "checksum" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        # graph id 2 is the literal "10.5"
+        ("4\t7\t2\n", "4\t2\t2\n", "not an IRI"),
+        # Gr-Lyon entries keep their version-2 bits
+        ("3\t3\t2\n", "", "no versioned graph"),
+    ],
+    ids=["vng-graph-literal", "entry-bit-without-vng"],
+)
+def test_inconsistent_snapshot_exits_2(tmp_path, capsys, old, new, message):
+    store_dir = _setup_buildings(tmp_path)
+    vng = pathlib.Path(store_dir, "VNG")
+    vng.write_text(vng.read_text().replace(old, new))
+    rewrite_checksums(pathlib.Path(store_dir))
+    capsys.readouterr()
+    for command in (["stats", store_dir], ["export-flat", store_dir]):
+        assert main(command) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_gen_writes_version_files(tmp_path, capsys):

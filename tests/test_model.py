@@ -2,15 +2,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from converg.model import (
-    IS_IN_VERSION,
-    IS_VERSION_OF,
     XSD,
-    MetadataGraph,
     Quad,
     Term,
-    VngRecord,
     blank,
-    compare_terms,
     iri,
     literal,
     mint_vng_iri,
@@ -72,9 +67,11 @@ def test_quad_validation():
 
 
 def test_vng_minting_is_counter_based():
-    assert mint_vng_iri(iri("urn:ng:Gr-Lyon"), 1, 1) == iri("urn:converg:vng:1")
-    assert mint_vng_iri(iri("urn:ng:IGN"), 1, 2) == iri("urn:converg:vng:2")
-    assert mint_vng_iri(iri("urn:ng:IGN"), 2, 4) == iri("urn:converg:vng:4")
+    assert mint_vng_iri(1) == iri("urn:converg:vng:1")
+    assert mint_vng_iri(2) == iri("urn:converg:vng:2")
+    assert mint_vng_iri(4) == iri("urn:converg:vng:4")
+    with pytest.raises(ValueError):
+        mint_vng_iri(0)
 
 
 def test_version_iri_formatting():
@@ -85,24 +82,11 @@ def test_version_iri_formatting():
         version_iri(0)
 
 
-def test_metadata_graph_two_triples_per_record():
-    records = [
-        VngRecord(iri("urn:converg:vng:1"), iri("urn:ng:Gr-Lyon"), 1),
-        VngRecord(iri("urn:converg:vng:2"), iri("urn:ng:IGN"), 1),
-    ]
-    g = MetadataGraph.for_records(records)
-    assert len(g) == 4
-    assert (iri("urn:converg:vng:1"), IS_VERSION_OF, iri("urn:ng:Gr-Lyon")) in g
-    assert (iri("urn:converg:vng:2"), IS_IN_VERSION, iri("urn:converg:version:1")) in g
-    # set semantics
-    assert not g.add((iri("urn:converg:vng:1"), IS_VERSION_OF, iri("urn:ng:Gr-Lyon")))
-
-
 # ---------------------------------------------------------------- ordering
 
 
 def test_numeric_literals_compare_by_value():
-    assert compare_terms(literal("10.5", datatype=DECIMAL), literal("11", datatype=DECIMAL)) == -1
+    assert term_order_key(literal("10.5", datatype=DECIMAL)) < term_order_key(literal("11", datatype=DECIMAL))
 
 
 def test_plain_numeric_fallback():
@@ -115,12 +99,12 @@ def test_plain_numeric_fallback():
             best = h
     assert best == literal("11")
     assert max(heights, key=term_order_key) == best
-    assert compare_terms(literal("11"), literal("9.1")) == 1
+    assert term_order_key(literal("11")) > term_order_key(literal("9.1"))
 
 
 def test_kind_precedence():
-    assert compare_terms(iri("urn:ex:a"), literal("x")) == -1
-    assert compare_terms(blank("b"), iri("urn:ex:a")) == -1
+    assert term_order_key(iri("urn:ex:a")) < term_order_key(literal("x"))
+    assert term_order_key(blank("b")) < term_order_key(iri("urn:ex:a"))
 
 
 def test_nan_is_not_numeric():
@@ -132,8 +116,8 @@ def test_nan_is_not_numeric():
 def test_same_value_different_spelling_stays_ordered():
     a = literal("10", datatype=INTEGER)
     b = literal("10.0", datatype=DECIMAL)
-    assert compare_terms(a, b) != 0
-    assert compare_terms(a, b) == -compare_terms(b, a)
+    assert term_order_key(a) != term_order_key(b)
+    assert (term_order_key(a) < term_order_key(b)) != (term_order_key(b) < term_order_key(a))
 
 
 # ------------------------------------------------------- order properties
@@ -156,19 +140,23 @@ _terms = st.one_of(
 
 @given(_terms, _terms)
 def test_order_is_antisymmetric_and_consistent_with_equality(a, b):
-    ab, ba = compare_terms(a, b), compare_terms(b, a)
-    assert ab == -ba
-    assert (ab == 0) == (a == b)
+    ka, kb = term_order_key(a), term_order_key(b)
+    assert not (ka < kb and kb < ka)
+    assert (ka == kb) == (a == b)
+    assert (ka < kb or kb < ka) == (a != b)
 
 
 @given(_terms, _terms, _terms)
 def test_order_is_transitive(a, b, c):
-    x, y, z = sorted([a, b, c], key=term_order_key)
-    assert compare_terms(x, y) <= 0
-    assert compare_terms(y, z) <= 0
-    assert compare_terms(x, z) <= 0
+    ka, kb, kc = term_order_key(a), term_order_key(b), term_order_key(c)
+    if ka <= kb and kb <= kc:
+        assert ka <= kc
+    x, y, z = sorted([ka, kb, kc])
+    assert x <= y <= z and x <= z
 
 
 @given(_terms)
 def test_order_is_reflexive(a):
-    assert compare_terms(a, a) == 0
+    twin = Term(a.kind, a.lexical, a.datatype, a.language)
+    assert term_order_key(a) == term_order_key(twin)
+    assert not term_order_key(a) < term_order_key(twin)

@@ -26,25 +26,12 @@ def test_single_quad_line():
 
 def test_empty_file():
     doc = parse_nquads("")
-    assert doc.quads == [] and doc.warnings == []
+    assert doc.quads == []
 
 
 def test_comments_and_blank_lines_are_skipped():
     doc = parse_nquads("# header\n\n   # indented comment\n<urn:s> <urn:p> <urn:o> .\n")
     assert len(doc.quads) == 1
-
-
-def test_lenient_mode_records_warnings():
-    text = (
-        "<urn:s> <urn:p> <urn:o> .\n"
-        "<urn:s> <urn:p> _:b0 .\n"
-        "garbage here\n"
-        '<urn:s> <urn:p> "v" .\n'
-    )
-    doc = parse_nquads(text, mode="lenient")
-    assert len(doc.quads) == 3
-    assert len(doc.warnings) == 1
-    assert doc.warnings[0][0] == 3
 
 
 def test_strict_mode_reports_line_and_column():
@@ -62,8 +49,6 @@ def test_default_graph_quads_parse_as_triples():
 def test_require_graph_rejects_triples():
     with pytest.raises(ParseError):
         parse_nquads("<urn:s> <urn:p> <urn:o> .\n", require_graph=True)
-    doc = parse_nquads("<urn:s> <urn:p> <urn:o> .\n", mode="lenient", require_graph=True)
-    assert doc.quads == [] and len(doc.warnings) == 1
 
 
 def test_escape_handling_round_trip():
@@ -118,8 +103,6 @@ def test_parse_term_single():
 def test_invalid_utf8_is_a_strict_error():
     with pytest.raises(ParseError, match="UTF-8"):
         parse_nquads(b"<urn:s> <urn:p> \xff\xfe .\n")
-    doc = parse_nquads(b"<urn:s> <urn:p> \xff\xfe .\n", mode="lenient")
-    assert doc.quads == []
 
 
 def test_line_order_is_preserved():
@@ -149,7 +132,6 @@ _quads = st.builds(Quad, _subjects, _iris, _objects, _graphs)
 def test_round_trip_preserves_quad_multiset(quads):
     text = serialize_nquads(quads)
     again = parse_nquads(text)
-    assert again.warnings == []
     assert Counter(again.quads) == Counter(quads)
 
 
@@ -158,8 +140,14 @@ def test_term_serialization_round_trips(term):
     assert parse_term(serialize_term(term)) == term
 
 
-@given(st.binary(max_size=300))
+_nquads_bytes = st.text("<>_:\"\\@^#. \t\r\nuU0aé-", max_size=300).map(str.encode)
+
+
+@given(st.one_of(st.binary(max_size=300), _nquads_bytes), st.booleans())
 @settings(max_examples=300)
-def test_lenient_mode_never_raises_on_arbitrary_bytes(data):
-    doc = parse_nquads(data, mode="lenient")
+def test_arbitrary_bytes_parse_or_raise_parse_error(data, require_graph):
+    try:
+        doc = parse_nquads(data, require_graph=require_graph)
+    except ParseError:
+        return
     assert isinstance(doc.quads, list)

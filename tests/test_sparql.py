@@ -259,11 +259,6 @@ def test_benchmark_style_aggregate_texts_parse():
         assert plan.query.group_by is not None
 
 
-def test_variable_numbering_is_deterministic():
-    plan = validate_and_name(parse_query(LISTING_STYLE_ALL))
-    assert plan.variables == ("version", "subj", "obj", "vng")
-
-
 # ------------------------------------------------------ print/parse cycle
 
 _PREFIXES = (("ex", "urn:ex:"), ("v", "urn:v:"))

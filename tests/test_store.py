@@ -1,4 +1,3 @@
-import hashlib
 import os
 import random
 
@@ -13,8 +12,10 @@ from conftest import (
     build_buildings_store,
     fixture_path,
     read_fixture,
+    rewrite_checksums,
     row_triples as _row_triples,
 )
+from converg.engine import execute_query
 from converg.errors import IngestError, SnapshotError, UnknownVngError
 from converg.model import IS_IN_VERSION, IS_VERSION_OF, XSD, Quad, blank, iri, literal
 from converg.nquads import ParsedDocument, parse_nquads, serialize_nquads, serialize_term
@@ -394,22 +395,11 @@ def test_load_detects_corruption(tmp_path, buildings_store):
         load_snapshot(tmp_path)
 
 
-def _rewrite_checksums(directory):
-    """Make CHECKSUM match the files again after a test edited them."""
-    lines = (directory / "CHECKSUM").read_text().splitlines()
-    fixed = []
-    for line in lines:
-        name, _ = line.split(" ", 1)
-        digest = hashlib.sha256((directory / name).read_bytes()).hexdigest()
-        fixed.append(f"{name} {digest}")
-    (directory / "CHECKSUM").write_text("".join(l + "\n" for l in fixed))
-
-
 def test_load_rejects_future_format(tmp_path, buildings_store):
     save_snapshot(buildings_store, tmp_path)
     manifest = (tmp_path / "MANIFEST").read_text().replace("format-version=1", "format-version=2")
     (tmp_path / "MANIFEST").write_text(manifest)
-    _rewrite_checksums(tmp_path)
+    rewrite_checksums(tmp_path)
     with pytest.raises(SnapshotError, match="format"):
         load_snapshot(tmp_path)
 
@@ -420,8 +410,37 @@ def test_load_rejects_linking_predicate_in_meta(tmp_path, buildings_store, predi
     (tmp_path / "META").write_text(
         f"<urn:converg:vng:1> {serialize_term(predicate)} <urn:converg:version:7> .\n"
     )
-    _rewrite_checksums(tmp_path)
+    rewrite_checksums(tmp_path)
     with pytest.raises(SnapshotError, match="META line 1 uses the reserved predicate"):
+        load_snapshot(tmp_path)
+
+
+def test_load_rejects_duplicate_meta_line(tmp_path, buildings_store):
+    save_snapshot(buildings_store, tmp_path)
+    line = '<urn:dataset> <urn:dc:title> "heights" .\n'
+    (tmp_path / "META").write_text(line + line)
+    rewrite_checksums(tmp_path)
+    with pytest.raises(SnapshotError, match="META line 2 duplicates"):
+        load_snapshot(tmp_path)
+
+
+def test_load_rejects_vng_whose_graph_is_not_an_iri(tmp_path, buildings_store):
+    save_snapshot(buildings_store, tmp_path)
+    literal_id = buildings_store.dictionary.lookup(literal("10.5", datatype=DECIMAL))
+    vng = (tmp_path / "VNG").read_text().replace("4\t7\t2\n", f"4\t{literal_id}\t2\n")
+    (tmp_path / "VNG").write_text(vng)
+    rewrite_checksums(tmp_path)
+    with pytest.raises(SnapshotError, match="VNG line 4 .* not an IRI"):
+        load_snapshot(tmp_path)
+
+
+def test_load_rejects_entry_bit_without_a_vng(tmp_path, buildings_store):
+    save_snapshot(buildings_store, tmp_path)
+    # Drop the record of (Gr-Lyon, version 2); Gr-Lyon entries still set bit 2.
+    vng = (tmp_path / "VNG").read_text().replace("3\t3\t2\n", "")
+    (tmp_path / "VNG").write_text(vng)
+    rewrite_checksums(tmp_path)
+    with pytest.raises(SnapshotError, match="ENTRIES line 1 sets a version with no versioned graph"):
         load_snapshot(tmp_path)
 
 
@@ -445,6 +464,51 @@ def test_add_metadata_rejects_linking_predicates(buildings_store, predicate):
         buildings_store.add_metadata([note, link])
     assert buildings_store.user_metadata == []
     assert list(buildings_store.metadata_graph()) == before
+
+
+def test_add_metadata_rejects_literal_subject(tmp_path, buildings_store):
+    note = (iri("urn:dataset"), iri("urn:dc:title"), literal("heights"))
+    bad = (literal("dataset"), iri("urn:dc:title"), literal("heights"))
+    with pytest.raises(IngestError, match="subject must be an IRI or blank node"):
+        buildings_store.add_metadata([note, bad])
+    assert buildings_store.user_metadata == []
+    save_snapshot(buildings_store, tmp_path)
+    assert load_snapshot(tmp_path) == buildings_store
+
+
+@pytest.mark.parametrize(
+    "triple",
+    [
+        ("urn:dataset", iri("urn:dc:title"), literal("heights")),
+        (iri("urn:dataset"), iri("urn:dc:title"), "heights"),
+        (iri("urn:dataset"), iri("urn:dc:title")),
+    ],
+    ids=["str-subject", "str-object", "two-terms"],
+)
+def test_add_metadata_rejects_non_terms(buildings_store, triple):
+    with pytest.raises(IngestError, match="metadata triple"):
+        buildings_store.add_metadata([triple])
+    assert buildings_store.user_metadata == []
+    assert execute_query(buildings_store, "SELECT ?s ?o WHERE { ?s ?p ?o . }").rows
+
+
+def test_metadata_graph_two_triples_per_record():
+    store = Store()
+    store.ingest_version(
+        [Quad(iri("urn:ex:a"), HEIGHT, literal("1"), GR_LYON), Quad(iri("urn:ex:a"), HEIGHT, literal("2"), IGN)]
+    )
+    note = (iri("urn:dataset"), iri("urn:dc:title"), literal("heights"))
+    store.add_metadata([note])
+    vng1, vng2 = iri("urn:converg:vng:1"), iri("urn:converg:vng:2")
+    version1 = iri("urn:converg:version:1")
+    assert store.metadata_graph() == (
+        (vng1, IS_VERSION_OF, GR_LYON),
+        (vng1, IS_IN_VERSION, version1),
+        (vng2, IS_VERSION_OF, IGN),
+        (vng2, IS_IN_VERSION, version1),
+        note,
+    )
+    assert store.stats().metadata_triple_count == 5
 
 
 def test_add_metadata_dedups_and_keeps_the_metadata_graph(buildings_store):
