@@ -815,8 +815,9 @@ class _OracleEvaluator:
                         if extended is not None:
                             out.append(extended)
                 return out
-            triples = self.dataset.named.get(node.target, [])
-            return self.eval(node.inner, triples)
+            if node.target not in self.dataset.named:
+                return []  # not a graph of the dataset: matches nothing
+            return self.eval(node.inner, self.dataset.named[node.target])
         if isinstance(node, SubSelect):
             _, rows = self._select(node.query, active)
             return rows

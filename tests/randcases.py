@@ -150,6 +150,58 @@ def random_query(rng, store) -> str:
             lines.append(f"{subject} {predicate_text()} {object_text()} .")
         return " ".join(lines)
 
+    def hidden(text_of):
+        """`text_of()` with the variables it binds kept out of `visible`;
+        returns (text, those variables)."""
+        outer = set(visible)
+        visible.clear()
+        text = text_of()
+        inner = set(visible)
+        visible.clear()
+        visible.update(outer)
+        return text, inner
+
+    def sub_select(graph_var):
+        """A sub-SELECT over a BGP: plain columns, an aggregate alone, or
+        grouped. The alias may be the block's graph variable, which an
+        aggregate over nothing leaves unbound."""
+        body, inner = hidden(lambda: bgp_text(2))
+        inner = sorted(inner)
+        roll = rng.random()
+        if roll < 0.35:
+            columns = rng.sample(inner, rng.randint(1, len(inner)))
+            visible.update(columns)
+            return f"{{ SELECT {' '.join('?' + c for c in columns)} WHERE {{ {body} }} }}"
+        func = rng.choice(["COUNT", "COUNT", "MAX", "MIN", "SUM"])
+        distinct = "DISTINCT " if func == "COUNT" and rng.random() < 0.4 else ""
+        aggregate = f"{func}({distinct}?{rng.choice(inner)})"
+        alias = rng.choice(["n", "n", graph_var, rng.choice(var_pool)])
+        if roll < 0.65:
+            visible.add(alias)
+            return f"{{ SELECT ({aggregate} AS ?{alias}) WHERE {{ {body} }} }}"
+        key = rng.choice(inner)
+        if alias == key:
+            alias = "n"
+        visible.update((key, alias))
+        return f"{{ SELECT ?{key} ({aggregate} AS ?{alias}) WHERE {{ {body} }} GROUP BY ?{key} }}"
+
+    def graph_inner(graph_var, nested=False):
+        """The body of a GRAPH block: mostly a BGP, else a join, a MINUS, a
+        sub-SELECT or (one level deep) a nested GRAPH ?h block."""
+        roll = rng.random()
+        if roll < 0.5:
+            return bgp_text(3)
+        if roll < 0.6:
+            return f"{{ {bgp_text(2)} }} {{ {bgp_text(2)} }}"
+        if roll < 0.72:
+            left = bgp_text(2)
+            right, _ = hidden(lambda: bgp_text(2))  # MINUS binds nothing outward
+            return f"{left} MINUS {{ {right} }}"
+        if roll < 0.9 or nested:
+            return sub_select(graph_var)
+        visible.add("h")
+        return f"GRAPH ?h {{ {graph_inner('h', nested=True)} }}"
+
     shape = rng.random()
     if shape < 0.12:
         # metadata-only query against the default graph
@@ -170,17 +222,15 @@ def random_query(rng, store) -> str:
             # unknown or plain-graph IRI: must evaluate to empty, not error
             target = rng.choice(["<urn:converg:vng:999>", "<urn:g:1>"])
             target_is_var = False
-        parts.append(f"GRAPH {target} {{ {bgp_text(3)} }}")
+        parts.append(f"GRAPH {target} {{ {graph_inner('vng')} }}")
         if target_is_var and rng.random() < 0.6:
             parts.append(link_block())
         pattern = " ".join(parts)
         if rng.random() < 0.25:
-            kept_visible = set(visible)
             if rng.random() < 0.5:
-                right = f"GRAPH ?vng2 {{ {bgp_text(2)} }}"
+                right, _ = hidden(lambda: f"GRAPH ?vng2 {{ {bgp_text(2)} }}")
             else:
-                right = bgp_text(2)
-            visible = kept_visible  # MINUS right side binds nothing outward
+                right, _ = hidden(lambda: bgp_text(2))
             pattern = f"{{ {pattern} }} MINUS {{ {right} }}"
 
     ordered = sorted(visible)
