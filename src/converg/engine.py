@@ -1,12 +1,14 @@
 """Query evaluation over the condensed store.
 
-Basic graph patterns inside GRAPH are matched once per named graph while
-the version dimension stays a bitmap: joining two patterns ANDs their
-bitmaps. `GRAPH ?vng { BGP }`, alone or joined with the linking metadata
+Every pattern evaluates to (solution, bits) rows: a solution of term
+bindings and the bitmap of the versions it holds in. Inside GRAPH a basic
+graph pattern is matched once per named graph while the version dimension
+stays a bitmap; a join ANDs the bits of compatible rows and MINUS clears
+them. `GRAPH ?vng { ... }`, alone or joined with the linking metadata
 patterns on ?vng, stays condensed as `VersionedRows`: the links are
 resolved from each row's graph id and bits. GROUP BY folds over those rows
-(counting a version is summing a bit column); every other consumer expands
-them into per-version solutions.
+(counting a version is summing a bit column); a grouped sub-select inside
+GRAPH is the one operator that runs once per version.
 
 `eval_oracle` is the deliberately naive reference: it evaluates the same
 plan over the flat quad list with nested loops, no dictionary, no indexes,
@@ -78,64 +80,63 @@ def merge(a: Solution, b: Solution) -> Solution:
     return out
 
 
-def eval_join(left: list[Solution], right: list[Solution]) -> list[Solution]:
-    """Natural join; multiplicity is the product of multiplicities."""
-    if not left or not right:
-        return []
-    left_vars = set().union(*(row.keys() for row in left))
-    right_vars = set().union(*(row.keys() for row in right))
-    shared = left_vars & right_vars
-    if not shared:
-        return [merge(l, r) for l in left for r in right]
+def _extend(binding: Solution, name: str, term: Term):
+    existing = binding.get(name)
+    if existing is None:
+        out = dict(binding)
+        out[name] = term
+        return out
+    return binding if existing == term else None
+
+
+def eval_join(left: list, right: list) -> list:
+    """Natural join of (solution, bits) rows: compatible rows merge and
+    their bits AND; a pair that shares no version is dropped. Multiplicity
+    is the product of multiplicities."""
+    shared = set().union(*(row for row, _bits in left)) & set().union(*(row for row, _bits in right))
     key_vars = tuple(sorted(shared))
-    fully_bound = all(all(v in row for v in key_vars) for row in left) and all(
-        all(v in row for v in key_vars) for row in right
-    )
-    if not fully_bound:
+    if all(v in row for row, _bits in (*left, *right) for v in key_vars):
+        index: dict[tuple, list] = {}
+        for r in right:
+            index.setdefault(tuple(r[0][v] for v in key_vars), []).append(r)
+        pairs = ((l, r) for l in left for r in index.get(tuple(l[0][v] for v in key_vars), ()))
+    else:
         # Rare: a shared variable may be unbound (e.g. MAX over an empty
         # group in a sub-select). Fall back to pairwise compatibility.
-        return [merge(l, r) for l in left for r in right if compatible(l, r)]
-    index: dict[tuple, list[Solution]] = {}
-    for row in right:
-        index.setdefault(tuple(row[v] for v in key_vars), []).append(row)
+        pairs = ((l, r) for l in left for r in right if compatible(l[0], r[0]))
     out = []
-    for l in left:
-        for r in index.get(tuple(l[v] for v in key_vars), ()):
-            out.append(merge(l, r))
+    for (l, l_bits), (r, r_bits) in pairs:
+        if l_bits & r_bits:
+            out.append((merge(l, r), l_bits & r_bits))
     return out
 
 
-def eval_minus(left: list[Solution], right: list[Solution]) -> list[Solution]:
-    """Keep a left row unless some right row is compatible with it and
-    shares at least one bound variable."""
-    if not left or not right:
-        return list(left)
-    by_domain: dict[frozenset, object] = {}
-    for row in right:
-        domain = frozenset(row.keys())
-        by_domain.setdefault(domain, []).append(row)
-    domain_index = {}
-    for domain, rows in by_domain.items():
-        key_vars = tuple(sorted(domain))
-        domain_index[domain] = (key_vars, {tuple(r[v] for v in key_vars) for r in rows}, rows)
+def eval_minus(left: list, right: list) -> list:
+    """Clear from each left (solution, bits) row the bits of every right
+    row that is compatible with it and shares at least one bound variable;
+    a row left with no bits is dropped."""
+    index: dict[frozenset, tuple] = {}  # domain -> (its variables, key -> bits, rows)
+    for r in right:
+        domain = frozenset(r[0])
+        if domain not in index:
+            index[domain] = (tuple(sorted(domain)), {}, [])
+        key_vars, keyed, rows = index[domain]
+        keyed.setdefault(tuple(r[0][v] for v in key_vars), []).append(r[1])
+        rows.append(r)
     out = []
-    for l in left:
-        l_vars = set(l.keys())
-        dropped = False
-        for domain, (key_vars, keyset, rows) in domain_index.items():
-            common = domain & l_vars
-            if not common:
-                continue
-            if common == domain:
-                if tuple(l[v] for v in key_vars) in keyset:
-                    dropped = True
-                    break
-            else:
-                if any(compatible(l, r) for r in rows):
-                    dropped = True
-                    break
-        if not dropped:
-            out.append(l)
+    for row in left:
+        l, bits = row
+        for domain, (key_vars, keyed, rows) in index.items():
+            common = domain.intersection(l)
+            if common and common == domain:
+                for r_bits in keyed.get(tuple(l[v] for v in key_vars), ()):
+                    bits &= ~r_bits
+            elif common:
+                for r, r_bits in rows:
+                    if compatible(l, r):
+                        bits &= ~r_bits
+        if bits:
+            out.append(row if bits == row[1] else (l, bits))
     return out
 
 
@@ -163,8 +164,8 @@ def _pattern_ids(store: Store, pattern, binding: Solution):
 def _match_bgp_in_graph(store: Store, patterns, graph_id: int, mask: int):
     """Join the patterns inside one named graph, ANDing version bitmaps.
 
-    Yields (binding, bits) with bits != 0; `mask` restricts to a version
-    subset (all-ones for the graph-variable path).
+    Returns (binding, bits) rows with bits != 0; `mask` holds the versions
+    in scope.
     """
     decode = store.dictionary.decode
     rows = [({}, mask)]
@@ -202,22 +203,6 @@ def _match_bgp_in_graph(store: Store, patterns, graph_id: int, mask: int):
         if not rows:
             break
     return rows
-
-
-def eval_bgp_in_graph_var(store: Store, patterns, graph_var: str):
-    """All (solution, graph id, version bitmap) rows for a BGP under a
-    graph variable; expanding each row over its set bits must equal
-    evaluating the BGP separately inside every versioned graph."""
-    if not patterns:
-        raise ValueError("basic graph pattern must be non-empty")
-    full_mask = (1 << store.version_count) - 1
-    out = []
-    if not full_mask:
-        return out
-    for graph_id in store.graphs_in_order():
-        for binding, bits in _match_bgp_in_graph(store, patterns, graph_id, full_mask):
-            out.append((binding, graph_id, bits))
-    return out
 
 
 # ---------------------------------------------------------- versioned rows
@@ -259,7 +244,7 @@ def _is_link(pattern, vng_var: str) -> bool:
 
 @dataclass
 class VersionedRows:
-    """Solutions of `GRAPH ?vng { BGP }` and its link patterns, condensed.
+    """Solutions of `GRAPH ?vng { ... }` and its link patterns, condensed.
 
     Each (binding, graph id, bits) row stands for one solution per set bit
     m: the binding, plus `vng_var` bound to the versioned graph (graph id,
@@ -311,70 +296,30 @@ class VersionedRows:
         return values
 
 
-def eval_versioned(store: Store, graph: GraphPat, links) -> VersionedRows:
-    """`graph` (GRAPH ?vng { BGP }) joined with the link patterns `links`.
-
-    A link to a constant filters rows by graph id or ANDs in that version's
-    bit; a link to a new variable binds it once per row (the graph) or makes
-    it per-bit (the version); a link to a variable already bound filters.
-    """
-    vng_var = graph.target.name
-    rows = eval_bgp_in_graph_var(store, graph.inner.patterns, vng_var)
-    bound = visible_vars(graph.inner)
-    if vng_var in bound:
-        rows = [(b, g, bits & _vng_bit(store, b[vng_var], g)) for b, g, bits in rows]
-    version_vars: tuple = ()
-    decode = store.dictionary.decode
-    for pattern in links:
-        obj = pattern.object
-        name = obj.name if isinstance(obj, Var) else None
-        if pattern.predicate == IS_VERSION_OF:
-            if name is None:
-                graph_id = store.dictionary.lookup(obj)
-                rows = [row for row in rows if row[1] == graph_id]
-            elif name in version_vars:
-                rows = [(b, g, bits & _version_bit(store, decode(g))) for b, g, bits in rows]
-            elif name in bound:
-                rows = [row for row in rows if row[0][name] == decode(row[1])]
-            else:
-                rows = [({**b, name: decode(g)}, g, bits) for b, g, bits in rows]
-                bound.add(name)
-        elif name is None:
-            mask = _version_bit(store, obj)
-            rows = [(b, g, bits & mask) for b, g, bits in rows]
-        elif name in bound:
-            rows = [(b, g, bits & _version_bit(store, b[name])) for b, g, bits in rows]
-        elif name not in version_vars:
-            version_vars += (name,)
-    rows = [row for row in rows if row[2]]
-    return VersionedRows(store, rows, vng_var, version_vars)
-
-
 # ------------------------------------------------------ pattern evaluation
 
 
-def _extend(binding: Solution, name: str, term: Term):
-    existing = binding.get(name)
-    if existing is None:
-        out = dict(binding)
-        out[name] = term
-        return out
-    return binding if existing == term else None
+def _scope_bits(ctx) -> int:
+    """The bits every row of a pattern that holds throughout `ctx` carries."""
+    return -1 if ctx is None else ctx[1]
 
 
 class _CondensedEvaluator:
     """Evaluates normalized patterns against a store.
 
-    Context is either None (the default graph, i.e. metadata) or a
-    (graph id, ordinal) pair naming one versioned graph.
+    Every pattern evaluates to (solution, bits) rows under a context:
+    None for the default graph (metadata), where every row carries -1, or
+    (graph id, bits of the versions in scope), where a row stands for its
+    solution once in each version whose bit it carries. Rows never carry 0.
     """
 
     def __init__(self, store: Store):
         self.store = store
 
     def versioned(self, node, ctx):
-        """`node` as VersionedRows when it is GRAPH ?vng { BGP }, alone or
-        joined in the default graph with link patterns on ?vng; else None."""
+        """`node` as VersionedRows when it is GRAPH ?vng { ... }, alone or
+        joined in the default graph with link patterns on ?vng; else None.
+        The rows do not depend on `ctx`: they hold in every version of it."""
         if isinstance(node, GraphPat):
             graph, links = node, []
         elif isinstance(node, Join) and ctx is None:
@@ -385,27 +330,81 @@ class _CondensedEvaluator:
             links = [pat for p in node.parts if isinstance(p, Bgp) for pat in p.patterns]
         else:
             return None
-        if not isinstance(graph.target, Var) or not isinstance(graph.inner, Bgp):
-            return None
-        if not all(_is_link(pattern, graph.target.name) for pattern in links):
-            return None
-        return eval_versioned(self.store, graph, links)
+        if isinstance(graph.target, Var) and all(_is_link(p, graph.target.name) for p in links):
+            return self.eval_versioned(graph, links)
+        return None
+
+    def eval_versioned(self, graph: GraphPat, links) -> VersionedRows:
+        """`graph` (GRAPH ?vng { inner }) joined with the link patterns
+        `links`; the inner pattern runs once per graph id, over the versions
+        that minted a vng for it. A link to a constant filters rows by graph
+        id or ANDs in that version's bit; a link to a new variable binds it
+        once per row (the graph) or makes it per-bit (the version); a link
+        to a variable already bound filters.
+        """
+        store = self.store
+        vng_var = graph.target.name
+        rows = [
+            (binding, graph_id, bits)
+            for graph_id, minted in store.minted_versions().items()
+            for binding, bits in self.eval(graph.inner, (graph_id, minted))
+        ]
+        bound = visible_vars(graph.inner)
+        if vng_var in bound:  # an inner ?vng (unless left unbound) must name the row's vng
+            rows = [
+                (b, g, bits if vng_var not in b else bits & _vng_bit(store, b[vng_var], g))
+                for b, g, bits in rows
+            ]
+        version_vars: tuple = ()
+        decode = store.dictionary.decode
+        for pattern in links:
+            obj = pattern.object
+            name = obj.name if isinstance(obj, Var) else None
+            if pattern.predicate == IS_VERSION_OF:
+                if name is None:
+                    graph_id = store.dictionary.lookup(obj)
+                    rows = [row for row in rows if row[1] == graph_id]
+                elif name in version_vars:
+                    rows = [(b, g, bits & _version_bit(store, decode(g))) for b, g, bits in rows]
+                else:
+                    rows = [
+                        (extended, g, bits)
+                        for b, g, bits in rows
+                        if (extended := _extend(b, name, decode(g))) is not None
+                    ]
+                    bound.add(name)
+            elif name is None:
+                mask = _version_bit(store, obj)
+                rows = [(b, g, bits & mask) for b, g, bits in rows]
+            elif name in bound:  # one row per version its value (or, unbound, it) takes
+                versions = _version_terms(store)
+                rows = [
+                    (extended, g, bit_for(m))
+                    for b, g, bits in rows
+                    for m in bitmap_ordinals(bits)
+                    if (extended := _extend(b, name, versions[m - 1])) is not None
+                ]
+            elif name not in version_vars:
+                version_vars += (name,)
+        rows = [row for row in rows if row[2]]
+        return VersionedRows(store, rows, vng_var, version_vars)
 
     def eval_rows(self, node, ctx):
-        """VersionedRows where `node` stays condensed, else solutions."""
+        """VersionedRows where `node` stays condensed, else its rows."""
         versioned = self.versioned(node, ctx)
         return versioned if versioned is not None else self.eval(node, ctx)
 
-    def eval(self, node, ctx) -> list[Solution]:
+    def eval(self, node, ctx) -> list:
         versioned = self.versioned(node, ctx)
         if versioned is not None:
-            return versioned.expand()
+            scope = _scope_bits(ctx)
+            return [(solution, scope) for solution in versioned.expand()]
         if isinstance(node, Bgp):
-            return self.eval_bgp(node, ctx)
+            if ctx is None:
+                return [(row, -1) for row in _match_triples(self.store.metadata_graph(), node.patterns)]
+            return _match_bgp_in_graph(self.store, node.patterns, *ctx)
         if isinstance(node, Join):
-            ordered = [p for p in node.parts if isinstance(p, GraphPat)] + [
-                p for p in node.parts if not isinstance(p, GraphPat)
-            ]
+            ordered = sorted(node.parts, key=lambda p: not isinstance(p, GraphPat))
             rows = self.eval(ordered[0], ctx)
             for part in ordered[1:]:
                 if not rows:
@@ -414,44 +413,27 @@ class _CondensedEvaluator:
             return rows
         if isinstance(node, Minus):
             left = self.eval(node.left, ctx)
-            if not left:
-                return []
-            return eval_minus(left, self.eval(node.right, ctx))
+            return eval_minus(left, self.eval(node.right, ctx)) if left else []
         if isinstance(node, GraphPat):
             return self.eval_graph(node, ctx)
         if isinstance(node, SubSelect):
-            _, rows = eval_select(self.store, node.query, ctx)
-            return rows
+            _, solutions, bits = eval_select(self.store, node.query, ctx)
+            return list(zip(solutions, bits))
         raise TypeError(f"not a pattern node: {node!r}")
 
-    def eval_bgp(self, node: Bgp, ctx) -> list[Solution]:
-        if ctx is None:
-            return _match_triples(self.store.metadata_graph(), node.patterns)
-        graph_id, ordinal = ctx
-        rows = _match_bgp_in_graph(self.store, node.patterns, graph_id, bit_for(ordinal))
-        return [binding for binding, _bits in rows]
-
-    def eval_graph(self, node: GraphPat, ctx) -> list[Solution]:
-        store = self.store
-        if isinstance(node.target, Var):
-            name = node.target.name
-            out = []
-            for rec in store.vng_records:
-                graph_id = store.dictionary.lookup(rec.graph)
-                for binding in self.eval(node.inner, (graph_id, rec.ordinal)):
-                    extended = _extend(binding, name, rec.vng_iri)
-                    if extended is not None:
-                        out.append(extended)
-            return out
+    def eval_graph(self, node: GraphPat, ctx) -> list:
+        """GRAPH <vng> { inner }: the inner rows, which hold throughout
+        `ctx` whichever version of the outer scope is asked."""
         try:
-            pair = store.resolve_vng(node.target)
+            graph_id, ordinal = self.store.resolve_vng(node.target)
         except UnknownVngError:
             logger.warning(
                 "GRAPH names %s, which is not a versioned graph; empty match",
                 serialize_term(node.target),
             )
             return []
-        return self.eval(node.inner, pair)
+        scope = _scope_bits(ctx)
+        return [(row, scope) for row, _bits in self.eval(node.inner, (graph_id, bit_for(ordinal)))]
 
 
 def _match_triples(triples, patterns) -> list[Solution]:
@@ -680,45 +662,53 @@ def _fold_positions(spec: SelectAgg, members, per_bit, width: int) -> list:
 
 
 def _aggregates_with_aliases(query: Query):
-    pairs = []
-    columns = column_names(query)
-    for item, column in zip(query.projection, columns):
-        if isinstance(item, SelectAgg):
-            pairs.append((item, column))
-    return pairs
+    pairs = zip(query.projection, column_names(query))
+    return [(item, column) for item, column in pairs if isinstance(item, SelectAgg)]
 
 
 def eval_select(store: Store, query: Query, ctx=None):
-    """Evaluate one (sub-)query body: pattern, grouping, projection.
+    """Evaluate one (sub-)query body under `ctx`: pattern, grouping,
+    projection.
 
-    Returns (columns, rows); rows only carry the projected names.
+    Returns (columns, solutions, bits): the solutions carry only the
+    projected names, and `bits` holds the bits of each.
     """
     evaluator = _CondensedEvaluator(store)
     rows = evaluator.eval_rows(query.pattern, ctx)
-    return _project(query, rows)
+    return _project(query, rows, ctx)
 
 
-def _project(query: Query, rows):
+def _project(query: Query, rows, ctx):
+    """Group and project. Ungrouped rows keep their bits; grouped rows
+    are grouped once per version in scope, the one step that runs per bit
+    (versioned rows hold in every version of `ctx`, so they group once)."""
     columns = column_names(query)
     aggregates = _aggregates_with_aliases(query)
     grouped = bool(aggregates or query.group_by)
     if isinstance(rows, VersionedRows):
         folded = fold_group_aggregate(rows, query.group_by, aggregates) if grouped else None
         if folded is None:
-            rows = rows.expand()
-        else:
-            rows, grouped = folded, False
-    if grouped:
-        rows = eval_group_aggregate(rows, query.group_by, aggregates)
+            folded = rows.expand()
+            if grouped:
+                folded = eval_group_aggregate(folded, query.group_by, aggregates)
+        solutions, bits = folded, [_scope_bits(ctx)] * len(folded)
+    elif grouped:
+        solutions, bits = [], []
+        for bit in [-1] if ctx is None else [bit_for(m) for m in bitmap_ordinals(ctx[1])]:
+            members = [solution for solution, row_bits in rows if row_bits & bit]
+            solutions += eval_group_aggregate(members, query.group_by, aggregates)
+            bits += [bit] * (len(solutions) - len(bits))
+    else:
+        solutions, bits = [solution for solution, _bits in rows], [bits for _solution, bits in rows]
     projected = []
-    for row in rows:
+    for row in solutions:
         out = {}
         for name in columns:
             term = row.get(name)
             if term is not None:
                 out[name] = term
         projected.append(out)
-    return columns, projected
+    return columns, projected, bits
 
 
 # ------------------------------------------------------------ result table
@@ -752,7 +742,8 @@ def _table(columns, projected_rows) -> ResultTable:
 
 def execute_plan(store: Store, plan: AlgebraPlan):
     """(columns, projected solution rows)."""
-    return eval_select(store, plan.query, None)
+    columns, solutions, _bits = eval_select(store, plan.query, None)
+    return columns, solutions
 
 
 def execute_query(store: Store, text: str) -> ResultTable:
@@ -892,15 +883,7 @@ class _OracleEvaluator:
                             result[alias] = literal(str(total), datatype=_XSD_DECIMAL)
                 grouped.append(result)
             rows = grouped
-        projected = []
-        for row in rows:
-            out = {}
-            for name in columns:
-                term = row.get(name)
-                if term is not None:
-                    out[name] = term
-            projected.append(out)
-        return columns, projected
+        return columns, [{name: row[name] for name in columns if name in row} for row in rows]
 
 
 def eval_oracle(flat_quads, plan: AlgebraPlan):

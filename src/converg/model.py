@@ -53,6 +53,12 @@ NUMERIC_DATATYPE_IRIS = frozenset(
 _LANG_TAG_RE = re.compile(r"[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8})*$")
 _PLAIN_NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
 _BLANK_LABEL_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*$")
+_IRI_FORBIDDEN_RE = re.compile(r"[\s<>]")  # \s is exactly str.isspace()
+
+
+def _check_iri(value: str, what: str) -> None:
+    if not value or _IRI_FORBIDDEN_RE.search(value):
+        raise ValueError(f"{what} must be non-empty, without whitespace or angle brackets: {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,15 +77,14 @@ class Term:
 
     def __post_init__(self):
         if self.kind == IRI:
-            if not self.lexical:
-                raise ValueError("IRI must be non-empty")
-            if any(c.isspace() for c in self.lexical) or "<" in self.lexical or ">" in self.lexical:
-                raise ValueError(f"IRI contains whitespace or angle bracket: {self.lexical!r}")
+            _check_iri(self.lexical, "IRI")
             if self.datatype is not None or self.language is not None:
                 raise ValueError("only literals carry a datatype or language")
         elif self.kind == LITERAL:
             if self.datatype is not None and self.language is not None:
                 raise ValueError("literal datatype and language are mutually exclusive")
+            if self.datatype is not None:
+                _check_iri(self.datatype, "datatype IRI")
             if self.language is not None and not _LANG_TAG_RE.fullmatch(self.language):
                 raise ValueError(f"malformed language tag: {self.language!r}")
         elif self.kind == BLANK:

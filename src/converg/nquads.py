@@ -135,6 +135,8 @@ class _LineScanner:
             code = int(digits, 16)
             if code > 0x10FFFF:
                 raise self.fail("escape beyond the Unicode range")
+            if 0xD800 <= code <= 0xDFFF:
+                raise self.fail("escape names a surrogate code point")
             self.pos += 2 + width
             return chr(code)
         raise self.fail(f"unsupported escape \\{marker}")

@@ -116,6 +116,7 @@ class Store:
         self._by_subject: dict[int, list[int]] = {}
         self._vng_by_iri: dict[Term, tuple[int, int]] = {}
         self._vng_by_pair: dict[tuple[int, int], Term] = {}
+        self._minted: dict[int, int] = {}  # graph id -> bits of its vngs' versions
         for pos, entry in enumerate(self.entries):
             self._index_entry(pos, entry)
         self._user_metadata_set = set(self.user_metadata)
@@ -152,7 +153,7 @@ class Store:
 
         seen: set[tuple[Term, Term, Term, Term]] = set()
         deduped: list[tuple[Term, Term, Term, Term]] = []
-        graph_order: list[Term] = []
+        graph_order: dict[Term, None] = {}  # first-appearance order
         duplicates = 0
         for quad in quads:
             if quad.graph is None:
@@ -166,8 +167,7 @@ class Store:
                 continue
             seen.add(key)
             deduped.append(key)
-            if quad.graph not in graph_order:
-                graph_order.append(quad.graph)
+            graph_order.setdefault(quad.graph)
 
         # Mutation phase: nothing below raises.
         self.version_count = ordinal
@@ -205,9 +205,10 @@ class Store:
 
         The two linking triples per versioned graph are maintained
         automatically; their predicates are rejected here. Every triple is
-        checked as a default-graph quad (Terms only, IRI or blank subject,
-        IRI predicate) before any is added, so the store can always save
-        and reopen what it holds. Returns the number of triples actually new.
+        checked as a default-graph quad (valid Terms only, IRI or blank
+        subject, IRI predicate) before any is added, so the store can always
+        save and reopen what it holds. Returns the number of triples actually
+        new.
         """
         checked: list[tuple[Term, Term, Term]] = []
         for triple in triples:
@@ -215,6 +216,8 @@ class Store:
                 s, p, o = triple
                 if not (isinstance(s, Term) and isinstance(p, Term) and isinstance(o, Term)):
                     raise TypeError("every position must be a Term")
+                for term in (s, p, o):
+                    term.__post_init__()  # re-check: an unpickled or copied Term never ran it
                 Quad(s, p, o)
             except (TypeError, ValueError) as exc:
                 raise IngestError(f"metadata triple {triple!r} rejected: {exc}")
@@ -279,9 +282,10 @@ class Store:
                 continue
             yield entry
 
-    def graphs_in_order(self) -> list[int]:
-        """Distinct graph ids in first-entry order."""
-        return list(self._by_graph.keys())
+    def minted_versions(self) -> dict[int, int]:
+        """Graph id -> bits of the versions that minted a vng for it, in
+        first-minting order. Read-only."""
+        return self._minted
 
     def resolve_vng(self, vng_iri: Term) -> tuple[int, int]:
         """(graph id, ordinal) for a minted vng IRI; inverse of minting."""
@@ -376,6 +380,7 @@ class Store:
         graph_id = self.dictionary.encode(rec.graph)
         self._vng_by_iri[rec.vng_iri] = (graph_id, rec.ordinal)
         self._vng_by_pair[(graph_id, rec.ordinal)] = rec.vng_iri
+        self._minted[graph_id] = self._minted.get(graph_id, 0) | bit_for(rec.ordinal)
 
 
 # ------------------------------------------------------------------ snapshots

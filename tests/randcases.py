@@ -119,7 +119,8 @@ def random_query(rng, store) -> str:
         if roll < 0.7:
             name = "version" if predicate == "is-in-version" else "graph"
         elif roll < 0.8:
-            name = rng.choice(var_pool)  # may meet a variable of the GRAPH block
+            # may meet a variable of the GRAPH block, or an aggregate's alias
+            name = rng.choice(var_pool + ["n"])
         elif predicate == "is-version-of":
             return f"<{rng.choice(GRAPH_POOL).lexical}>"
         else:

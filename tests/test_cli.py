@@ -204,6 +204,22 @@ def test_missing_store_argument_without_env(tmp_path, capsys, monkeypatch):
     assert "CONVERG_STORE" in capsys.readouterr().err
 
 
+def test_load_of_a_surrogate_escape_fails_and_keeps_the_snapshot(tmp_path, capsys):
+    store_dir = pathlib.Path(_setup_buildings(tmp_path))
+
+    def snapshot_bytes():
+        return {p.name: p.read_bytes() for p in store_dir.iterdir() if not p.name.startswith(".")}
+
+    before = snapshot_bytes()
+    bad = tmp_path / "surrogate.nq"
+    bad.write_text('<urn:s> <urn:p> "\\uD800" <urn:g> .\n', encoding="utf-8")
+    capsys.readouterr()
+    # a malformed version file is a user error, like every other ParseError
+    assert main(["load", str(store_dir), str(bad)]) == 1
+    assert "line 1, column 18" in capsys.readouterr().err
+    assert snapshot_bytes() == before
+
+
 def test_interrupted_save_leaves_prior_snapshot_loadable(tmp_path, capsys, monkeypatch):
     store_dir = _setup_buildings(tmp_path)
     before = load_snapshot(store_dir)

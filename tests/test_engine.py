@@ -9,10 +9,11 @@ from conftest import (
     BUILDINGS_V2_ROWS,
     GR_LYON,
     HEIGHT,
+    IGN,
     read_query,
 )
 from converg.engine import (
-    eval_bgp_in_graph_var,
+    _CondensedEvaluator,
     eval_group_aggregate,
     eval_join,
     eval_minus,
@@ -23,7 +24,7 @@ from converg.engine import (
 )
 from converg.errors import EvalError, ParseError
 from converg.model import XSD, iri, literal, version_iri
-from converg.sparql import SelectAgg, TriplePattern, Var, parse_query, validate_and_name
+from converg.sparql import Bgp, GraphPat, SelectAgg, TriplePattern, Var, parse_query, validate_and_name
 from converg.store import render_bitmap
 from randcases import (
     PREDICATE_POOL,
@@ -52,17 +53,21 @@ def _plan(text):
     return validate_and_name(parse_query(text))
 
 
+def _versioned_rows(store, patterns):
+    """(binding, graph id, bits) rows of GRAPH ?g { patterns }."""
+    return _CondensedEvaluator(store).versioned(GraphPat(Var("g"), Bgp(tuple(patterns))), None).rows
+
+
 # ------------------------------------------------- condensed BGP matching
 
 
 def test_two_pattern_bgp_ands_bitmaps(buildings_store):
-    rows = eval_bgp_in_graph_var(
+    rows = _versioned_rows(
         buildings_store,
         [
             _pattern(Var("s"), HEIGHT, _height("10.5")),
             _pattern(Var("s2"), HEIGHT, _height("15")),
         ],
-        "g",
     )
     assert len(rows) == 1
     binding, graph_id, bits = rows[0]
@@ -72,9 +77,7 @@ def test_two_pattern_bgp_ands_bitmaps(buildings_store):
 
 
 def test_single_pattern_bitmaps_per_graph(buildings_store):
-    rows = eval_bgp_in_graph_var(
-        buildings_store, [_pattern(Var("s"), HEIGHT, Var("o"))], "g"
-    )
+    rows = _versioned_rows(buildings_store, [_pattern(Var("s"), HEIGHT, Var("o"))])
     lyon_id = buildings_store.dictionary.lookup(GR_LYON)
     rendered = sorted(
         render_bitmap(bits, 2) for _b, g, bits in rows if g == lyon_id
@@ -83,9 +86,7 @@ def test_single_pattern_bitmaps_per_graph(buildings_store):
 
 
 def test_non_matching_bgp_is_empty(buildings_store):
-    rows = eval_bgp_in_graph_var(
-        buildings_store, [_pattern(Var("s"), iri("urn:ex:nothere"), Var("o"))], "g"
-    )
+    rows = _versioned_rows(buildings_store, [_pattern(Var("s"), iri("urn:ex:nothere"), Var("o"))])
     assert rows == []
 
 
@@ -106,7 +107,7 @@ def test_bitmap_and_soundness_exhaustive(buildings_store):
         for b in objects
     ]
     for bgp in bgps:
-        for binding, graph_id, bits in eval_bgp_in_graph_var(store, bgp, "g"):
+        for binding, graph_id, bits in _versioned_rows(store, bgp):
             for ordinal in range(1, store.version_count + 1):
                 triples = flat.get((graph_id, ordinal), set())
 
@@ -152,26 +153,36 @@ def test_graph_unknown_or_plain_iri_is_empty(buildings_store):
 # ------------------------------------------------------------------- join
 
 
+A, B, C = iri("urn:a"), iri("urn:b"), iri("urn:c")
+
+
 def test_join_with_empty_is_empty():
-    assert eval_join([], [{"x": iri("urn:a")}]) == []
-    assert eval_join([{"x": iri("urn:a")}], []) == []
+    assert eval_join([], [({"x": A}, -1)]) == []
+    assert eval_join([({"x": A}, -1)], []) == []
 
 
 def test_join_with_unit_is_identity():
-    rows = [{"x": iri("urn:a")}, {"x": iri("urn:b")}]
-    assert eval_join(rows, [{}]) == rows
-    assert eval_join([{}], rows) == rows
+    rows = [({"x": A}, -1), ({"x": B}, 0b10)]
+    assert eval_join(rows, [({}, -1)]) == rows
+    assert eval_join([({}, -1)], rows) == rows
 
 
 def test_join_multiplicity_is_product():
-    left = [{"x": iri("urn:a")}, {"x": iri("urn:a")}]
-    right = [{"x": iri("urn:a"), "y": iri("urn:c")}] * 3
+    left = [({"x": A}, -1), ({"x": A}, -1)]
+    right = [({"x": A, "y": C}, -1)] * 3
     assert len(eval_join(left, right)) == 6
+
+
+def test_join_ands_two_different_bitmaps():
+    left = [({"x": A}, 0b0110)]
+    right = [({"x": A, "y": B}, 0b0011), ({"x": A, "y": C}, 0b1000), ({"x": B}, 0b1111)]
+    assert eval_join(left, right) == [({"x": A, "y": B}, 0b0010)]
 
 
 def test_metadata_join_decorates_with_version(buildings_store):
     plan = _plan(read_query("all_versions.rq"))
-    columns, rows = eval_select(buildings_store, plan.query)
+    columns, rows, bits = eval_select(buildings_store, plan.query)
+    assert bits == [-1] * len(rows)
     oracle_columns, oracle_rows = eval_oracle(list(buildings_store.export_flat()), plan)
     assert columns == oracle_columns
     assert rows_counter(columns, rows) == rows_counter(columns, oracle_rows)
@@ -202,22 +213,30 @@ def test_minus_diff_query_matches_set_difference(buildings_store):
 
 
 def test_minus_self_is_empty():
-    rows = [{"x": iri("urn:a")}, {"x": iri("urn:b")}]
+    rows = [({"x": A}, -1), ({"x": B}, 0b11)]
     assert eval_minus(rows, rows) == []
 
 
 def test_minus_with_disjoint_variables_keeps_left():
-    left = [{"x": iri("urn:a")}]
-    right = [{"y": iri("urn:b")}]
+    left = [({"x": A}, 0b1)]
+    right = [({"y": B}, -1)]
     assert eval_minus(left, right) == left
 
 
 def test_minus_partial_domain_overlap():
-    left = [{"x": iri("urn:a"), "y": iri("urn:b")}]
-    right = [{"x": iri("urn:a"), "z": iri("urn:c")}]
+    left = [({"x": A, "y": B}, -1)]
+    right = [({"x": A, "z": C}, -1)]
     assert eval_minus(left, right) == []
-    right2 = [{"x": iri("urn:other"), "z": iri("urn:c")}]
+    right2 = [({"x": iri("urn:other"), "z": C}, -1)]
     assert eval_minus(left, right2) == left
+
+
+def test_minus_clears_only_the_overlapping_bits():
+    left = [({"x": A, "y": B}, 0b0111)]
+    # same domain as the shared key, and a partial domain overlap
+    assert eval_minus(left, [({"x": A}, 0b0010)]) == [({"x": A, "y": B}, 0b0101)]
+    assert eval_minus(left, [({"x": A, "z": C}, 0b1100)]) == [({"x": A, "y": B}, 0b0011)]
+    assert eval_minus(left, [({"x": A}, 0b0010), ({"y": B}, 0b0101)]) == []
 
 
 def test_minus_never_grows_and_join_unit_identity_random():
@@ -226,14 +245,17 @@ def test_minus_never_grows_and_join_unit_identity_random():
 
     def rows(n):
         return [
-            {name: rng.choice(pool) for name in rng.sample("wxyz", rng.randint(1, 3))}
+            ({name: rng.choice(pool) for name in rng.sample("wxyz", rng.randint(1, 3))}, rng.randint(1, 15))
             for _ in range(n)
         ]
 
     for _ in range(100):
         left, right = rows(rng.randint(0, 12)), rows(rng.randint(0, 12))
-        assert len(eval_minus(left, right)) <= len(left)
-        assert eval_join(left, [{}]) == left
+        out = eval_minus(left, right)
+        assert len(out) <= len(left)
+        for solution, bits in out:  # bits are only ever cleared
+            assert any(solution is l and bits and not bits & ~l_bits for l, l_bits in left)
+        assert eval_join(left, [({}, -1)]) == left
 
 
 # -------------------------------------------------------------- aggregates
@@ -376,6 +398,51 @@ def test_fast_path_equals_naive_pipeline_random():
         plan = _plan(text)
         assert folds(store, plan), text
         check_against_oracle(store, plan)
+
+
+def test_group_by_version_folds_over_minus_inside_graph(buildings_store):
+    plan = _plan(
+        "SELECT ?version (COUNT(?s) AS ?n) WHERE { GRAPH ?vng { { ?s <urn:ex:height> ?o . } "
+        "MINUS { ?s <urn:ex:height> \"10.5\"^^<http://www.w3.org/2001/XMLSchema#decimal> . } } "
+        "?vng <urn:converg:vocab:is-in-version> ?version . } GROUP BY ?version"
+    )
+    assert folds(buildings_store, plan)
+    rows = check_against_oracle(buildings_store, plan)
+    # bldg1 is 10.5 in both versions of Gr-Lyon and in version 2 of IGN
+    expected = {}
+    for ordinal, raw in ((1, BUILDINGS_V1_ROWS), (2, BUILDINGS_V2_ROWS)):
+        dropped = {(s, g) for s, o, g in raw if o == "10.5"}
+        expected[version_iri(ordinal)] = sum(1 for s, o, g in raw if (s, g) not in dropped)
+    assert {row["version"]: int(row["n"].lexical) for row in rows} == expected
+
+
+def test_grouped_sub_select_inside_graph_runs_per_version(buildings_store):
+    plan = _plan(
+        "SELECT ?version ?n WHERE { GRAPH ?vng { { SELECT (COUNT(?s) AS ?n) WHERE "
+        "{ ?s <urn:ex:height> ?o . } } } ?vng <urn:converg:vocab:is-in-version> ?version . }"
+    )
+    rows = check_against_oracle(buildings_store, plan)
+    expected = Counter()
+    for ordinal, raw in ((1, BUILDINGS_V1_ROWS), (2, BUILDINGS_V2_ROWS)):
+        for graph in (GR_LYON, IGN):
+            expected[(version_iri(ordinal), sum(1 for *_r, g in raw if g == graph))] += 1
+    assert Counter((row["version"], int(row["n"].lexical)) for row in rows) == expected
+
+
+def test_unbound_aggregate_alias_inside_graph_is_no_key_error(buildings_store):
+    empty = "WHERE { ?s <urn:ex:nothere> ?o . }"
+    # MAX over nothing leaves the alias unbound: GRAPH then binds ?vng, and
+    # the link binds ?v once per version
+    plan = _plan(f"SELECT ?vng WHERE {{ GRAPH ?vng {{ {{ SELECT (MAX(?o) AS ?vng) {empty} }} }} }}")
+    assert len(check_against_oracle(buildings_store, plan)) == len(buildings_store.vng_records)
+    plan = _plan(
+        f"SELECT ?vng ?v WHERE {{ GRAPH ?vng {{ {{ SELECT (MIN(?o) AS ?v) {empty} }} }} "
+        "?vng <urn:converg:vocab:is-in-version> ?v . }"
+    )
+    rows = check_against_oracle(buildings_store, plan)
+    assert Counter((r["vng"], r["v"]) for r in rows) == Counter(
+        (rec.vng_iri, version_iri(rec.ordinal)) for rec in buildings_store.vng_records
+    )
 
 
 # ------------------------------------------------------------ executeQuery

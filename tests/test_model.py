@@ -38,6 +38,12 @@ def test_iri_rejects_whitespace_and_brackets(bad):
         iri(bad)
 
 
+@pytest.mark.parametrize("bad", ["", "a b", "a<b", "a>b", "tab\there"])
+def test_literal_datatype_follows_the_iri_rule(bad):
+    with pytest.raises(ValueError, match="datatype IRI"):
+        literal("x", datatype=bad)
+
+
 def test_blank_label_validation():
     assert blank("v1b0").lexical == "v1b0"
     with pytest.raises(ValueError):

@@ -62,6 +62,14 @@ def test_unicode_escapes():
     assert doc.quads[0].object.lexical == "é\U0001F600"
 
 
+@pytest.mark.parametrize("escape", ["\\uD800", "\\udfff", "\\U0000DC00"])
+def test_surrogate_escape_is_a_positioned_error(escape):
+    with pytest.raises(ParseError, match="surrogate") as exc:
+        parse_nquads(f'<urn:s> <urn:p> <urn:o> .\n<urn:s> <urn:p> "a{escape}" <urn:g> .\n')
+    assert exc.value.line == 2
+    assert exc.value.column == 19
+
+
 def test_unsupported_escape_is_strict_error():
     with pytest.raises(ParseError):
         parse_nquads('<urn:s> <urn:p> "\\q" .\n')

@@ -17,7 +17,7 @@ from conftest import (
 )
 from converg.engine import execute_query
 from converg.errors import IngestError, SnapshotError, UnknownVngError
-from converg.model import IS_IN_VERSION, IS_VERSION_OF, XSD, Quad, blank, iri, literal
+from converg.model import IS_IN_VERSION, IS_VERSION_OF, XSD, Quad, Term, blank, iri, literal
 from converg.nquads import ParsedDocument, parse_nquads, serialize_nquads, serialize_term
 from converg.store import (
     Store,
@@ -471,6 +471,19 @@ def test_add_metadata_rejects_literal_subject(tmp_path, buildings_store):
     bad = (literal("dataset"), iri("urn:dc:title"), literal("heights"))
     with pytest.raises(IngestError, match="subject must be an IRI or blank node"):
         buildings_store.add_metadata([note, bad])
+    assert buildings_store.user_metadata == []
+    save_snapshot(buildings_store, tmp_path)
+    assert load_snapshot(tmp_path) == buildings_store
+
+
+def test_add_metadata_rejects_a_malformed_datatype_iri(tmp_path, buildings_store):
+    # A Term that skipped its constructor's checks, as an unpickled one does.
+    bad = object.__new__(Term)
+    for name, value in zip(("kind", "lexical", "datatype", "language"), ("literal", "x", "a b", None)):
+        object.__setattr__(bad, name, value)
+    note = (iri("urn:dataset"), iri("urn:dc:title"), literal("heights"))
+    with pytest.raises(IngestError, match="datatype IRI must be non-empty, without whitespace"):
+        buildings_store.add_metadata([note, (iri("urn:dataset"), iri("urn:dc:title"), bad)])
     assert buildings_store.user_metadata == []
     save_snapshot(buildings_store, tmp_path)
     assert load_snapshot(tmp_path) == buildings_store
