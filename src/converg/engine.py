@@ -22,6 +22,7 @@ import csv
 import io
 import logging
 from collections import Counter
+from itertools import repeat
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -93,6 +94,8 @@ def eval_join(left: list, right: list) -> list:
     """Natural join of (solution, bits) rows: compatible rows merge and
     their bits AND; a pair that shares no version is dropped. Multiplicity
     is the product of multiplicities."""
+    if not left or not right:
+        return []
     shared = set().union(*(row for row, _bits in left)) & set().union(*(row for row, _bits in right))
     key_vars = tuple(sorted(shared))
     if all(v in row for row, _bits in (*left, *right) for v in key_vars):
@@ -406,14 +409,11 @@ class _CondensedEvaluator:
         if isinstance(node, Join):
             ordered = sorted(node.parts, key=lambda p: not isinstance(p, GraphPat))
             rows = self.eval(ordered[0], ctx)
-            for part in ordered[1:]:
-                if not rows:
-                    return []
+            for part in ordered[1:]:  # every part, so its errors are raised too
                 rows = eval_join(rows, self.eval(part, ctx))
             return rows
         if isinstance(node, Minus):
-            left = self.eval(node.left, ctx)
-            return eval_minus(left, self.eval(node.right, ctx)) if left else []
+            return eval_minus(self.eval(node.left, ctx), self.eval(node.right, ctx))
         if isinstance(node, GraphPat):
             return self.eval_graph(node, ctx)
         if isinstance(node, SubSelect):
@@ -671,7 +671,8 @@ def eval_select(store: Store, query: Query, ctx=None):
     projection.
 
     Returns (columns, solutions, bits): the solutions carry only the
-    projected names, and `bits` holds the bits of each.
+    projected names, and `bits` holds the bits of each. Two parallel lists,
+    so that the top level, which drops the bits, builds no pair per row.
     """
     evaluator = _CondensedEvaluator(store)
     rows = evaluator.eval_rows(query.pattern, ctx)
@@ -691,23 +692,25 @@ def _project(query: Query, rows, ctx):
             folded = rows.expand()
             if grouped:
                 folded = eval_group_aggregate(folded, query.group_by, aggregates)
-        solutions, bits = folded, [_scope_bits(ctx)] * len(folded)
+        rows = zip(folded, repeat(_scope_bits(ctx)))
     elif grouped:
-        solutions, bits = [], []
-        for bit in [-1] if ctx is None else [bit_for(m) for m in bitmap_ordinals(ctx[1])]:
-            members = [solution for solution, row_bits in rows if row_bits & bit]
-            solutions += eval_group_aggregate(members, query.group_by, aggregates)
-            bits += [bit] * (len(solutions) - len(bits))
-    else:
-        solutions, bits = [solution for solution, _bits in rows], [bits for _solution, bits in rows]
-    projected = []
-    for row in solutions:
+        scopes = [-1] if ctx is None else [bit_for(m) for m in bitmap_ordinals(ctx[1])]
+        rows = [
+            (row, bit)
+            for bit in scopes
+            for row in eval_group_aggregate(
+                [solution for solution, bits in rows if bits & bit], query.group_by, aggregates
+            )
+        ]
+    projected, bits = [], []
+    for row, row_bits in rows:
         out = {}
         for name in columns:
             term = row.get(name)
             if term is not None:
                 out[name] = term
         projected.append(out)
+        bits.append(row_bits)
     return columns, projected, bits
 
 

@@ -24,8 +24,9 @@ from converg.engine import (
 )
 from converg.errors import EvalError, ParseError
 from converg.model import XSD, iri, literal, version_iri
+from converg.nquads import parse_nquads
 from converg.sparql import Bgp, GraphPat, SelectAgg, TriplePattern, Var, parse_query, validate_and_name
-from converg.store import render_bitmap
+from converg.store import Store, render_bitmap
 from randcases import (
     PREDICATE_POOL,
     SUBJECT_POOL,
@@ -445,6 +446,26 @@ def test_unbound_aggregate_alias_inside_graph_is_no_key_error(buildings_store):
     )
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "SELECT ?a WHERE { GRAPH ?vng { ?a <urn:nothing> ?b . } "
+        "{ SELECT (SUM(?o) AS ?s) WHERE { GRAPH ?g { ?x ?y ?o . } } } }",
+        "SELECT ?a WHERE { GRAPH ?vng { ?a <urn:nothing> ?b . } "
+        "MINUS { SELECT (SUM(?o) AS ?a) WHERE { GRAPH ?g { ?x ?y ?o . } } } }",
+    ],
+    ids=["join", "minus"],
+)
+def test_an_error_in_a_part_after_an_empty_one_is_raised(text):
+    store = Store()
+    store.ingest_version(parse_nquads('<urn:s> <urn:p> "red" <urn:g> .\n'))
+    plan = _plan(text)
+    with pytest.raises(EvalError, match="SUM over non-numeric"):
+        eval_oracle(list(store.export_flat()), plan)
+    with pytest.raises(EvalError, match="SUM over non-numeric"):
+        execute_plan(store, plan)
+
+
 # ------------------------------------------------------------ executeQuery
 
 
@@ -503,8 +524,6 @@ def test_engine_matches_oracle_on_fixture_queries(buildings_store):
 
 
 def test_oracle_on_empty_store():
-    from converg.store import Store
-
     plan = _plan("SELECT ?s WHERE { GRAPH ?g { ?s ?p ?o . } }")
     assert eval_oracle([], plan) == (("s",), [])
     assert execute_plan(Store(), plan) == (("s",), [])
