@@ -407,9 +407,8 @@ class _CondensedEvaluator:
                 return [(row, -1) for row in _match_triples(self.store.metadata_graph(), node.patterns)]
             return _match_bgp_in_graph(self.store, node.patterns, *ctx)
         if isinstance(node, Join):
-            ordered = sorted(node.parts, key=lambda p: not isinstance(p, GraphPat))
-            rows = self.eval(ordered[0], ctx)
-            for part in ordered[1:]:  # every part, so its errors are raised too
+            rows = self.eval(node.parts[0], ctx)
+            for part in node.parts[1:]:  # every part, so its errors are raised too
                 rows = eval_join(rows, self.eval(part, ctx))
             return rows
         if isinstance(node, Minus):

@@ -205,10 +205,9 @@ class Store:
 
         The two linking triples per versioned graph are maintained
         automatically; their predicates are rejected here. Every triple is
-        checked as a default-graph quad (valid Terms only, IRI or blank
-        subject, IRI predicate) before any is added, so the store can always
-        save and reopen what it holds. Returns the number of triples actually
-        new.
+        checked as a default-graph quad (valid Terms, IRI or blank subject,
+        IRI predicate) before any is added, so the store can always save
+        and reopen what it holds. Returns the number of triples actually new.
         """
         checked: list[tuple[Term, Term, Term]] = []
         for triple in triples:

@@ -178,6 +178,9 @@ def test_join_ands_two_different_bitmaps():
     left = [({"x": A}, 0b0110)]
     right = [({"x": A, "y": B}, 0b0011), ({"x": A, "y": C}, 0b1000), ({"x": B}, 0b1111)]
     assert eval_join(left, right) == [({"x": A, "y": B}, 0b0010)]
+    # a shared variable unbound in some row: rows pair by compatibility
+    right = [({"x": A, "y": B}, 0b0011), ({"y": C}, 0b0100), ({"x": B}, 0b0100)]
+    assert eval_join(left, right) == [({"x": A, "y": B}, 0b0010), ({"x": A, "y": C}, 0b0100)]
 
 
 def test_metadata_join_decorates_with_version(buildings_store):
