@@ -7,6 +7,8 @@ store of more than 64 versions with few quads each, so that version
 bitmaps are wider than a machine word.
 """
 
+import csv
+import io
 from collections import Counter
 
 from converg.engine import (
@@ -15,6 +17,7 @@ from converg.engine import (
     _CondensedEvaluator,
     eval_oracle,
     execute_plan,
+    execute_query,
     fold_group_aggregate,
 )
 from converg.errors import EvalError
@@ -281,9 +284,37 @@ def check_against_oracle(store, plan):
     return rows
 
 
+def reference_output(columns, rows):
+    """(rows, TSV, CSV) of a result, built naively from projected solution
+    rows: every cell serialized on its own, rows sorted on the tuple of
+    their cell texts ("" for unbound)."""
+    keyed = []
+    for row in rows:
+        terms = tuple(row.get(name) for name in columns)
+        keyed.append((tuple("" if t is None else serialize_term(t) for t in terms), terms))
+    keyed.sort(key=lambda pair: pair[0])
+    tsv = "\t".join(columns) + "\n" + "".join("\t".join(cells) + "\n" for cells, _ in keyed)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    for cells, _ in keyed:
+        writer.writerow(cells)
+    return [terms for _, terms in keyed], tsv, buffer.getvalue()
+
+
+def check_output(store, text, oracle_result):
+    """Assert `execute_query(store, text)` gives the rows, TSV and CSV that
+    `reference_output` builds from the oracle's answer."""
+    table = execute_query(store, text)
+    rows, tsv, csv_text = reference_output(*oracle_result)
+    assert table.rows == rows, text
+    assert table.to_tsv() == tsv, text
+    assert table.to_csv() == csv_text, text
+
+
 def run_differential_case(rng, wide=None) -> str:
-    """One random (store, query) case; asserts engine == oracle. About one
-    case in thirty (or every case, with `wide=True`) uses a store of more
+    """One random (store, query) case; asserts engine == oracle, for the
+    solutions and for the output rows and bytes. About one case in thirty (or every case, with `wide=True`) uses a store of more
     than 64 versions."""
     if wide is None:
         wide = rng.random() < 1 / 30
@@ -310,4 +341,5 @@ def run_differential_case(rng, wide=None) -> str:
     columns_o, rows_o = oracle_result
     assert columns_e == columns_o, text
     assert rows_counter(columns_e, rows_e) == rows_counter(columns_o, rows_o), text
+    check_output(store, text, oracle_result)
     return "ok"

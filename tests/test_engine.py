@@ -10,10 +10,12 @@ from conftest import (
     GR_LYON,
     HEIGHT,
     IGN,
+    query_path,
     read_query,
 )
 from converg.engine import (
     _CondensedEvaluator,
+    _table,
     eval_group_aggregate,
     eval_join,
     eval_minus,
@@ -23,7 +25,7 @@ from converg.engine import (
     execute_query,
 )
 from converg.errors import EvalError, ParseError
-from converg.model import XSD, iri, literal, version_iri
+from converg.model import XSD, blank, iri, literal, version_iri
 from converg.nquads import parse_nquads
 from converg.sparql import Bgp, GraphPat, SelectAgg, TriplePattern, Var, parse_query, validate_and_name
 from converg.store import Store, render_bitmap
@@ -492,6 +494,70 @@ def test_result_serialization_formats(buildings_store):
     csv_text = table.to_csv()
     assert csv_text.splitlines()[0] == "version,agg1"
     assert csv_text.count("\n") == 3
+
+
+FIXTURE_QUERIES = (
+    "all_versions",
+    "count_by_version",
+    "distinct_versions_by_graph",
+    "graph_diff",
+    "max_by_version",
+)
+
+
+@pytest.mark.parametrize("name", FIXTURE_QUERIES)
+def test_fixture_query_output_matches_golden(buildings_store, name):
+    table = execute_query(buildings_store, read_query(f"{name}.rq"))
+    for suffix, produced in (("tsv", table.to_tsv()), ("csv", table.to_csv())):
+        with open(query_path(f"{name}.{suffix}"), "r", encoding="utf-8", newline="") as fh:
+            assert produced == fh.read(), f"{name}.{suffix}"
+
+
+def test_result_rows_sort_on_the_tuple_of_cell_texts():
+    # Cell texts that are prefixes of one another or hold control
+    # characters; each row has fresh Term objects, equal terms included.
+    def cells(o, x):
+        return {"o": o(), **({"x": x()} if x else {})}
+
+    plain = lambda: literal("a")
+    tagged = lambda: literal("a", language="en")
+    typed = lambda: literal("a", datatype="urn:dt")
+    tab = lambda: literal("a\tb")
+    control = lambda: literal("a\u0001")
+    short = lambda: blank("a")
+    long = lambda: blank("ab")
+    expected = [
+        (control, None),
+        (plain, None),
+        (plain, short),
+        (plain, long),
+        (tagged, plain),
+        (typed, control),
+        (typed, tab),
+        (tab, plain),
+        (short, long),
+        (long, None),
+        (long, short),
+    ]
+    rows = [cells(o, x) for o, x in expected]
+    random.Random(3).shuffle(rows)
+    table = _table(("o", "x"), rows)
+    assert table.rows == [(o(), x() if x else None) for o, x in expected]
+    assert table.to_tsv() == (
+        "o\tx\n"
+        '"a\x01"\t\n'
+        '"a"\t\n'
+        '"a"\t_:a\n'
+        '"a"\t_:ab\n'
+        '"a"@en\t"a"\n'
+        '"a"^^<urn:dt>\t"a\x01"\n'
+        '"a"^^<urn:dt>\t"a\\tb"\n'
+        '"a\\tb"\t"a"\n'
+        "_:a\t_:ab\n"
+        "_:ab\t\n"
+        "_:ab\t_:a\n"
+    )
+    assert table.to_csv().splitlines()[1:4] == ['"""a\x01""",', '"""a""",', '"""a""",_:a']
 
 
 def test_distinct_version_count_never_exceeds_version_count():
