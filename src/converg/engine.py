@@ -264,15 +264,22 @@ class VersionedRows:
         """The variables whose value changes with the bit position."""
         return {self.vng_var, *self.version_vars}
 
-    def expand(self) -> list[Solution]:
+    def expand(self, names=None) -> list[Solution]:
+        """One solution per set bit of each row; with `names`, each holds
+        only the variables among them."""
         vng_iri_for = self.store.vng_iri_for
         versions = _version_terms(self.store)
+        vng_var = self.vng_var if names is None or self.vng_var in names else None
+        version_vars = [v for v in self.version_vars if names is None or v in names]
         out = []
         for binding, graph_id, bits in self.rows:
+            if names is not None:
+                binding = {name: binding[name] for name in names if name in binding}
             for ordinal in bitmap_ordinals(bits):
                 solution = dict(binding)
-                solution[self.vng_var] = vng_iri_for(graph_id, ordinal)
-                for name in self.version_vars:
+                if vng_var is not None:
+                    solution[vng_var] = vng_iri_for(graph_id, ordinal)
+                for name in version_vars:
                     solution[name] = versions[ordinal - 1]
                 out.append(solution)
         return out
@@ -686,11 +693,12 @@ def _project(query: Query, rows, ctx):
     aggregates = _aggregates_with_aliases(query)
     grouped = bool(aggregates or query.group_by)
     if isinstance(rows, VersionedRows):
-        folded = fold_group_aggregate(rows, query.group_by, aggregates) if grouped else None
+        if not grouped:
+            projected = rows.expand(columns)
+            return columns, projected, [_scope_bits(ctx)] * len(projected)
+        folded = fold_group_aggregate(rows, query.group_by, aggregates)
         if folded is None:
-            folded = rows.expand()
-            if grouped:
-                folded = eval_group_aggregate(folded, query.group_by, aggregates)
+            folded = eval_group_aggregate(rows.expand(), query.group_by, aggregates)
         rows = zip(folded, repeat(_scope_bits(ctx)))
     elif grouped:
         scopes = [-1] if ctx is None else [bit_for(m) for m in bitmap_ordinals(ctx[1])]
@@ -720,26 +728,34 @@ def _project(query: Query, rows, ctx):
 class ResultTable:
     columns: tuple
     rows: list  # tuples of Term-or-None, canonically sorted
+    cells: list  # the rows' tuples of N-Triples texts, "" for unbound
 
     def to_tsv(self) -> str:
-        lines = ["\t".join(self.columns)]
-        for row in self.rows:
-            lines.append("\t".join(serialize_term(t) if t is not None else "" for t in row))
-        return "".join(line + "\n" for line in lines)
+        return "\n".join(["\t".join(self.columns), *map("\t".join, self.cells)]) + "\n"
 
     def to_csv(self) -> str:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow([serialize_term(t) if t is not None else "" for t in row])
+        writer.writerows(self.cells)
         return buffer.getvalue()
 
 
 def _table(columns, projected_rows) -> ResultTable:
-    tuples = [tuple(row.get(name) for name in columns) for row in projected_rows]
-    tuples.sort(key=lambda row: tuple(serialize_term(t) if t is not None else "" for t in row))
-    return ResultTable(tuple(columns), tuples)
+    """Rows sorted on the tuple of their cell texts. Each term object is
+    serialized once: the memo is keyed by id(), which is sound because the
+    rows keep every term alive for the whole call (a Term key would hash
+    and compare in Python, no cheaper than serializing)."""
+    rows = [tuple(map(solution.get, columns)) for solution in projected_rows]
+    texts = {id(None): ""}
+    for row in rows:
+        for term in row:
+            if id(term) not in texts:
+                texts[id(term)] = serialize_term(term)
+    text_of = texts.__getitem__
+    cells = [tuple(map(text_of, map(id, row))) for row in rows]
+    order = sorted(range(len(rows)), key=cells.__getitem__)
+    return ResultTable(tuple(columns), [rows[i] for i in order], [cells[i] for i in order])
 
 
 def execute_plan(store: Store, plan: AlgebraPlan):
