@@ -147,13 +147,28 @@ def _cmd_load(args) -> int:
     return 0
 
 
+def _decode(data: bytes, source: str) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"{source} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
+def _vng_argument(text: str):
+    try:
+        return iri(text)
+    except ValueError as exc:
+        raise _UsageError(f"not a versioned named graph: {exc}") from None
+
+
 def _cmd_query(args) -> int:
     store_dir, path = _resolve_positionals([args.store, args.file], ["store", "file"])
     if path == "-":
-        text = sys.stdin.read()
+        text = _decode(sys.stdin.buffer.read(), "stdin")
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            # a query file reads with universal newlines, as in text mode
+            text = _decode(fh.read(), path).replace("\r\n", "\n").replace("\r", "\n")
     with _StoreLock(store_dir, exclusive=False):
         store = load_snapshot(store_dir)
     table = execute_query(store, text)
@@ -167,7 +182,7 @@ def _cmd_diff(args) -> int:
     )
     with _StoreLock(store_dir, exclusive=False):
         store = load_snapshot(store_dir)
-    triples = store.diff_vng(iri(vng_a), iri(vng_b))
+    triples = store.diff_vng(_vng_argument(vng_a), _vng_argument(vng_b))
     lines = sorted(
         f"{serialize_term(s)} {serialize_term(p)} {serialize_term(o)} ."
         for s, p, o in triples

@@ -1,3 +1,4 @@
+import io
 import os
 import pathlib
 
@@ -61,13 +62,41 @@ def test_query_csv_format(tmp_path, capsys):
     assert len(out.splitlines()) == 3
 
 
+def _stdin(data: bytes):
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
 def test_query_from_stdin(tmp_path, capsys, monkeypatch):
     store_dir = _setup_buildings(tmp_path)
-    import io
-
-    monkeypatch.setattr("sys.stdin", io.StringIO("SELECT ?s WHERE { GRAPH ?g { ?s ?p ?o . } }"))
+    monkeypatch.setattr("sys.stdin", _stdin(b"SELECT ?s WHERE { GRAPH ?g { ?s ?p ?o . } }"))
     capsys.readouterr()
     assert main(["query", store_dir, "-"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 6
+
+
+NON_UTF8_QUERY = b"\xff\xfe" + "SELECT ?s WHERE { ?s ?p ?o . }".encode("utf-16-le")
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_query_of_non_utf8_text_exits_1(tmp_path, capsys, monkeypatch, source):
+    store_dir = _setup_buildings(tmp_path)
+    path = tmp_path / "utf16.rq"
+    path.write_bytes(NON_UTF8_QUERY)
+    monkeypatch.setattr("sys.stdin", _stdin(NON_UTF8_QUERY))
+    capsys.readouterr()
+    assert main(["query", store_dir, str(path) if source == "file" else "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("converg query: ")
+    assert "not UTF-8 text: invalid start byte at byte 0" in captured.err
+
+
+def test_query_file_reads_with_universal_newlines(tmp_path, capsys):
+    store_dir = _setup_buildings(tmp_path)
+    path = tmp_path / "cr.rq"
+    path.write_bytes(b"# one comment line\rSELECT ?s WHERE {\r\n GRAPH ?g { ?s ?p ?o . } }\r")
+    capsys.readouterr()
+    assert main(["query", store_dir, str(path)]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 6
 
 
@@ -102,6 +131,21 @@ def test_diff_unknown_vng_exits_1(tmp_path, capsys):
     capsys.readouterr()
     assert main(["diff", store_dir, "urn:converg:vng:3", "urn:nope"]) == 1
     assert "not a versioned named graph" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "vng_a, vng_b, named",
+    [("a b", "urn:converg:vng:1", "'a b'"), ("urn:converg:vng:3", "", "''")],
+    ids=["space", "empty"],
+)
+def test_diff_argument_that_is_not_an_iri_exits_1(tmp_path, capsys, vng_a, vng_b, named):
+    store_dir = _setup_buildings(tmp_path)
+    capsys.readouterr()
+    assert main(["diff", store_dir, vng_a, vng_b]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("converg diff: not a versioned named graph: ")
+    assert captured.err.rstrip().endswith(named)
 
 
 def test_export_flat_is_idempotent(tmp_path, capsys):
