@@ -2,8 +2,9 @@
 
 Commands: init, load, query, diff, export-flat, stats, gen. The store
 directory argument may be omitted when CONVERG_STORE is set. Results go to
-stdout, diagnostics to stderr; exit codes: 0 success, 1 user error (bad
-query, unknown versioned graph, bad arguments), 2 corruption or I/O error.
+stdout, diagnostics to stderr; exit codes: 0 success, 1 user error (a bad
+query, a query or version file that is malformed or not UTF-8, an unknown
+versioned graph, bad arguments), 2 a corrupt snapshot or an I/O error.
 """
 
 from __future__ import annotations
