@@ -181,9 +181,10 @@ def _cmd_diff(args) -> int:
     store_dir, vng_a, vng_b = _resolve_positionals(
         [args.store, args.vng_a, args.vng_b], ["store", "vng_a", "vng_b"]
     )
+    a, b = _vng_argument(vng_a), _vng_argument(vng_b)
     with _StoreLock(store_dir, exclusive=False):
         store = load_snapshot(store_dir)
-    triples = store.diff_vng(_vng_argument(vng_a), _vng_argument(vng_b))
+    triples = store.diff_vng(a, b)
     lines = sorted(
         f"{serialize_term(s)} {serialize_term(p)} {serialize_term(o)} ."
         for s, p, o in triples

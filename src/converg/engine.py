@@ -728,24 +728,30 @@ def _project(query: Query, rows, ctx):
 class ResultTable:
     columns: tuple
     rows: list  # tuples of Term-or-None, canonically sorted
-    cells: list  # the rows' tuples of N-Triples texts, "" for unbound
+    lines: list  # each row's N-Triples cell texts ("" for unbound), joined by tabs
 
     def to_tsv(self) -> str:
-        return "\n".join(["\t".join(self.columns), *map("\t".join, self.cells)]) + "\n"
+        return "\n".join(["\t".join(self.columns), *self.lines]) + "\n"
 
     def to_csv(self) -> str:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(self.columns)
-        writer.writerows(self.cells)
+        writer.writerows(line.split("\t") for line in self.lines)
         return buffer.getvalue()
 
 
 def _table(columns, projected_rows) -> ResultTable:
-    """Rows sorted on the tuple of their cell texts. Each term object is
-    serialized once: the memo is keyed by id(), which is sound because the
-    rows keep every term alive for the whole call (a Term key would hash
-    and compare in Python, no cheaper than serializing)."""
+    """Rows sorted on the tuple of their cell texts, "" for unbound.
+
+    Each term object is serialized once: the memo is keyed by id(), which
+    is sound because the rows keep every term alive for the whole call (a
+    Term key would hash and compare in Python, no cheaper than serializing).
+    A row's cells are joined by tabs and the lines sorted as strings. That
+    is the same order: no cell text holds a tab, and a text that is a proper
+    prefix of another ("a" of "a"@en, _:a of _:ab, "" of any) is continued
+    there by a character above the tab.
+    """
     rows = [tuple(map(solution.get, columns)) for solution in projected_rows]
     texts = {id(None): ""}
     for row in rows:
@@ -753,9 +759,9 @@ def _table(columns, projected_rows) -> ResultTable:
             if id(term) not in texts:
                 texts[id(term)] = serialize_term(term)
     text_of = texts.__getitem__
-    cells = [tuple(map(text_of, map(id, row))) for row in rows]
-    order = sorted(range(len(rows)), key=cells.__getitem__)
-    return ResultTable(tuple(columns), [rows[i] for i in order], [cells[i] for i in order])
+    lines = ["\t".join(map(text_of, map(id, row))) for row in rows]
+    order = sorted(range(len(rows)), key=lines.__getitem__)
+    return ResultTable(tuple(columns), [rows[i] for i in order], [lines[i] for i in order])
 
 
 def execute_plan(store: Store, plan: AlgebraPlan):

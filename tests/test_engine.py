@@ -3,6 +3,7 @@ from collections import Counter
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import (
     BUILDINGS_V1_ROWS,
@@ -36,6 +37,7 @@ from randcases import (
     folds,
     random_store,
     random_wide_store,
+    reference_output,
     rows_counter,
     run_differential_case,
 )
@@ -558,6 +560,25 @@ def test_result_rows_sort_on_the_tuple_of_cell_texts():
         "_:ab\t_:a\n"
     )
     assert table.to_csv().splitlines()[1:4] == ['"""a\x01""",', '"""a""",', '"""a""",_:a']
+
+
+_lexicals = st.text(st.characters(blacklist_categories=("Cs",)), max_size=3)
+_cells = st.one_of(
+    st.none(),
+    st.builds(literal, _lexicals),
+    st.builds(lambda s, tag: literal(s, language=tag), _lexicals, st.sampled_from(["e", "en", "en-GB"])),
+    st.builds(lambda s, dt: literal(s, datatype=dt), _lexicals, st.sampled_from(["urn:d", "urn:dt"])),
+    st.builds(lambda s: iri("urn:" + s), st.text("ab:~\x7f", max_size=3)),
+    st.builds(lambda s: blank("a" + s), st.text("ab0_-", max_size=3)),
+)
+
+
+@given(st.lists(st.tuples(_cells, _cells, _cells), max_size=25))
+def test_result_table_matches_the_naive_reference_on_any_terms(rows):
+    columns = ("a", "b", "c")
+    solutions = [{name: t for name, t in zip(columns, row) if t is not None} for row in rows]
+    table = _table(columns, solutions)
+    assert (table.rows, table.to_tsv(), table.to_csv()) == reference_output(columns, solutions)
 
 
 def test_distinct_version_count_never_exceeds_version_count():
