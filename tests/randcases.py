@@ -314,8 +314,9 @@ def check_output(store, text, oracle_result):
 
 def run_differential_case(rng, wide=None) -> str:
     """One random (store, query) case; asserts engine == oracle, for the
-    solutions and for the output rows and bytes. About one case in thirty (or every case, with `wide=True`) uses a store of more
-    than 64 versions."""
+    solutions and for the output rows and bytes. About one case in thirty
+    (or every case, with `wide=True`) uses a store of more than 64
+    versions."""
     if wide is None:
         wide = rng.random() < 1 / 30
     store = random_wide_store(rng) if wide else random_store(rng)[0]
