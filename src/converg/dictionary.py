@@ -61,5 +61,5 @@ class TermDictionary:
         if len(self._forward) != len(self._reverse):
             raise DictionaryError("forward/reverse size mismatch")
         for term, tid in self._forward.items():
-            if self._reverse[tid] != term:
+            if self._reverse[tid] is not term:
                 raise DictionaryError(f"id {tid} does not round-trip")

@@ -7,7 +7,7 @@ freely between the store, the query engine, and concurrent readers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from functools import lru_cache
 from typing import Optional
@@ -68,12 +68,17 @@ class Term:
     Equality is strictly syntactic: two literals are equal only if lexical
     form, datatype, and language tag all match ("1"^^xsd:int != "01"^^xsd:int).
     A language-tagged literal carries datatype None; rdf:langString is implied.
+
+    The hash is computed once, by the constructor's checks; pickling and
+    copying go through the constructor, so a restored Term is checked again
+    and hashes under the current process's string hashing.
     """
 
     kind: str
     lexical: str
     datatype: Optional[str] = None
     language: Optional[str] = None
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == IRI:
@@ -94,6 +99,13 @@ class Term:
                 raise ValueError("only literals carry a datatype or language")
         else:
             raise ValueError(f"unknown term kind: {self.kind!r}")
+        object.__setattr__(self, "_hash", hash((self.kind, self.lexical, self.datatype, self.language)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Term, (self.kind, self.lexical, self.datatype, self.language))
 
     @property
     def is_iri(self) -> bool:
@@ -137,9 +149,9 @@ class Quad:
     def __post_init__(self):
         if self.subject.kind not in (IRI, BLANK):
             raise ValueError("quad subject must be an IRI or blank node")
-        if not self.predicate.is_iri:
+        if self.predicate.kind != IRI:
             raise ValueError("quad predicate must be an IRI")
-        if self.graph is not None and not self.graph.is_iri:
+        if self.graph is not None and self.graph.kind != IRI:
             raise ValueError("quad graph must be an IRI")
 
     def triple(self) -> tuple[Term, Term, Term]:

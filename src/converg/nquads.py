@@ -4,10 +4,21 @@ The grammar covered here is the part needed for version ingestion and flat
 export: IRIs in angle brackets, literals with ``^^`` datatype or ``@lang``,
 blank nodes, and an optional fourth graph term. Lines whose first non-blank
 byte is ``#`` are comments. UTF-8 only.
+
+`parse_nquads` reads the common statement shape with one compiled regex:
+terms separated by spaces or tabs, each an ``<iri>``, a ``_:label`` or a
+literal without escapes (optionally ``@tag`` or ``^^<iri>``), an optional
+graph IRI, then ``.`` and trailing spaces or tabs. Each distinct token is
+turned into a `Term` once per document. Every other line (escapes,
+comments, blank lines, CR endings, malformed input) goes to the
+character scanner, so a `ParseError` carries the scanner's message, line
+and column whatever path the line would otherwise take. A line the regex
+accepts is one the scanner accepts, with an equal `Quad`.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import ParseError
@@ -15,6 +26,18 @@ from .model import Quad, Term, blank, iri, literal
 
 _ESCAPES = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "\\": "\\"}
 _UNESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+_IRI_TOKEN = r"<[^\s<>]+>"
+_SUBJECT_TOKEN = rf"{_IRI_TOKEN}|_:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?"
+_OBJECT_TOKEN = (
+    rf'{_SUBJECT_TOKEN}|"[^"\\]*"(?:@[A-Za-z]{{1,8}}(?:-[A-Za-z0-9]{{1,8}})*|\^\^{_IRI_TOKEN})?'
+)
+# A label or tag is followed by a separator or the final dot, never by a
+# character the scanner would read as part of it.
+_FAST_LINE = re.compile(
+    rf"[ \t]*({_SUBJECT_TOKEN})[ \t]+({_IRI_TOKEN})[ \t]+({_OBJECT_TOKEN})"
+    rf"(?:[ \t]+({_IRI_TOKEN}))?[ \t]*\.[ \t]*"
+).fullmatch
 
 
 @dataclass
@@ -194,11 +217,42 @@ def parse_nquads(data, require_graph: bool = False) -> ParsedDocument:
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not UTF-8: {exc}")
     doc = ParsedDocument()
+    append = doc.quads.append
+    terms: dict[str, Term] = {}  # token text -> Term, for this document
     for lineno, line in enumerate(data.split("\n"), start=1):
+        match = _FAST_LINE(line)
+        if match is not None:
+            s, p, o, g = match.groups()
+            if g is not None or not require_graph:
+                subject = terms.get(s) or _token_term(s, terms)
+                predicate = terms.get(p) or _token_term(p, terms)
+                obj = terms.get(o) or _token_term(o, terms)
+                graph = None if g is None else terms.get(g) or _token_term(g, terms)
+                append(Quad(subject, predicate, obj, graph))
+                continue
         quad = _parse_line(line.rstrip("\r"), lineno, require_graph)
         if quad is not None:
-            doc.quads.append(quad)
+            append(quad)
     return doc
+
+
+def _token_term(token: str, terms: dict[str, Term]) -> Term:
+    """The Term of one token `_FAST_LINE` matched, remembered in `terms`."""
+    if token[0] == "<":
+        term = iri(token[1:-1])
+    elif token[0] == "_":
+        term = blank(token[2:])
+    else:
+        close = token.index('"', 1)
+        suffix = token[close + 1 :]
+        if not suffix:
+            term = literal(token[1:close])
+        elif suffix[0] == "@":
+            term = literal(token[1:close], language=suffix[1:])
+        else:
+            term = literal(token[1:close], datatype=suffix[3:-1])
+    terms[token] = term
+    return term
 
 
 def escape_literal(lexical: str) -> str:

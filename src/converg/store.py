@@ -138,59 +138,71 @@ class Store:
         quads = doc.quads if hasattr(doc, "quads") else list(doc)
         if label is not None and ("\n" in label or "\r" in label):
             raise IngestError("version label must be a single line")
-        ordinal = self.version_count + 1
-
-        blank_names: dict[str, Term] = {}
-
-        def rescope(term: Term) -> Term:
-            if not term.is_blank:
-                return term
-            scoped = blank_names.get(term.lexical)
-            if scoped is None:
-                scoped = blank(f"v{ordinal}b{len(blank_names)}")
-                blank_names[term.lexical] = scoped
-            return scoped
-
-        seen: set[tuple[Term, Term, Term, Term]] = set()
-        deduped: list[tuple[Term, Term, Term, Term]] = []
-        graph_order: dict[Term, None] = {}  # first-appearance order
-        duplicates = 0
         for quad in quads:
             if quad.graph is None:
                 raise IngestError(
                     "version documents may not touch the default graph; "
                     "it is reserved for metadata"
                 )
-            key = (rescope(quad.subject), quad.predicate, rescope(quad.object), quad.graph)
-            if key in seen:
-                duplicates += 1
-                continue
-            seen.add(key)
-            deduped.append(key)
-            graph_order.setdefault(quad.graph)
+        ordinal = self.version_count + 1
 
         # Mutation phase: nothing below raises.
         self.version_count = ordinal
         self._metadata = None
         if label is not None:
             self.version_labels[ordinal] = label
-        mask = bit_for(ordinal)
-        new_entries = 0
         encode = self.dictionary.encode
-        for s, p, o, g in deduped:
-            sid, pid, oid = encode(s), encode(p), encode(o)
-            key = (encode(g), sid, pid, oid)
-            pos = self._entry_map.get(key)
+        ids: dict[Term, int] = {}  # each distinct term of the document -> its id
+        blank_names: dict[str, Term] = {}
+
+        def term_id(term: Term) -> int:
+            """Encode `term` on its first appearance, after rescoping a
+            blank node label to this document."""
+            if term.is_blank:
+                scoped = blank_names.get(term.lexical)
+                if scoped is None:
+                    scoped = blank(f"v{ordinal}b{len(blank_names)}")
+                    blank_names[term.lexical] = scoped
+                ids[term] = tid = encode(scoped)
+            else:
+                ids[term] = tid = encode(term)
+            return tid
+
+        mask = bit_for(ordinal)
+        entries = self.entries
+        entry_map = self._entry_map
+        graph_order: dict[int, Term] = {}  # graph id -> graph, first-appearance order
+        new_entries = 0
+        duplicates = 0
+        for quad in quads:
+            s, p, o, g = quad.subject, quad.predicate, quad.object, quad.graph
+            sid = ids.get(s)
+            if sid is None:
+                sid = term_id(s)
+            pid = ids.get(p)
+            if pid is None:
+                pid = term_id(p)
+            oid = ids.get(o)
+            if oid is None:
+                oid = term_id(o)
+            gid = ids.get(g)
+            if gid is None:
+                gid = term_id(g)
+            graph_order.setdefault(gid, g)
+            key = (gid, sid, pid, oid)
+            pos = entry_map.get(key)
             if pos is None:
-                entry = CondensedEntry(key[0], sid, pid, oid, mask)
-                pos = len(self.entries)
-                self.entries.append(entry)
+                entry = CondensedEntry(gid, sid, pid, oid, mask)
+                pos = len(entries)
+                entries.append(entry)
                 self._index_entry(pos, entry)
                 new_entries += 1
+            elif entries[pos].bits & mask:
+                duplicates += 1  # already seen in this document
             else:
-                self.entries[pos].bits |= mask
+                entries[pos].bits |= mask
         minted: list[VngRecord] = []
-        for graph in graph_order:
+        for graph in graph_order.values():
             self.vng_counter += 1
             rec = VngRecord(mint_vng_iri(self.vng_counter), graph, ordinal)
             self.vng_records.append(rec)
@@ -198,7 +210,7 @@ class Store:
             minted.append(rec)
         if __debug__:
             self.dictionary.check_bijection()
-        return IngestReport(ordinal, minted, len(deduped), new_entries, duplicates)
+        return IngestReport(ordinal, minted, len(quads) - duplicates, new_entries, duplicates)
 
     def add_metadata(self, triples: Iterable[tuple[Term, Term, Term]]) -> int:
         """Extra default-graph metadata (creation date, authorship, ...).
@@ -216,7 +228,7 @@ class Store:
                 if not (isinstance(s, Term) and isinstance(p, Term) and isinstance(o, Term)):
                     raise TypeError("every position must be a Term")
                 for term in (s, p, o):
-                    term.__post_init__()  # re-check: an unpickled or copied Term never ran it
+                    term.__post_init__()  # re-check: a Term made by object.__new__ never ran it
                 Quad(s, p, o)
             except (TypeError, ValueError) as exc:
                 raise IngestError(f"metadata triple {triple!r} rejected: {exc}")

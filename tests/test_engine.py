@@ -26,6 +26,7 @@ from converg.engine import (
     execute_query,
 )
 from converg.errors import EvalError, ParseError
+from converg.gen import GenConfig, generate_version
 from converg.model import XSD, blank, iri, literal, version_iri
 from converg.nquads import parse_nquads
 from converg.sparql import Bgp, GraphPat, SelectAgg, TriplePattern, Var, parse_query, validate_and_name
@@ -611,6 +612,22 @@ def test_engine_matches_oracle_on_fixture_queries(buildings_store):
         columns_o, rows_o = eval_oracle(flat, plan)
         assert columns_e == columns_o
         assert rows_counter(columns_e, rows_e) == rows_counter(columns_o, rows_o)
+
+
+def test_distinct_versions_by_graph_over_a_generated_store_matches_golden_and_oracle():
+    # The buildings fixtures state no bsbm Product, so this query's other
+    # golden files hold only a header; the generated store types every product.
+    cfg = GenConfig(products=3, graphs=2, versions=4, change_rate=0.5, seed=7)
+    store = Store()
+    for ordinal in range(1, cfg.versions + 1):
+        store.ingest_version(generate_version(cfg, ordinal))
+    text = read_query("distinct_versions_by_graph.rq")
+    produced = execute_query(store, text).to_tsv()
+    with open(query_path("distinct_versions_by_graph.generated.tsv"), "r", encoding="utf-8", newline="") as fh:
+        assert produced == fh.read()
+    assert produced.count("\n") == 1 + cfg.graphs
+    _rows, oracle_tsv, _csv = reference_output(*eval_oracle(list(store.export_flat()), _plan(text)))
+    assert produced == oracle_tsv
 
 
 def test_oracle_on_empty_store():

@@ -1,3 +1,4 @@
+import hashlib
 import os
 from collections import Counter
 
@@ -118,3 +119,17 @@ def test_write_version_files(tmp_path):
         term = store.dictionary.decode(e.object)
         if term.is_literal and term.datatype == integer:
             assert lo <= int(term.lexical) <= hi
+
+
+def test_generated_file_bytes_are_pinned(tmp_path):
+    # Any rewrite of the generator must write these bytes again: the
+    # benchmark and the acceptance workloads are defined by them.
+    cfg = GenConfig(products=5, graphs=3, versions=6, change_rate=0.3, seed=11)
+    paths = write_version_files(cfg, tmp_path)
+    assert [os.path.basename(p) for p in paths] == [f"v000{v}.nq" for v in range(1, 7)]
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(os.path.basename(path).encode() + b"\n")
+        with open(path, "rb") as fh:
+            digest.update(fh.read())
+    assert digest.hexdigest() == "d9e98fa16146d8fbce33fa9261799a0746df99f54c1351a601dbb4a40fac7b14"

@@ -1,3 +1,9 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -166,3 +172,54 @@ def test_order_is_reflexive(a):
     twin = Term(a.kind, a.lexical, a.datatype, a.language)
     assert term_order_key(a) == term_order_key(twin)
     assert not term_order_key(a) < term_order_key(twin)
+
+
+# ------------------------------------------------- cached hash, pickling
+
+
+_SAMPLE_TERMS = [
+    iri("urn:a"),
+    blank("b0"),
+    literal("x"),
+    literal("chat", language="fr"),
+    literal("7", datatype=INTEGER),
+]
+
+
+@pytest.mark.parametrize("term", _SAMPLE_TERMS, ids=repr)
+def test_copies_equal_the_original_and_hash_the_same(term):
+    for again in (copy.copy(term), copy.deepcopy(term), pickle.loads(pickle.dumps(term))):
+        assert again == term
+        assert hash(again) == hash(term) == hash((term.kind, term.lexical, term.datatype, term.language))
+        assert {term: 1}[again] == 1
+
+
+def test_unpickling_runs_the_constructor_checks():
+    bad = object.__new__(Term)
+    for name, value in zip(("kind", "lexical", "datatype", "language"), ("iri", "a b", None, None)):
+        object.__setattr__(bad, name, value)
+    data = pickle.dumps(bad)
+    with pytest.raises(ValueError, match="IRI must be non-empty"):
+        pickle.loads(data)
+    with pytest.raises(ValueError, match="IRI must be non-empty"):
+        copy.copy(bad)
+
+
+def _python(code, hash_seed, stdin=b""):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], input=stdin, env=env, capture_output=True, timeout=60, check=True
+    )
+    return done.stdout
+
+
+def test_a_term_pickled_under_one_hash_seed_is_found_under_another():
+    make = 'from converg.model import literal; term = literal("chat", language="fr")\n'
+    data = _python(make + "import pickle, sys; sys.stdout.buffer.write(pickle.dumps(term))", 1)
+    found = _python(
+        make + "import pickle, sys; print({term: 'found'}[pickle.loads(sys.stdin.buffer.read())])",
+        2,
+        stdin=data,
+    )
+    assert found.decode().strip() == "found"

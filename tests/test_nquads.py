@@ -5,7 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from converg.errors import ParseError
 from converg.model import XSD, Quad, blank, iri, literal
-from converg.nquads import parse_nquads, parse_term, serialize_nquads, serialize_term
+from converg.nquads import (
+    _FAST_LINE,
+    _parse_line,
+    parse_nquads,
+    parse_term,
+    serialize_nquads,
+    serialize_term,
+)
 
 DECIMAL = XSD + "decimal"
 
@@ -159,3 +166,142 @@ def test_arbitrary_bytes_parse_or_raise_parse_error(data, require_graph):
     except ParseError:
         return
     assert isinstance(doc.quads, list)
+
+
+# ------------------------------------------- fast path against the scanner
+
+
+def _outcome(parse):
+    """("quads", list) or ("error", message, line, column) of one parse."""
+    try:
+        return ("quads", parse())
+    except ParseError as exc:
+        return ("error", exc.message, exc.line, exc.column)
+
+
+def _assert_same_as_scanner(line, require_graph):
+    def scanner():
+        quad = _parse_line(line.rstrip("\r"), 1, require_graph)
+        return [] if quad is None else [quad]
+
+    def document():
+        return parse_nquads(line, require_graph=require_graph).quads
+
+    assert _outcome(document) == _outcome(scanner), repr(line)
+
+
+EDGE_LINES = [
+    '<urn:s> <urn:p> "a\\tb" <urn:g> .',
+    '<urn:s> <urn:p> "caf\\u00e9" <urn:g> .',
+    '<urn:s> <urn:p> "\\uD800" <urn:g> .',
+    '<urn:s> <urn:p> "\\q" <urn:g> .',
+    "<urn:s> <urn:p> <urn:o> <urn:g> . # trailing comment",
+    "# a comment",
+    "   # an indented comment",
+    "",
+    " \t ",
+    "<urn:s> <urn:p> <urn:o> <urn:g> .\r",
+    "<urn:s>\t<urn:p>\t<urn:o>\t<urn:g>\t.\t",
+    "\t<urn:s> <urn:p> <urn:o> <urn:g>.",
+    "<a><b><c><g>.",
+    "_:a <urn:p> _:b.",
+    "_:a <urn:p> _:a. <urn:g> .",
+    "_:a <urn:p> _:a..b <urn:g> .",
+    "_:a <urn:p> _:a.. ",
+    "_:a.b <urn:p> _:-b <urn:g> .",
+    "_:ab\u00e9 <urn:p> <urn:o> <urn:g> .",
+    '<urn:s> <urn:p> "x"@en- <urn:g> .',
+    '<urn:s> <urn:p> "x"@abcdefghi <urn:g> .',
+    '<urn:s> <urn:p> "x"@en-abcdefghi <urn:g> .',
+    '<urn:s> <urn:p> "x"@en-GB-1 <urn:g> .',
+    '<urn:s> <urn:p> "x"@en.',
+    '<urn:s> <urn:p> "x"@1en <urn:g> .',
+    '<urn:s> <urn:p> "\u00e9"@en <urn:g> .',
+    '<urn:s> <urn:p> "\u00e9"@en\u00e9 <urn:g> .',
+    "<> <urn:p> <urn:o> <urn:g> .",
+    "<urn:s> <urn:p> <> .",
+    '<urn:s> <urn:p> "1"^^<a b> <urn:g> .',
+    '<urn:s> <urn:p> "1"^^<urn:"dt"> <urn:g> .',
+    '<urn:s> <urn:p> "1"^^<urn:dt><urn:g>.',
+    '<urn:s> <urn:p> "1"^<urn:dt> <urn:g> .',
+    '<urn:s> <urn:p> "1"^^urn:dt <urn:g> .',
+    '"s" <urn:p> <urn:o> <urn:g> .',
+    "<urn:s> _:p <urn:o> <urn:g> .",
+    "<urn:s> <urn:p> <urn:o> _:g .",
+    '<urn:s> <urn:p> <urn:o> "g" .',
+    "<urn:s> <urn:p> <urn:o> <urn:g> <urn:h> .",
+    "<urn:s> <urn:p> <urn:o>",
+    "<urn:s> <urn:p> .",
+    "<urn:s> <urn:p> <urn:o> . .",
+    "<urn:s> <urn:p> <urn:o> <urn:g> ..",
+    "<urn:s <urn:p> <urn:o> .",
+    "<urn:s> <urn:p> <urn:o> .",
+    '<urn:s> <urn:p> "unterminated .',
+    '<urn:s> <urn:p> "a\rb" <urn:g> .',
+    "\ufeff<urn:s> <urn:p> <urn:o> <urn:g> .",
+    "<urn:s> <urn:p> <urn:o>\u00a0<urn:g> .",
+]
+
+
+@pytest.mark.parametrize("require_graph", [False, True])
+@pytest.mark.parametrize("line", EDGE_LINES)
+def test_fast_path_agrees_with_the_scanner_on_edge_lines(line, require_graph):
+    _assert_same_as_scanner(line, require_graph)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "<urn:s> <urn:p> <urn:o> <urn:g> .",
+        '<urn:s> <urn:p> "10"^^<http://www.w3.org/2001/XMLSchema#integer> <urn:g> .',
+        '_:b0 <urn:p> "chat"@fr-CA <urn:g>.',
+        "<urn:s> <urn:p> _:b1 .",
+    ],
+)
+def test_common_lines_take_the_fast_path(line):
+    # Guards the differential tests against a fast path that never matches.
+    assert _FAST_LINE(line) is not None
+
+
+def test_repeated_tokens_share_one_term_per_document():
+    doc = parse_nquads("<urn:s> <urn:p> <urn:o> <urn:g> .\n<urn:o> <urn:p> <urn:s> <urn:g> .\n")
+    first, second = doc.quads
+    assert first.subject is second.object and first.predicate is second.predicate
+    assert first.graph is second.graph
+
+
+_iri_tokens = st.builds(lambda s: f"<{s}>", st.text("urn:ab#\"\u00e9 <>", max_size=6))
+_blank_tokens = st.builds(lambda s: f"_:{s}", st.text("ab0_-.\u00e9", max_size=5))
+_escapes = st.sampled_from(["\\t", "\\\"", "\\u00e9", "\\U0001F600", "\\uD800", "\\q", "\\"])
+_bodies = st.lists(st.one_of(st.text('ab \u00e9\t\r#.<>@^', max_size=3), _escapes), max_size=3)
+_suffixes = st.one_of(
+    st.just(""),
+    st.builds(lambda s: f"@{s}", st.text("enGB-19\u00e9", max_size=10)),
+    st.builds(lambda s: f"^^{s}", _iri_tokens),
+    st.sampled_from(["^", "^^", "@"]),
+)
+_literal_tokens = st.builds(lambda body, suffix: '"' + "".join(body) + '"' + suffix, _bodies, _suffixes)
+_tokens = st.one_of(_iri_tokens, _iri_tokens, _blank_tokens, _literal_tokens)
+_separators = st.sampled_from([" ", " ", "\t", "", "  ", " \t"])
+_ends = st.sampled_from([" .", ".", " .", "\t.\t ", " . # comment", " .\r", "\r", " ..", "", " . ."])
+
+
+@st.composite
+def _lines(draw):
+    tokens = draw(st.lists(_tokens, min_size=2, max_size=5))
+    if draw(st.booleans()):
+        # The common shape: IRI or blank subject, IRI predicate, IRI graph.
+        tokens = [draw(st.one_of(_iri_tokens, _blank_tokens)), draw(_iri_tokens), tokens[0]]
+        if draw(st.booleans()):
+            tokens.append(draw(_iri_tokens))
+    lead = draw(st.sampled_from(["", "", " ", "\t", "# "]))
+    text = lead + tokens[0]
+    for token in tokens[1:]:
+        text += draw(_separators) + token
+    return text + draw(_ends)
+
+
+@given(_lines(), st.booleans())
+@settings(max_examples=1500)
+def test_fast_path_agrees_with_the_scanner_on_generated_lines(line, require_graph):
+    _assert_same_as_scanner(line, require_graph)
