@@ -9,11 +9,12 @@ byte is ``#`` are comments. UTF-8 only.
 terms separated by spaces or tabs, each an ``<iri>``, a ``_:label`` or a
 literal without escapes (optionally ``@tag`` or ``^^<iri>``), an optional
 graph IRI, then ``.`` and trailing spaces or tabs. Each distinct token is
-turned into a `Term` once per document. Every other line (escapes,
-comments, blank lines, CR endings, malformed input) goes to the
+turned into a `Term` once per document, by the same constructors the
+scanner uses. Every other line (escapes, comments, blank lines, CR
+endings, a token a constructor rejects, malformed input) goes to the
 character scanner, so a `ParseError` carries the scanner's message, line
-and column whatever path the line would otherwise take. A line the regex
-accepts is one the scanner accepts, with an equal `Quad`.
+and column. A line the fast path accepts is one the scanner accepts, with
+an equal `Quad`.
 """
 
 from __future__ import annotations
@@ -27,13 +28,11 @@ from .model import Quad, Term, blank, iri, literal
 _ESCAPES = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "\\": "\\"}
 _UNESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 
-_IRI_TOKEN = r"<[^\s<>]+>"
-_SUBJECT_TOKEN = rf"{_IRI_TOKEN}|_:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?"
-_OBJECT_TOKEN = (
-    rf'{_SUBJECT_TOKEN}|"[^"\\]*"(?:@[A-Za-z]{{1,8}}(?:-[A-Za-z0-9]{{1,8}})*|\^\^{_IRI_TOKEN})?'
-)
-# A label or tag is followed by a separator or the final dot, never by a
-# character the scanner would read as part of it.
+# Token shapes only: each token is cut where the scanner would cut it, and
+# the Term constructors check its contents, as they do for the scanner.
+_IRI_TOKEN = r"<[^>]+>"
+_SUBJECT_TOKEN = rf"{_IRI_TOKEN}|_:[A-Za-z0-9_.-]+"
+_OBJECT_TOKEN = rf'{_SUBJECT_TOKEN}|"[^"\\]*"(?:@[A-Za-z0-9-]+|\^\^{_IRI_TOKEN})?'
 _FAST_LINE = re.compile(
     rf"[ \t]*({_SUBJECT_TOKEN})[ \t]+({_IRI_TOKEN})[ \t]+({_OBJECT_TOKEN})"
     rf"(?:[ \t]+({_IRI_TOKEN}))?[ \t]*\.[ \t]*"
@@ -224,12 +223,16 @@ def parse_nquads(data, require_graph: bool = False) -> ParsedDocument:
         if match is not None:
             s, p, o, g = match.groups()
             if g is not None or not require_graph:
-                subject = terms.get(s) or _token_term(s, terms)
-                predicate = terms.get(p) or _token_term(p, terms)
-                obj = terms.get(o) or _token_term(o, terms)
-                graph = None if g is None else terms.get(g) or _token_term(g, terms)
-                append(Quad(subject, predicate, obj, graph))
-                continue
+                try:
+                    subject = terms.get(s) or _token_term(s, terms)
+                    predicate = terms.get(p) or _token_term(p, terms)
+                    obj = terms.get(o) or _token_term(o, terms)
+                    graph = None if g is None else terms.get(g) or _token_term(g, terms)
+                except ValueError:
+                    pass  # a token the scanner rejects too, and it says where
+                else:
+                    append(Quad(subject, predicate, obj, graph))
+                    continue
         quad = _parse_line(line.rstrip("\r"), lineno, require_graph)
         if quad is not None:
             append(quad)

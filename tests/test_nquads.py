@@ -222,6 +222,7 @@ EDGE_LINES = [
     "<urn:s> <urn:p> <> .",
     '<urn:s> <urn:p> "1"^^<a b> <urn:g> .',
     '<urn:s> <urn:p> "1"^^<urn:"dt"> <urn:g> .',
+    '<urn:s> <urn:p> "1"^^<urn:"abcd> <urn:g> .',
     '<urn:s> <urn:p> "1"^^<urn:dt><urn:g>.',
     '<urn:s> <urn:p> "1"^<urn:dt> <urn:g> .',
     '<urn:s> <urn:p> "1"^^urn:dt <urn:g> .',
