@@ -30,7 +30,7 @@ from .model import (
     version_iri,
 )
 from .nquads import ParsedDocument, parse_nquads, serialize_nquads, serialize_term
-from .sparql import parse_query, print_query, validate_and_name
+from .sparql import parse_query, validate_and_name
 from .store import IngestReport, Store, StoreStats, load_snapshot, save_snapshot
 
 __version__ = "0.1.0"
@@ -65,7 +65,6 @@ __all__ = [
     "mint_vng_iri",
     "parse_nquads",
     "parse_query",
-    "print_query",
     "save_snapshot",
     "serialize_nquads",
     "serialize_term",

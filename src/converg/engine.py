@@ -11,7 +11,7 @@ resolved from each row's graph id and bits. GROUP BY folds over those rows
 GRAPH is the one operator that runs once per version.
 
 `eval_oracle` is the deliberately naive reference: it evaluates the same
-plan over the flat quad list with nested loops, no dictionary, no indexes,
+query over the flat quad list with nested loops, no dictionary, no indexes,
 and no bitmaps. The two evaluators must agree on every supported query,
 which is what the differential tests exercise.
 """
@@ -25,6 +25,7 @@ from collections import Counter
 from itertools import repeat
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import lru_cache
 
 from .errors import EvalError, UnknownVngError
 from .model import (
@@ -36,11 +37,9 @@ from .model import (
     literal,
     numeric_value,
     term_order_key,
-    version_iri,
 )
 from .nquads import serialize_term
 from .sparql import (
-    AlgebraPlan,
     Bgp,
     GraphPat,
     Join,
@@ -211,17 +210,13 @@ def _match_bgp_in_graph(store: Store, patterns, graph_id: int, mask: int):
 # ---------------------------------------------------------- versioned rows
 
 
-def _version_terms(store: Store) -> list[Term]:
-    return [version_iri(ordinal) for ordinal in range(1, store.version_count + 1)]
-
-
 def _version_bit(store: Store, term: Term) -> int:
     """The bit of the existing version `term` names; 0 for any other term."""
     if term.is_iri and term.lexical.startswith(VERSION_NS):
         digits = term.lexical[len(VERSION_NS):]
         if digits.isdecimal():
             ordinal = int(digits)
-            if 1 <= ordinal <= store.version_count and version_iri(ordinal) == term:
+            if 1 <= ordinal <= store.version_count and store.version_iris()[ordinal - 1] == term:
                 return bit_for(ordinal)
     return 0
 
@@ -268,7 +263,7 @@ class VersionedRows:
         """One solution per set bit of each row; with `names`, each holds
         only the variables among them."""
         vng_iri_for = self.store.vng_iri_for
-        versions = _version_terms(self.store)
+        versions = self.store.version_iris()
         vng_var = self.vng_var if names is None or self.vng_var in names else None
         version_vars = [v for v in self.version_vars if names is None or v in names]
         out = []
@@ -294,7 +289,7 @@ class VersionedRows:
                 for ordinal in bitmap_ordinals(bits):
                     values[vng_iri_for(graph_id, ordinal)] += 1
         elif name in self.version_vars:
-            versions = _version_terms(self.store)
+            versions = self.store.version_iris()
             for _binding, _graph_id, bits in members:
                 for ordinal in bitmap_ordinals(bits):
                     values[versions[ordinal - 1]] += 1
@@ -315,7 +310,7 @@ def _scope_bits(ctx) -> int:
 
 
 class _CondensedEvaluator:
-    """Evaluates normalized patterns against a store.
+    """Evaluates parsed patterns against a store.
 
     Every pattern evaluates to (solution, bits) rows under a context:
     None for the default graph (metadata), where every row carries -1, or
@@ -387,7 +382,7 @@ class _CondensedEvaluator:
                 mask = _version_bit(store, obj)
                 rows = [(b, g, bits & mask) for b, g, bits in rows]
             elif name in bound:  # one row per version its value (or, unbound, it) takes
-                versions = _version_terms(store)
+                versions = store.version_iris()
                 rows = [
                     (extended, g, bit_for(m))
                     for b, g, bits in rows
@@ -499,6 +494,7 @@ def _sum_literal(values: Counter, group_desc: str) -> Term:
     return literal(str(total), datatype=_XSD_DECIMAL)
 
 
+@lru_cache(maxsize=1 << 16)
 def _count_literal(n: int) -> Term:
     return literal(str(n), datatype=_XSD_INTEGER)
 
@@ -608,7 +604,7 @@ def _fold_by_bit(vrows: VersionedRows, group_vars, aggregates) -> list[Solution]
     else:
         groups = {((), None): vrows.rows}
     store = vrows.store
-    versions = _version_terms(store)
+    versions = store.version_iris()
     out = []
     for (key, graph_id), members in groups.items():
         present = 0
@@ -764,17 +760,17 @@ def _table(columns, projected_rows) -> ResultTable:
     return ResultTable(tuple(columns), [rows[i] for i in order], [lines[i] for i in order])
 
 
-def execute_plan(store: Store, plan: AlgebraPlan):
+def execute_plan(store: Store, query: Query):
     """(columns, projected solution rows)."""
-    columns, solutions, _bits = eval_select(store, plan.query, None)
+    columns, solutions, _bits = eval_select(store, query, None)
     return columns, solutions
 
 
 def execute_query(store: Store, text: str) -> ResultTable:
     """Parse, validate, plan, evaluate, project; rows are sorted by the
     serialized form of their terms so output is deterministic."""
-    plan = validate_and_name(parse_query(text))
-    columns, rows = execute_plan(store, plan)
+    query = validate_and_name(parse_query(text))
+    columns, rows = execute_plan(store, query)
     return _table(columns, rows)
 
 
@@ -910,11 +906,11 @@ class _OracleEvaluator:
         return columns, [{name: row[name] for name in columns if name in row} for row in rows]
 
 
-def eval_oracle(flat_quads, plan: AlgebraPlan):
-    """Ground-truth evaluation of `plan` over an exported flat quad list.
+def eval_oracle(flat_quads, query: Query):
+    """Ground-truth evaluation of `query` over an exported flat quad list.
 
     Returns (columns, projected rows), the same shape `execute_plan` yields.
     """
     dataset = _OracleDataset(flat_quads)
     evaluator = _OracleEvaluator(dataset)
-    return evaluator._select(plan.query, dataset.default)
+    return evaluator._select(query, dataset.default)

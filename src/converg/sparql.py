@@ -6,19 +6,27 @@ basic graph patterns (``;`` and ``,`` abbreviations, ``a`` for rdf:type),
 GRAPH with an IRI or variable, nested ``{}`` joins, MINUS, sub-SELECT, and
 GROUP BY. Everything else is rejected with a position-bearing error.
 
-A predicate written as IRIs joined by ``/`` is path sugar for a chain
-through fresh variables. A prefixed name whose local part contains ``/``
-(as benchmark vocabularies sometimes do) expands as one IRI: prefix
-expansion wins over the path reading whenever the whole token resolves.
+The parser builds the query the engine runs; there is no second pass.
+Prefixed names, ``a``, literals and paths resolve while parsing: a prefixed
+name becomes its IRI at the token, ``a`` becomes rdf:type, a string or
+number (with ``@lang`` or ``^^datatype``) becomes a literal ``Term``, and a
+predicate written as IRIs joined by ``/`` becomes a chain through fresh
+``_pathN`` variables, numbered past every variable name the query spells.
+A term the ``Term`` constructors reject (an empty IRI, a malformed language
+tag) is a ``ParseError`` at its token's line and column.
+
+A prefixed name whose local part contains ``/`` (as benchmark vocabularies
+sometimes do) expands as one IRI: prefix expansion wins over the path
+reading whenever the whole token resolves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import ParseError, QueryValidationError, UnsupportedQueryError
-from .model import RDF_TYPE, Term, iri, literal
+from .model import RDF_TYPE, XSD, Term, iri, literal
 
 SUPPORTED_SUBSET = (
     "SELECT, GRAPH, grouped-pattern joins, MINUS, sub-SELECT, "
@@ -80,34 +88,6 @@ class Var:
 
 
 @dataclass(frozen=True)
-class PName:
-    prefix: str
-    local: str
-
-
-@dataclass(frozen=True)
-class LiteralPat:
-    """A literal as written in the query; datatype may still be a PName."""
-
-    lexical: str
-    datatype: Union[Term, PName, None] = None
-    language: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class _AKeyword:
-    """The ``a`` shorthand; desugars to rdf:type during validation."""
-
-
-A = _AKeyword()
-
-
-@dataclass(frozen=True)
-class PathPred:
-    steps: tuple
-
-
-@dataclass(frozen=True)
 class TriplePattern:
     subject: object
     predicate: object
@@ -156,17 +136,9 @@ class SelectAgg:
 
 @dataclass(frozen=True)
 class Query:
-    prefixes: tuple            # ((prefix, iri), ...) in declaration order
     projection: tuple
     pattern: object
     group_by: Optional[tuple] = None
-
-
-@dataclass(frozen=True)
-class AlgebraPlan:
-    """Normalized query: absolute IRIs only, ``a`` and paths desugared."""
-
-    query: Query
 
 
 # -------------------------------------------------------------------- lexer
@@ -349,6 +321,9 @@ class _Parser:
         self.tokens = _lex(text)
         self.pos = 0
         self.prefixes: dict[str, str] = {}
+        # Fresh path variables skip every name the text spells, aliases too.
+        self.spelled = {tok.value for tok in self.tokens if tok.kind == "VAR"}
+        self.path_counter = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -385,19 +360,31 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "KEYWORD" and tok.value in words
 
+    def term(self, tok, build, *args) -> Term:
+        """`build(*args)`; a term it rejects is a ParseError at `tok`."""
+        try:
+            return build(*args)
+        except ValueError as exc:
+            raise self.error(str(exc), tok) from None
+
+    def fresh_var(self) -> Var:
+        while True:
+            name = f"_path{self.path_counter}"
+            self.path_counter += 1
+            if name not in self.spelled:
+                return Var(name)
+
     # grammar entry
 
     def parse(self) -> Query:
-        prefixes = []
         while self.at_keyword("PREFIX"):
             self.next()
             tok = self.next()
             if tok.kind != "PNAME" or tok.value[1] != "":
                 raise self.error("expected prefix declaration like 'ex:'", tok)
-            iri_tok = self.expect("IRIREF", "IRI")
-            prefixes.append((tok.value[0], iri_tok.value))
-            self.prefixes[tok.value[0]] = iri_tok.value
-        query = self.parse_select(prefixes=tuple(prefixes))
+            self.prefixes[tok.value[0]] = self.expect("IRIREF", "IRI").value
+        query = self.parse_select()
+        _check_query(query)
         tail = self.peek()
         if tail.kind != "EOF":
             if tail.kind == "KEYWORD" and tail.value in _UNSUPPORTED:
@@ -405,7 +392,7 @@ class _Parser:
             raise self.error("unexpected content after query", tail)
         return query
 
-    def parse_select(self, prefixes=()) -> Query:
+    def parse_select(self) -> Query:
         self.expect_keyword("SELECT")
         projection = []
         while True:
@@ -447,9 +434,7 @@ class _Parser:
             if not names:
                 raise self.error("GROUP BY needs at least one variable")
             group_by = tuple(names)
-        query = Query(tuple(prefixes), tuple(projection), pattern, group_by)
-        _check_query(query)
-        return query
+        return Query(tuple(projection), pattern, group_by)
 
     def parse_aggregate(self, require_alias: bool = False) -> SelectAgg:
         func = self.next().value
@@ -515,11 +500,8 @@ class _Parser:
         tok = self.next()
         if tok.kind == "VAR":
             return Var(tok.value)
-        if tok.kind == "IRIREF":
-            return iri(tok.value)
-        if tok.kind == "PNAME":
-            self.check_prefix(tok)
-            return PName(*tok.value)
+        if tok.kind in ("IRIREF", "PNAME"):
+            return self.iri_of(tok)
         raise self.error("GRAPH needs an IRI or a variable", tok)
 
     def parse_triples_block(self) -> Bgp:
@@ -537,10 +519,15 @@ class _Parser:
         subject = self.parse_atom(allow_literal=False, what="subject")
         patterns = []
         while True:
-            verb = self.parse_verb()
+            steps = self.parse_verb()
             while True:
                 obj = self.parse_atom(allow_literal=True, what="object")
-                patterns.append(TriplePattern(subject, verb, obj))
+                current = subject
+                for step in steps[:-1]:
+                    hop = self.fresh_var()
+                    patterns.append(TriplePattern(current, step, hop))
+                    current = hop
+                patterns.append(TriplePattern(current, steps[-1], obj))
                 if self.peek().kind == "COMMA":
                     self.next()
                     continue
@@ -555,64 +542,60 @@ class _Parser:
             break
         return patterns
 
-    def parse_verb(self):
+    def parse_verb(self) -> list:
+        """The predicate, or the steps of a path, in order."""
         tok = self.peek()
         if tok.kind == "A":
             self.next()
-            return A
+            return [RDF_TYPE]
         if tok.kind == "VAR":
             self.next()
-            return Var(tok.value)
+            return [Var(tok.value)]
         if tok.kind in ("IRIREF", "PNAME"):
-            steps = [self.parse_iri_or_pname()]
+            steps = [self.expect_iri()]
             while self.peek().kind == "SLASH":
                 self.next()
-                steps.append(self.parse_iri_or_pname())
-            return steps[0] if len(steps) == 1 else PathPred(tuple(steps))
+                steps.append(self.expect_iri())
+            return steps
         raise self.error("expected a predicate", tok)
 
-    def parse_iri_or_pname(self):
+    def expect_iri(self) -> Term:
         tok = self.next()
+        if tok.kind not in ("IRIREF", "PNAME"):
+            raise self.error("expected an IRI", tok)
+        return self.iri_of(tok)
+
+    def iri_of(self, tok) -> Term:
+        """The IRI an IRIREF or PNAME token names."""
         if tok.kind == "IRIREF":
-            return iri(tok.value)
-        if tok.kind == "PNAME":
-            self.check_prefix(tok)
-            return PName(*tok.value)
-        raise self.error("expected an IRI", tok)
+            return self.term(tok, iri, tok.value)
+        prefix, local = tok.value
+        base = self.prefixes.get(prefix)
+        if base is None:
+            raise self.error(f"unknown prefix {prefix!r}", tok)
+        return self.term(tok, iri, base + local)
 
     def parse_atom(self, allow_literal: bool, what: str):
         tok = self.peek()
         if tok.kind == "VAR":
             self.next()
             return Var(tok.value)
-        if tok.kind == "IRIREF":
+        if tok.kind in ("IRIREF", "PNAME"):
             self.next()
-            return iri(tok.value)
-        if tok.kind == "PNAME":
-            self.next()
-            self.check_prefix(tok)
-            return PName(*tok.value)
+            return self.iri_of(tok)
         if tok.kind == "STRING" and allow_literal:
             self.next()
             if self.peek().kind == "LANGTAG":
-                return LiteralPat(tok.value, language=self.next().value)
+                tag = self.next()
+                return self.term(tag, literal, tok.value, None, tag.value)
             if self.peek().kind == "HATHAT":
                 self.next()
-                dt = self.parse_iri_or_pname()
-                return LiteralPat(tok.value, datatype=dt)
-            return LiteralPat(tok.value)
+                return literal(tok.value, self.expect_iri().lexical)
+            return literal(tok.value)
         if tok.kind == "NUMBER" and allow_literal:
             self.next()
-            xsd_type = "decimal" if "." in tok.value else "integer"
-            return LiteralPat(
-                tok.value, datatype=iri(f"http://www.w3.org/2001/XMLSchema#{xsd_type}")
-            )
+            return literal(tok.value, XSD + ("decimal" if "." in tok.value else "integer"))
         raise self.error(f"expected a {what}", tok)
-
-    def check_prefix(self, tok):
-        prefix = tok.value[0]
-        if prefix not in self.prefixes:
-            raise self.error(f"unknown prefix {prefix!r}", tok)
 
 
 def parse_query(text: str) -> Query:
@@ -661,7 +644,11 @@ def column_names(query: Query) -> tuple:
     return tuple(names)
 
 
-def _check_query(query: Query):
+def _check_query(query: Query, where: str = "projection"):
+    """Scoping, grouping and output-column checks of `query`, after those
+    of every sub-select in it."""
+    for sub in _subqueries(query.pattern):
+        _check_query(sub, "sub-select")
     in_pattern = visible_vars(query.pattern)
     group_names = {v.name for v in query.group_by} if query.group_by else None
     has_agg = any(isinstance(item, SelectAgg) for item in query.projection)
@@ -682,18 +669,12 @@ def _check_query(query: Query):
                 raise QueryValidationError(
                     f"projected variable ?{name} is not visible in the pattern"
                 )
-
-
-def _check_group_by(query: Query):
-    if query.group_by:
-        in_pattern = visible_vars(query.pattern)
-        for v in query.group_by:
-            if v.name not in in_pattern:
-                raise QueryValidationError(
-                    f"GROUP BY variable ?{v.name} is not visible in the pattern"
-                )
-    for sub in _subqueries(query.pattern):
-        _check_group_by(sub)
+    for name in group_names or ():
+        if name not in in_pattern:
+            raise QueryValidationError(f"GROUP BY variable ?{name} is not visible in the pattern")
+    columns = column_names(query)
+    if len(set(columns)) != len(columns):
+        raise QueryValidationError(f"duplicate output column in {where}: {columns}")
 
 
 def _subqueries(node):
@@ -709,212 +690,8 @@ def _subqueries(node):
         yield from _subqueries(node.inner)
 
 
-# ------------------------------------------------------------ normalization
-
-
-def _all_var_names(node, acc: set):
-    if isinstance(node, Bgp):
-        for pat in node.patterns:
-            for atom in (pat.subject, pat.predicate, pat.object):
-                if isinstance(atom, Var):
-                    acc.add(atom.name)
-    elif isinstance(node, GraphPat):
-        if isinstance(node.target, Var):
-            acc.add(node.target.name)
-        _all_var_names(node.inner, acc)
-    elif isinstance(node, Join):
-        for part in node.parts:
-            _all_var_names(part, acc)
-    elif isinstance(node, Minus):
-        _all_var_names(node.left, acc)
-        _all_var_names(node.right, acc)
-    elif isinstance(node, SubSelect):
-        for item in node.query.projection:
-            if isinstance(item, SelectVar):
-                acc.add(item.var.name)
-            else:
-                acc.add(item.arg.name)
-        _all_var_names(node.query.pattern, acc)
-
-
-class _Normalizer:
-    def __init__(self, prefixes: dict[str, str], used_names: set[str]):
-        self.prefixes = prefixes
-        self.used = used_names
-        self.counter = 0
-
-    def fresh_var(self) -> Var:
-        while True:
-            name = f"_path{self.counter}"
-            self.counter += 1
-            if name not in self.used:
-                self.used.add(name)
-                return Var(name)
-
-    def expand_pname(self, pname: PName) -> Term:
-        base = self.prefixes.get(pname.prefix)
-        if base is None:
-            raise QueryValidationError(f"unknown prefix {pname.prefix!r}")
-        return iri(base + pname.local)
-
-    def atom(self, x):
-        if isinstance(x, PName):
-            return self.expand_pname(x)
-        if isinstance(x, LiteralPat):
-            dt = x.datatype
-            if isinstance(dt, PName):
-                dt = self.expand_pname(dt)
-            return literal(x.lexical, datatype=dt.lexical if isinstance(dt, Term) else None,
-                           language=x.language)
-        if x is A:
-            return RDF_TYPE
-        return x
-
-    def pattern(self, node):
-        if isinstance(node, Bgp):
-            out = []
-            for pat in node.patterns:
-                subject = self.atom(pat.subject)
-                obj = self.atom(pat.object)
-                pred = pat.predicate
-                if isinstance(pred, PathPred):
-                    steps = [self.atom(step) for step in pred.steps]
-                    current = subject
-                    for step in steps[:-1]:
-                        nxt = self.fresh_var()
-                        out.append(TriplePattern(current, step, nxt))
-                        current = nxt
-                    out.append(TriplePattern(current, steps[-1], obj))
-                else:
-                    out.append(TriplePattern(subject, self.atom(pred), obj))
-            return Bgp(tuple(out))
-        if isinstance(node, GraphPat):
-            target = node.target
-            if isinstance(target, PName):
-                target = self.expand_pname(target)
-            return GraphPat(target, self.pattern(node.inner))
-        if isinstance(node, Join):
-            return Join(tuple(self.pattern(part) for part in node.parts))
-        if isinstance(node, Minus):
-            return Minus(self.pattern(node.left), self.pattern(node.right))
-        if isinstance(node, SubSelect):
-            return SubSelect(self.query(node.query))
-        raise TypeError(f"not a pattern node: {node!r}")
-
-    def query(self, q: Query) -> Query:
-        return Query((), q.projection, self.pattern(q.pattern), q.group_by)
-
-
-def validate_and_name(ast: Union[Query, AlgebraPlan]) -> AlgebraPlan:
-    """Expand prefixes, desugar ``a`` and predicate paths, check the result.
-
-    Idempotent: validating an already-normalized query (or a plan) returns
-    an equal plan.
-    """
-    query = ast.query if isinstance(ast, AlgebraPlan) else ast
+def validate_and_name(query: Query) -> Query:
+    """Run the checks `parse_query` runs (for a query built by hand) and
+    return `query` unchanged."""
     _check_query(query)
-    prefixes = dict(query.prefixes)
-    used: set[str] = set()
-    _all_var_names(query.pattern, used)
-    for item in query.projection:
-        used.add(item.var.name if isinstance(item, SelectVar) else item.arg.name)
-    normalizer = _Normalizer(prefixes, used)
-    normalized = Query(
-        (),
-        query.projection,
-        normalizer.pattern(query.pattern),
-        query.group_by,
-    )
-    _check_query(normalized)
-    _check_group_by(normalized)
-    columns = column_names(normalized)
-    if len(set(columns)) != len(columns):
-        raise QueryValidationError(f"duplicate output column in projection: {columns}")
-    for sub in _subqueries(normalized.pattern):
-        sub_cols = column_names(sub)
-        if len(set(sub_cols)) != len(sub_cols):
-            raise QueryValidationError(f"duplicate output column in sub-select: {sub_cols}")
-    return AlgebraPlan(normalized)
-
-
-# ------------------------------------------------------------ pretty print
-
-
-def _atom_text(x) -> str:
-    if isinstance(x, Var):
-        return f"?{x.name}"
-    if isinstance(x, PName):
-        return f"{x.prefix}:{x.local}"
-    if isinstance(x, PathPred):
-        return "/".join(_atom_text(step) for step in x.steps)
-    if x is A:
-        return "a"
-    if isinstance(x, LiteralPat):
-        body = '"' + x.lexical.replace("\\", "\\\\").replace('"', '\\"').replace(
-            "\n", "\\n"
-        ).replace("\r", "\\r").replace("\t", "\\t") + '"'
-        if x.language is not None:
-            return f"{body}@{x.language}"
-        if x.datatype is not None:
-            return f"{body}^^{_atom_text(x.datatype)}"
-        return body
-    if isinstance(x, Term):
-        if x.is_iri:
-            return f"<{x.lexical}>"
-        if x.is_literal:
-            return _atom_text(
-                LiteralPat(
-                    x.lexical,
-                    datatype=iri(x.datatype) if x.datatype else None,
-                    language=x.language,
-                )
-            )
-    raise TypeError(f"cannot print {x!r}")
-
-
-def _print_ggp(node) -> str:
-    if isinstance(node, Bgp):
-        return " ".join(
-            f"{_atom_text(p.subject)} {_atom_text(p.predicate)} {_atom_text(p.object)} ."
-            for p in node.patterns
-        )
-    if isinstance(node, GraphPat):
-        return f"GRAPH {_atom_text(node.target)} {{ {_print_ggp(node.inner)} }}"
-    if isinstance(node, Join):
-        chunks = []
-        for part in node.parts:
-            # Bare adjacent BGPs would merge on reparse, a bare Minus would
-            # capture its left siblings, and a bare Join would flatten.
-            if isinstance(part, (Bgp, Minus, Join)):
-                chunks.append("{ " + _print_ggp(part) + " }")
-            else:
-                chunks.append(_print_ggp(part))
-        return " ".join(chunks)
-    if isinstance(node, Minus):
-        return f"{_print_ggp(node.left)} MINUS {{ {_print_ggp(node.right)} }}"
-    if isinstance(node, SubSelect):
-        return "{ " + print_query(node.query, with_prefixes=False) + " }"
-    raise TypeError(f"not a pattern node: {node!r}")
-
-
-def print_query(query: Query, with_prefixes: bool = True) -> str:
-    """Render an AST back to query text; parse(print_query(q)) == q."""
-    parts = []
-    if with_prefixes:
-        for prefix, base in query.prefixes:
-            parts.append(f"PREFIX {prefix}: <{base}>")
-    items = []
-    for item in query.projection:
-        if isinstance(item, SelectVar):
-            items.append(f"?{item.var.name}")
-        else:
-            inner = f"DISTINCT ?{item.arg.name}" if item.distinct else f"?{item.arg.name}"
-            text = f"{item.func}({inner})"
-            if item.alias is not None:
-                text += f" AS ?{item.alias}"
-            items.append(text)
-    parts.append("SELECT " + " ".join(items))
-    parts.append("WHERE { " + _print_ggp(query.pattern) + " }")
-    if query.group_by:
-        parts.append("GROUP BY " + " ".join(f"?{v.name}" for v in query.group_by))
-    return "\n".join(parts)
+    return query

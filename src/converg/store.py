@@ -121,6 +121,7 @@ class Store:
             self._index_entry(pos, entry)
         self._user_metadata_set = set(self.user_metadata)
         self._metadata: Optional[tuple[tuple[Term, Term, Term], ...]] = None  # built on first use
+        self._version_iris: Optional[tuple[Term, ...]] = None  # built on first use
         for rec in self.vng_records:
             self._index_vng(rec)
 
@@ -149,6 +150,7 @@ class Store:
         # Mutation phase: nothing below raises.
         self.version_count = ordinal
         self._metadata = None
+        self._version_iris = None
         if label is not None:
             self.version_labels[ordinal] = label
         encode = self.dictionary.encode
@@ -253,41 +255,46 @@ class Store:
         vng record in record order, then the user metadata. Built once per
         change to the store."""
         if self._metadata is None:
+            versions = self.version_iris()
             links = []
             for rec in self.vng_records:
                 links.append((rec.vng_iri, IS_VERSION_OF, rec.graph))
-                links.append((rec.vng_iri, IS_IN_VERSION, version_iri(rec.ordinal)))
+                links.append((rec.vng_iri, IS_IN_VERSION, versions[rec.ordinal - 1]))
             self._metadata = (*links, *self.user_metadata)
         return self._metadata
 
+    def version_iris(self) -> tuple[Term, ...]:
+        """`version_iri(m)` for every version m, in order: the term at
+        index m - 1. Built once per version count."""
+        if self._version_iris is None:
+            self._version_iris = tuple(version_iri(m) for m in range(1, self.version_count + 1))
+        return self._version_iris
+
     def lookup_pattern(
         self,
-        graph: Optional[int] = None,
+        graph: int,
         subject: Optional[int] = None,
         predicate: Optional[int] = None,
         object: Optional[int] = None,
     ) -> Iterator[CondensedEntry]:
-        """Entries matching the bound positions, in insertion order."""
-        if graph is not None and subject is not None and predicate is not None and object is not None:
+        """Entries of `graph` matching the other bound positions, in
+        insertion order."""
+        if subject is not None and predicate is not None and object is not None:
             pos = self._entry_map.get((graph, subject, predicate, object))
             if pos is not None:
                 yield self.entries[pos]
             return
-        if graph is not None and predicate is not None:
+        if predicate is not None:
             candidates = self._by_graph_pred.get((graph, predicate), ())
         elif subject is not None:
             candidates = self._by_subject.get(subject, ())
-        elif graph is not None:
-            candidates = self._by_graph.get(graph, ())
         else:
-            candidates = range(len(self.entries))
-        for pos in candidates:
+            candidates = self._by_graph.get(graph, ())
+        for pos in candidates:  # each already matches the predicate, if bound
             entry = self.entries[pos]
-            if graph is not None and entry.graph != graph:
+            if entry.graph != graph:  # the subject index spans every graph
                 continue
             if subject is not None and entry.subject != subject:
-                continue
-            if predicate is not None and entry.predicate != predicate:
                 continue
             if object is not None and entry.object != object:
                 continue

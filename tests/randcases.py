@@ -261,10 +261,9 @@ def rows_counter(columns, rows) -> Counter:
     return Counter(tuple(row.get(c) for c in columns) for row in rows)
 
 
-def folds(store, plan) -> bool:
-    """Whether the engine answers `plan` by folding versioned rows, without
+def folds(store, query) -> bool:
+    """Whether the engine answers `query` by folding versioned rows, without
     expanding them into per-version solutions."""
-    query = plan.query
     aggregates = _aggregates_with_aliases(query)
     rows = _CondensedEvaluator(store).eval_rows(query.pattern, None)
     return (
@@ -274,11 +273,11 @@ def folds(store, plan) -> bool:
     )
 
 
-def check_against_oracle(store, plan):
-    """Assert the engine's answer to `plan` equals the oracle's on the flat
+def check_against_oracle(store, query):
+    """Assert the engine's answer to `query` equals the oracle's on the flat
     export; returns the engine's rows."""
-    columns, rows = execute_plan(store, plan)
-    oracle_columns, oracle_rows = eval_oracle(list(store.export_flat()), plan)
+    columns, rows = execute_plan(store, query)
+    oracle_columns, oracle_rows = eval_oracle(list(store.export_flat()), query)
     assert columns == oracle_columns
     assert rows_counter(columns, rows) == rows_counter(oracle_columns, oracle_rows)
     return rows
@@ -321,16 +320,16 @@ def run_differential_case(rng, wide=None) -> str:
         wide = rng.random() < 1 / 30
     store = random_wide_store(rng) if wide else random_store(rng)[0]
     text = random_query(rng, store)
-    plan = validate_and_name(parse_query(text))
+    query = validate_and_name(parse_query(text))
     flat = list(store.export_flat())
     engine_error = oracle_error = None
     engine_result = oracle_result = None
     try:
-        engine_result = execute_plan(store, plan)
+        engine_result = execute_plan(store, query)
     except EvalError as exc:
         engine_error = exc
     try:
-        oracle_result = eval_oracle(flat, plan)
+        oracle_result = eval_oracle(flat, query)
     except EvalError as exc:
         oracle_error = exc
     if engine_error is not None or oracle_error is not None:

@@ -1,6 +1,8 @@
 import io
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -108,6 +110,22 @@ def test_query_unsupported_operator_exits_1(tmp_path, capsys):
     assert main(["query", store_dir, str(bad)]) == 1
     err = capsys.readouterr().err
     assert "unsupported operator OPTIONAL" in err and "query" in err
+
+
+def test_query_with_a_malformed_term_exits_1_without_a_traceback(tmp_path):
+    store_dir = _setup_buildings(tmp_path)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run(
+        [sys.executable, "-c", "from converg.cli import script_entry; script_entry()", "query", store_dir, "-"],
+        input=b'SELECT ?s WHERE { ?s <urn:p> "x"@123 . }',
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stdout == b""
+    assert b"Traceback" not in done.stderr
+    assert done.stderr.decode() == "converg query: line 1, column 33: malformed language tag: '123'\n"
 
 
 def test_query_missing_file_exits_1(tmp_path, capsys):

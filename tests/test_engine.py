@@ -190,7 +190,7 @@ def test_join_ands_two_different_bitmaps():
 
 def test_metadata_join_decorates_with_version(buildings_store):
     plan = _plan(read_query("all_versions.rq"))
-    columns, rows, bits = eval_select(buildings_store, plan.query)
+    columns, rows, bits = eval_select(buildings_store, plan)
     assert bits == [-1] * len(rows)
     oracle_columns, oracle_rows = eval_oracle(list(buildings_store.export_flat()), plan)
     assert columns == oracle_columns
@@ -452,6 +452,26 @@ def test_unbound_aggregate_alias_inside_graph_is_no_key_error(buildings_store):
     assert Counter((r["vng"], r["v"]) for r in rows) == Counter(
         (rec.vng_iri, version_iri(rec.ordinal)) for rec in buildings_store.vng_records
     )
+
+
+@pytest.mark.parametrize("alias", ["_path0", "k"])
+def test_a_sub_select_alias_does_not_capture_a_path_hop(alias):
+    # The hop variable is named past every variable the query spells, so
+    # the alias ?_path0 is a column of its own, as ?k is.
+    store = Store()
+    store.ingest_version(parse_nquads("<urn:a> <urn:p> <urn:b> <urn:g> .\n<urn:b> <urn:q> <urn:c> <urn:g> .\n"))
+    text = (
+        "PREFIX vers: <urn:converg:vocab:>\n"
+        "SELECT ?s ?n WHERE {\n"
+        "  GRAPH ?g {\n"
+        f"    {{ SELECT (COUNT(?o) AS ?{alias}) WHERE {{ ?a <urn:p> ?o . }} }}\n"
+        "    ?s <urn:p>/<urn:q> ?x .\n"
+        "  }\n"
+        "  ?g vers:is-in-version ?v ; vers:is-version-of ?n .\n"
+        "}\n"
+    )
+    assert execute_query(store, text).rows == [(iri("urn:a"), iri("urn:g"))]
+    check_against_oracle(store, _plan(text))
 
 
 @pytest.mark.parametrize(

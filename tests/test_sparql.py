@@ -1,28 +1,24 @@
 import random
+import re
 
 import pytest
 
 from conftest import read_query
 from converg.errors import ParseError, QueryValidationError, UnsupportedQueryError
-from converg.model import RDF_TYPE, Term, iri
+from converg.model import RDF_TYPE, XSD, Term, iri, literal
 from converg.sparql import (
-    A,
-    AlgebraPlan,
     Bgp,
     GraphPat,
     Join,
-    LiteralPat,
     Minus,
-    PName,
-    PathPred,
     Query,
     SelectAgg,
     SelectVar,
+    SubSelect,
     TriplePattern,
     Var,
     column_names,
     parse_query,
-    print_query,
     validate_and_name,
     visible_vars,
 )
@@ -55,10 +51,10 @@ def test_graph_plus_metadata_join_structure():
     assert isinstance(graph_part, GraphPat)
     assert graph_part.target == Var("vng")
     assert graph_part.inner == Bgp(
-        (TriplePattern(Var("subj"), PName("rdf", "type"), Var("obj")),)
+        (TriplePattern(Var("subj"), iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type"), Var("obj")),)
     )
     assert meta_part == Bgp(
-        (TriplePattern(Var("vng"), PName("vers", "is-in-version"), Var("version")),)
+        (TriplePattern(Var("vng"), iri("urn:converg:vocab:is-in-version"), Var("version")),)
     )
 
 
@@ -68,7 +64,7 @@ def test_count_distinct_with_property_list():
     agg = q.projection[1]
     assert agg == SelectAgg("COUNT", True, Var("version"), None)
     graph_part = q.pattern.parts[0]
-    assert graph_part.inner.patterns[0].object == LiteralPat("sensor")
+    assert graph_part.inner.patterns[0].object == literal("sensor")
     meta = q.pattern.parts[1]
     assert len(meta.patterns) == 2
     assert meta.patterns[0].subject == meta.patterns[1].subject == Var("vng")
@@ -126,7 +122,7 @@ def test_projected_var_must_be_grouped():
 def test_group_by_variable_must_be_visible():
     q = parse_query("SELECT ?s WHERE { ?s <urn:p> ?o . } GROUP BY ?s")
     assert q.group_by == (Var("s"),)
-    bad = Query((), (SelectVar(Var("s")),), q.pattern, (Var("nope"), Var("s")))
+    bad = Query((SelectVar(Var("s")),), q.pattern, (Var("nope"), Var("s")))
     with pytest.raises(QueryValidationError, match="GROUP BY variable"):
         validate_and_name(bad)
 
@@ -158,9 +154,7 @@ def test_object_and_property_lists_expand():
 
 def test_a_keyword_desugars_to_rdf_type():
     q = parse_query("SELECT ?s WHERE { ?s a <urn:Class> . }")
-    assert q.pattern.patterns[0].predicate is A
-    plan = validate_and_name(q)
-    assert plan.query.pattern.patterns[0].predicate == RDF_TYPE
+    assert q.pattern.patterns[0].predicate == RDF_TYPE
 
 
 def test_slashed_local_name_expands_as_one_iri():
@@ -168,18 +162,14 @@ def test_slashed_local_name_expands_as_one_iri():
         "PREFIX bsbm: <http://www4.wiwiss.fu-berlin.de/bizer/bsbm/>\n"
         "SELECT ?o WHERE { ?s bsbm:v01/vocabulary/rating2 ?o . }"
     )
-    assert q.pattern.patterns[0].predicate == PName("bsbm", "v01/vocabulary/rating2")
-    plan = validate_and_name(q)
-    assert plan.query.pattern.patterns[0].predicate == iri(
+    assert q.pattern.patterns[0].predicate == iri(
         "http://www4.wiwiss.fu-berlin.de/bizer/bsbm/v01/vocabulary/rating2"
     )
 
 
 def test_iri_path_desugars_with_fresh_variable():
     q = parse_query("SELECT ?s ?o WHERE { ?s <urn:p1>/<urn:p2> ?o . }")
-    assert q.pattern.patterns[0].predicate == PathPred((iri("urn:p1"), iri("urn:p2")))
-    plan = validate_and_name(q)
-    pats = plan.query.pattern.patterns
+    pats = q.pattern.patterns
     assert len(pats) == 2
     hop = pats[0].object
     assert isinstance(hop, Var) and hop.name.startswith("_path")
@@ -193,10 +183,9 @@ def test_validate_is_idempotent():
         LISTING_STYLE_DISTINCT,
         "SELECT ?s ?o WHERE { ?s <urn:p1>/<urn:p2> ?o . }",
     ]:
-        plan1 = validate_and_name(parse_query(text))
-        plan2 = validate_and_name(plan1)
-        plan3 = validate_and_name(plan1.query)
-        assert plan1 == plan2 == plan3
+        query = parse_query(text)
+        assert validate_and_name(query) is query
+        assert validate_and_name(validate_and_name(query)) == query
 
 
 def test_duplicate_columns_are_rejected():
@@ -228,8 +217,7 @@ def test_fixture_queries_parse(tmp_path):
         "count_by_version.rq",
         "distinct_versions_by_graph.rq",
     ):
-        plan = validate_and_name(parse_query(read_query(name)))
-        assert isinstance(plan, AlgebraPlan)
+        assert isinstance(validate_and_name(parse_query(read_query(name))), Query)
 
 
 def test_benchmark_style_aggregate_texts_parse():
@@ -255,100 +243,264 @@ def test_benchmark_style_aggregate_texts_parse():
         "} GROUP BY ?graph",
     ]
     for text in texts:
-        plan = validate_and_name(parse_query(preamble + text))
-        assert plan.query.group_by is not None
+        assert validate_and_name(parse_query(preamble + text)).group_by is not None
 
 
-# ------------------------------------------------------ print/parse cycle
-
-_PREFIXES = (("ex", "urn:ex:"), ("v", "urn:v:"))
 
 
-def _random_atom(rng, kind):
-    roll = rng.random()
-    if kind == "subject":
-        if roll < 0.5:
-            return Var(rng.choice("abcs"))
-        if roll < 0.8:
-            return iri(f"urn:n:{rng.randrange(5)}")
-        return PName("ex", f"s{rng.randrange(4)}")
-    if kind == "predicate":
-        if roll < 0.25:
-            return Var(rng.choice("pq"))
-        if roll < 0.45:
-            return PName("v", f"p{rng.randrange(3)}")
-        if roll < 0.55:
-            return A
-        if roll < 0.7:
-            first = (
-                PName("ex", "hop") if rng.random() < 0.5 else iri(f"urn:p:{rng.randrange(3)}")
-            )
-            rest = tuple(iri(f"urn:p:{rng.randrange(3)}") for _ in range(rng.randint(1, 2)))
-            return PathPred((first,) + rest)
-        return iri(f"urn:p:{rng.randrange(3)}")
-    if roll < 0.4:
-        return Var(rng.choice("abco"))
-    if roll < 0.6:
-        return iri(f"urn:n:{rng.randrange(5)}")
-    if roll < 0.7:
-        return LiteralPat(f"w{rng.randrange(9)}")
-    if roll < 0.8:
-        return LiteralPat(str(rng.randrange(50)), datatype=iri("urn:dt:int"))
-    if roll < 0.9:
-        return LiteralPat(f"t{rng.randrange(9)}", datatype=PName("v", "dt"))
-    return LiteralPat("bonjour", language="fr")
+@pytest.mark.parametrize(
+    "text,line,column,message",
+    [
+        ('SELECT ?s WHERE { ?s <urn:p> "x"@123 . }', 1, 33, "malformed language tag: '123'"),
+        ('SELECT ?s WHERE {\n  ?s <urn:p> "x"@en- . }', 2, 17, "malformed language tag: 'en-'"),
+        ('SELECT ?s WHERE { ?s <urn:p> "x"@abcdefghij . }', 1, 33, "malformed language tag"),
+        ("SELECT ?s WHERE { ?s <> ?o . }", 1, 22, "IRI must be non-empty"),
+        ('SELECT ?s WHERE { ?s <urn:p> "x"^^<> . }', 1, 35, "IRI must be non-empty"),
+        ("PREFIX e: <>\nSELECT ?s WHERE { ?s e: ?o . }", 2, 22, "IRI must be non-empty"),
+        ("SELECT ?s WHERE { GRAPH <> { ?s ?p ?o . } }", 1, 25, "IRI must be non-empty"),
+    ],
+)
+def test_malformed_query_terms_are_positioned_parse_errors(text, line, column, message):
+    with pytest.raises(ParseError) as exc:
+        parse_query(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert message in str(exc.value)
 
 
-def _random_bgp(rng):
-    return Bgp(
-        tuple(
-            TriplePattern(
-                _random_atom(rng, "subject"),
-                _random_atom(rng, "predicate"),
-                _random_atom(rng, "object"),
-            )
-            for _ in range(rng.randint(1, 3))
-        )
+def test_literals_resolve_to_terms():
+    q = parse_query(
+        "PREFIX v: <urn:v:>\n"
+        'SELECT ?s WHERE { ?s <urn:p> "a"@en-GB , "b"^^v:dt , "c"^^<urn:dt> , 7 , 2.5 , "d" . }'
     )
+    assert [p.object for p in q.pattern.patterns] == [
+        literal("a", language="en-GB"),
+        literal("b", datatype="urn:v:dt"),
+        literal("c", datatype="urn:dt"),
+        literal("7", datatype=XSD + "integer"),
+        literal("2.5", datatype=XSD + "decimal"),
+        literal("d"),
+    ]
 
 
-def _random_pattern(rng, depth):
-    roll = rng.random()
-    if depth <= 0 or roll < 0.4:
-        return _random_bgp(rng)
-    if roll < 0.6:
-        target = Var("g") if rng.random() < 0.6 else iri("urn:converg:vng:1")
-        return GraphPat(target, _random_pattern(rng, depth - 1))
-    if roll < 0.8:
-        return Join(tuple(_random_pattern(rng, depth - 1) for _ in range(rng.randint(2, 3))))
-    return Minus(_random_pattern(rng, depth - 1), _random_pattern(rng, depth - 1))
+def test_fresh_path_variables_skip_every_spelled_name():
+    q = parse_query("SELECT ?s ?_path0 WHERE { ?s <urn:p1>/<urn:p2> ?_path0 . }")
+    assert q.pattern.patterns[0].object == Var("_path1")
+    # an alias is spelled too, though it never appears in a pattern
+    q = parse_query(
+        "SELECT ?s WHERE { { SELECT (COUNT(?o) AS ?_path0) WHERE { ?a <urn:p> ?o . } } "
+        "?s <urn:p>/<urn:q>/<urn:r> ?x . }"
+    )
+    hops = [p.object for p in q.pattern.parts[1].patterns[:2]]
+    assert hops == [Var("_path1"), Var("_path2")]
 
 
-def _random_query(rng, depth=2):
-    pattern = _random_pattern(rng, depth)
-    vars_in = sorted(visible_vars(pattern))
-    if not vars_in:
-        pattern = Join((Bgp((TriplePattern(Var("s"), iri("urn:p:0"), Var("o")),)), pattern))
-        vars_in = sorted(visible_vars(pattern))
-    if rng.random() < 0.3:
-        group = tuple(Var(v) for v in rng.sample(vars_in, rng.randint(1, len(vars_in))))
-        projection = tuple(SelectVar(v) for v in group) + (
-            SelectAgg(
-                rng.choice(("COUNT", "MAX", "MIN", "SUM")),
-                rng.random() < 0.3,
-                Var(rng.choice(vars_in)),
-                rng.choice((None, "total")),
-            ),
-        )
-        return Query(_PREFIXES, projection, pattern, group)
-    names = rng.sample(vars_in, rng.randint(1, len(vars_in)))
-    return Query(_PREFIXES, tuple(SelectVar(Var(v)) for v in names), pattern, None)
+# ----------------------------------------- generated texts and their queries
+
+_PREAMBLE = "PREFIX ex: <urn:ex:>\nPREFIX v: <urn:v:>\n"
+_VAR_POOL = ("a", "b", "c", "s", "_path1")
+_ALIASES = (None, "total", "_path0")
 
 
-def test_print_parse_round_trip_on_random_asts():
-    rng = random.Random(20250101)
-    for i in range(300):
-        query = _random_query(rng)
-        text = print_query(query)
-        again = parse_query(text)
-        assert again == query, f"case {i}:\n{text}"
+class _QueryGen:
+    """Random query text together with the `Query` the parser must build
+    from it. Path hops are numbered `#0`, `#1`, ... in text order, and
+    renamed once the whole text, and so every spelled name, is known."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.hops = 0
+
+    def hop(self) -> Var:
+        self.hops += 1
+        return Var(f"#{self.hops - 1}")
+
+    def subject(self):
+        roll = self.rng.random()
+        if roll < 0.5:
+            name = self.rng.choice(_VAR_POOL)
+            return f"?{name}", Var(name)
+        if roll < 0.75:
+            k = self.rng.randrange(5)
+            return f"<urn:n:{k}>", iri(f"urn:n:{k}")
+        k = self.rng.randrange(4)
+        return f"ex:s{k}", iri(f"urn:ex:s{k}")
+
+    def verb(self):
+        """(text, the steps of the predicate)."""
+        rng = self.rng
+        roll = rng.random()
+        if roll < 0.2:
+            name = rng.choice("pq")
+            return f"?{name}", [Var(name)]
+        if roll < 0.35:
+            k = rng.randrange(3)
+            return f"v:p{k}", [iri(f"urn:v:p{k}")]
+        if roll < 0.45:
+            return "a", [RDF_TYPE]
+        if roll < 0.5:
+            return "ex:v01/vocabulary/rating", [iri("urn:ex:v01/vocabulary/rating")]
+        if roll < 0.7:
+            texts, steps = ["ex:hop"], [iri("urn:ex:hop")]
+            if rng.random() < 0.5:
+                k = rng.randrange(3)
+                texts, steps = [f"<urn:p:{k}>"], [iri(f"urn:p:{k}")]
+            for _ in range(rng.randint(1, 2)):
+                k = rng.randrange(3)
+                texts.append(f"<urn:p:{k}>")
+                steps.append(iri(f"urn:p:{k}"))
+            return "/".join(texts), steps
+        k = rng.randrange(3)
+        return f"<urn:p:{k}>", [iri(f"urn:p:{k}")]
+
+    def object(self):
+        rng = self.rng
+        roll = rng.random()
+        if roll < 0.35:
+            name = rng.choice(_VAR_POOL + ("o",))
+            return f"?{name}", Var(name)
+        if roll < 0.45:
+            k = rng.randrange(5)
+            return f"<urn:n:{k}>", iri(f"urn:n:{k}")
+        if roll < 0.55:
+            k = rng.randrange(9)
+            return f'"w{k}"', literal(f"w{k}")
+        if roll < 0.62:
+            k = rng.randrange(50)
+            return f'"{k}"^^<urn:dt:int>', literal(str(k), datatype="urn:dt:int")
+        if roll < 0.72:
+            k = rng.randrange(9)
+            return f'"t{k}"^^v:dt', literal(f"t{k}", datatype="urn:v:dt")
+        if roll < 0.8:
+            tag = rng.choice(("fr", "en-GB"))
+            return f'"bonjour"@{tag}', literal("bonjour", language=tag)
+        if roll < 0.87:
+            k = rng.randrange(100)
+            return str(k), literal(str(k), datatype=XSD + "integer")
+        if roll < 0.93:
+            return "4.25", literal("4.25", datatype=XSD + "decimal")
+        return r'"say \"hi\"\té"', literal('say "hi"\té')
+
+    def bgp(self):
+        """(text, Bgp): subjects with `;` and `,` lists, in text order."""
+        groups, patterns = [], []
+        for _ in range(self.rng.randint(1, 2)):
+            s_text, subject = self.subject()
+            verbs = []
+            for _ in range(self.rng.randint(1, 2)):
+                v_text, steps = self.verb()
+                objects = []
+                for _ in range(self.rng.randint(1, 2)):
+                    o_text, obj = self.object()
+                    objects.append(o_text)
+                    current = subject
+                    for step in steps[:-1]:
+                        hop = self.hop()
+                        patterns.append(TriplePattern(current, step, hop))
+                        current = hop
+                    patterns.append(TriplePattern(current, steps[-1], obj))
+                verbs.append(f"{v_text} {' , '.join(objects)}")
+            groups.append(f"{s_text} {' ; '.join(verbs)}")
+        return " . ".join(groups) + " .", Bgp(tuple(patterns))
+
+    def pattern(self, depth):
+        """(text as a group pattern reads it, text inside '{ }', node)."""
+        roll = self.rng.random()
+        if depth <= 0 or roll < 0.35:
+            text, node = self.bgp()
+            return text, text, node
+        if roll < 0.55:
+            target, target_text = Var("g"), "?g"
+            if self.rng.random() < 0.4:
+                target, target_text = self.rng.choice(
+                    ((iri("urn:converg:vng:1"), "<urn:converg:vng:1>"), (iri("urn:ex:g1"), "ex:g1"))
+                )
+            inner, _, node = self.pattern(depth - 1)
+            text = f"GRAPH {target_text} {{ {inner} }}"
+            return text, text, GraphPat(target, node)
+        if roll < 0.75:
+            parts = [self.pattern(depth - 1) for _ in range(self.rng.randint(2, 3))]
+            text = " ".join(f"{{ {body} }}" for _, body, _ in parts)
+            return text, text, Join(tuple(node for _, _, node in parts))
+        if roll < 0.9:
+            left, _, left_node = self.pattern(depth - 1)
+            _, right, right_node = self.pattern(depth - 1)
+            text = f"{left} MINUS {{ {right} }}"
+            return text, text, Minus(left_node, right_node)
+        body, query = self.select(depth - 1)
+        return f"{{ {body} }}", body, SubSelect(query)
+
+    def select(self, depth):
+        """(SELECT text, Query) over a random pattern."""
+        rng = self.rng
+        pattern_text, body, pattern = self.pattern(depth)
+        if not any(not n.startswith("#") for n in visible_vars(pattern)):
+            pattern_text = f"{{ ?s <urn:p:0> ?o . }} {{ {body} }}"
+            pattern = Join((Bgp((TriplePattern(Var("s"), iri("urn:p:0"), Var("o")),)), pattern))
+        names = sorted(n for n in visible_vars(pattern) if not n.startswith("#"))
+        roll = rng.random()
+        if roll < 0.6:
+            chosen = rng.sample(names, rng.randint(1, len(names)))
+            projection = tuple(SelectVar(Var(n)) for n in chosen)
+            items, group_by = [f"?{n}" for n in chosen], None
+        else:
+            keys = rng.sample(names, rng.randint(1, len(names))) if roll < 0.85 else []
+            func = rng.choice(("COUNT", "MAX", "MIN", "SUM"))
+            distinct = rng.random() < 0.3
+            arg = rng.choice(names)
+            alias = rng.choice([a for a in _ALIASES if (a or "agg1") not in keys])
+            agg = f"{func}({'DISTINCT ' if distinct else ''}?{arg})"
+            if alias is not None:
+                agg = f"({agg} AS ?{alias})" if rng.random() < 0.5 else f"{agg} AS ?{alias}"
+            projection = tuple(SelectVar(Var(n)) for n in keys) + (
+                SelectAgg(func, distinct, Var(arg), alias),
+            )
+            items = [f"?{n}" for n in keys] + [agg]
+            group_by = tuple(Var(n) for n in keys) or None
+        text = f"SELECT {' '.join(items)} WHERE {{ {pattern_text} }}"
+        if group_by:
+            text += " GROUP BY " + " ".join(f"?{v.name}" for v in group_by)
+        return text, Query(projection, pattern, group_by)
+
+
+def _rename(node, names):
+    """`node` with each variable renamed through `names` (others kept)."""
+    if isinstance(node, Var):
+        return Var(names.get(node.name, node.name))
+    if isinstance(node, TriplePattern):
+        return TriplePattern(*(_rename(x, names) for x in (node.subject, node.predicate, node.object)))
+    if isinstance(node, Bgp):
+        return Bgp(tuple(_rename(p, names) for p in node.patterns))
+    if isinstance(node, GraphPat):
+        return GraphPat(node.target, _rename(node.inner, names))
+    if isinstance(node, Join):
+        return Join(tuple(_rename(p, names) for p in node.parts))
+    if isinstance(node, Minus):
+        return Minus(_rename(node.left, names), _rename(node.right, names))
+    if isinstance(node, SubSelect):
+        return SubSelect(_rename(node.query, names))
+    if isinstance(node, Query):
+        return Query(node.projection, _rename(node.pattern, names), node.group_by)
+    return node
+
+
+def generated_cases(seed, count):
+    """`count` seeded (text, Query) pairs; `parse_query(text)` must equal
+    the Query."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        gen = _QueryGen(rng)
+        body, query = gen.select(depth=2)
+        text = _PREAMBLE + body
+        spelled = set(re.findall(r"\?(\w+)", text))
+        fresh = (f"_path{n}" for n in range(10 ** 6) if f"_path{n}" not in spelled)
+        yield text, _rename(query, {f"#{k}": next(fresh) for k in range(gen.hops)})
+
+
+def test_parser_builds_the_generated_query():
+    cases = list(generated_cases(20250101, 400))
+    for i, (text, query) in enumerate(cases):
+        assert parse_query(text) == query, f"case {i}:\n{text}"
+    texts = "\n".join(text for text, _ in cases)
+    for feature in ("ex:", " a ", "/<urn:p:", '"@', "^^v:dt", "GRAPH", "MINUS", "} {", "SELECT (",
+                    " AS ?", "GROUP BY", "?_path1", "AS ?_path0"):
+        assert feature in texts, feature

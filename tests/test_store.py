@@ -159,13 +159,16 @@ def test_lookup_fully_bound_and_unknown(buildings_store):
     pid = store.dictionary.lookup(HEIGHT)
     oid = store.dictionary.lookup(literal("11", datatype=DECIMAL))
     assert len(list(store.lookup_pattern(gid, sid, pid, oid))) == 1
-    assert list(store.lookup_pattern(subject=10 ** 6)) == []
+    assert list(store.lookup_pattern(gid, subject=10 ** 6)) == []
 
 
 def test_lookup_preserves_insertion_order(buildings_store):
     store = buildings_store
-    positions = [e.key() for e in store.lookup_pattern()]
-    assert positions == [e.key() for e in store.entries]
+    graph_ids = {e.graph for e in store.entries}
+    assert len(graph_ids) == 2
+    for gid in graph_ids:
+        positions = [e.key() for e in store.lookup_pattern(gid)]
+        assert positions == [e.key() for e in store.entries if e.graph == gid]
 
 
 # -------------------------------------------------------------- vng lookup
@@ -477,7 +480,8 @@ def test_add_metadata_rejects_literal_subject(tmp_path, buildings_store):
 
 
 def test_add_metadata_rejects_a_malformed_datatype_iri(tmp_path, buildings_store):
-    # A Term that skipped its constructor's checks, as an unpickled one does.
+    # A Term made with object.__new__ never ran its constructor's checks;
+    # add_metadata runs them again before it stores anything.
     bad = object.__new__(Term)
     for name, value in zip(("kind", "lexical", "datatype", "language"), ("literal", "x", "a b", None)):
         object.__setattr__(bad, name, value)
