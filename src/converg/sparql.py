@@ -669,9 +669,9 @@ def _check_query(query: Query, where: str = "projection"):
                 raise QueryValidationError(
                     f"projected variable ?{name} is not visible in the pattern"
                 )
-    for name in group_names or ():
-        if name not in in_pattern:
-            raise QueryValidationError(f"GROUP BY variable ?{name} is not visible in the pattern")
+    for var in query.group_by or ():
+        if var.name not in in_pattern:
+            raise QueryValidationError(f"GROUP BY variable ?{var.name} is not visible in the pattern")
     columns = column_names(query)
     if len(set(columns)) != len(columns):
         raise QueryValidationError(f"duplicate output column in {where}: {columns}")
