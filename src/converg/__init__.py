@@ -3,10 +3,18 @@
 Each bulk load becomes one version; per-(graph, triple) bitmaps record
 which versions contain which quads, and the query engine answers a SPARQL
 subset across every version in a single execution.
+
+Importing the package loads the storage layers only (errors, model,
+dictionary, nquads, store). The query engine and the parser
+(`execute_query`, `eval_oracle`, `ResultTable`, `parse_query`,
+`validate_and_name`) and the synthetic generator (`GenConfig`,
+`generate_version`, `write_version_files`) resolve on first use, so a
+process that only loads versions never compiles them.
 """
 
+import importlib
+
 from .dictionary import TermDictionary
-from .engine import ResultTable, eval_oracle, execute_query
 from .errors import (
     ConvergError,
     DictionaryError,
@@ -18,7 +26,6 @@ from .errors import (
     UnknownVngError,
     UnsupportedQueryError,
 )
-from .gen import GenConfig, generate_version, write_version_files
 from .model import (
     Quad,
     Term,
@@ -30,7 +37,6 @@ from .model import (
     version_iri,
 )
 from .nquads import ParsedDocument, parse_nquads, serialize_nquads, serialize_term
-from .sparql import parse_query, validate_and_name
 from .store import IngestReport, Store, StoreStats, load_snapshot, save_snapshot
 
 __version__ = "0.1.0"
@@ -72,3 +78,22 @@ __all__ = [
     "version_iri",
     "write_version_files",
 ]
+
+_LAZY = {
+    "ResultTable": "engine",
+    "eval_oracle": "engine",
+    "execute_query": "engine",
+    "parse_query": "sparql",
+    "validate_and_name": "sparql",
+    "GenConfig": "gen",
+    "generate_version": "gen",
+    "write_version_files": "gen",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value

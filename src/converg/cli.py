@@ -5,6 +5,9 @@ directory argument may be omitted when CONVERG_STORE is set. Results go to
 stdout, diagnostics to stderr; exit codes: 0 success, 1 user error (a bad
 query, a query or version file that is malformed or not UTF-8, an unknown
 versioned graph, bad arguments), 2 a corrupt snapshot or an I/O error.
+
+Each command imports only what it runs: `load` and the other store
+commands never load the query engine, the parser or the generator.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ import fcntl
 import os
 import sys
 
-from . import gen as genmod
-from .engine import execute_query
 from .errors import (
     ConvergError,
     EvalError,
@@ -36,6 +37,13 @@ _USER_ERRORS = (ParseError, QueryValidationError, EvalError, UnknownVngError, In
 
 class _UsageError(Exception):
     pass
+
+
+def execute_query(store, text):
+    """`engine.execute_query`, importing the engine on the first query."""
+    from .engine import execute_query as run
+
+    return run(store, text)
 
 
 def _resolve_positionals(values: list, names: list[str]) -> list:
@@ -216,6 +224,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from . import gen as genmod
+
     cfg = genmod.GenConfig(
         products=args.products,
         graphs=args.graphs,

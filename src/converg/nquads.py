@@ -28,6 +28,29 @@ from .model import Quad, Term, blank, iri, literal
 _ESCAPES = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "\\": "\\"}
 _UNESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 
+
+def read_escape(text: str, pos: int) -> tuple[str, int]:
+    """The character the escape at ``text[pos]`` (a backslash) stands for,
+    and the index after the escape; ValueError says what is malformed."""
+    if pos + 1 >= len(text):
+        raise ValueError("dangling escape")
+    marker = text[pos + 1]
+    if marker in _ESCAPES:
+        return _ESCAPES[marker], pos + 2
+    if marker in ("u", "U"):
+        width = 4 if marker == "u" else 8
+        digits = text[pos + 2 : pos + 2 + width]
+        if len(digits) < width or any(c not in "0123456789abcdefABCDEF" for c in digits):
+            raise ValueError(f"malformed \\{marker} escape")
+        code = int(digits, 16)
+        if code > 0x10FFFF:
+            raise ValueError("escape beyond the Unicode range")
+        if 0xD800 <= code <= 0xDFFF:
+            raise ValueError("escape names a surrogate code point")
+        return chr(code), pos + 2 + width
+    raise ValueError(f"unsupported escape \\{marker}")
+
+
 # Token shapes only: each token is cut where the scanner would cut it, and
 # the Term constructors check its contents, as they do for the scanner.
 _IRI_TOKEN = r"<[^>]+>"
@@ -115,7 +138,11 @@ class _LineScanner:
                 self.pos += 1
                 break
             if c == "\\":
-                out.append(self._read_escape())
+                try:
+                    c, self.pos = read_escape(self.text, self.pos)
+                except ValueError as exc:
+                    raise self.fail(str(exc)) from None
+                out.append(c)
             else:
                 out.append(c)
                 self.pos += 1
@@ -140,28 +167,6 @@ class _LineScanner:
             dt = self.read_iri()
             return literal(lexical, datatype=dt.lexical)
         return literal(lexical)
-
-    def _read_escape(self) -> str:
-        # self.text[self.pos] == '\\'
-        if self.pos + 1 >= len(self.text):
-            raise self.fail("dangling escape")
-        marker = self.text[self.pos + 1]
-        if marker in _ESCAPES:
-            self.pos += 2
-            return _ESCAPES[marker]
-        if marker in ("u", "U"):
-            width = 4 if marker == "u" else 8
-            digits = self.text[self.pos + 2 : self.pos + 2 + width]
-            if len(digits) < width or any(c not in "0123456789abcdefABCDEF" for c in digits):
-                raise self.fail(f"malformed \\{marker} escape")
-            code = int(digits, 16)
-            if code > 0x10FFFF:
-                raise self.fail("escape beyond the Unicode range")
-            if 0xD800 <= code <= 0xDFFF:
-                raise self.fail("escape names a surrogate code point")
-            self.pos += 2 + width
-            return chr(code)
-        raise self.fail(f"unsupported escape \\{marker}")
 
     def read_term(self) -> Term:
         self.skip_ws()

@@ -27,6 +27,7 @@ from typing import Optional
 
 from .errors import ParseError, QueryValidationError, UnsupportedQueryError
 from .model import RDF_TYPE, XSD, Term, iri, literal
+from .nquads import read_escape
 
 SUPPORTED_SUBSET = (
     "SELECT, GRAPH, grouped-pattern joins, MINUS, sub-SELECT, "
@@ -76,7 +77,7 @@ _WORD_CHARS = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-"
 )
 _LOCAL_CHARS = _WORD_CHARS | frozenset("./#%:")
-_ESCAPES = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "\\": "\\"}
+_DIGITS = frozenset("0123456789")
 
 
 # ---------------------------------------------------------------------- AST
@@ -208,24 +209,12 @@ def _lex(text: str) -> list[_Token]:
                     j += 1
                     break
                 if c == "\\":
-                    if j + 1 >= n:
-                        raise err("dangling escape", start_line, start_col)
-                    marker = text[j + 1]
-                    if marker in _ESCAPES:
-                        out.append(_ESCAPES[marker])
-                        j += 2
-                        continue
-                    if marker in ("u", "U"):
-                        width = 4 if marker == "u" else 8
-                        digits = text[j + 2 : j + 2 + width]
-                        if len(digits) < width or any(
-                            d not in "0123456789abcdefABCDEF" for d in digits
-                        ):
-                            raise err(f"malformed \\{marker} escape", start_line, start_col)
-                        out.append(chr(int(digits, 16)))
-                        j += 2 + width
-                        continue
-                    raise err(f"unsupported escape \\{marker}", start_line, start_col)
+                    try:
+                        c, j = read_escape(text, j)
+                    except ValueError as exc:
+                        raise err(str(exc), start_line, start_col) from None
+                    out.append(c)
+                    continue
                 out.append(c)
                 j += 1
             emit("STRING", "".join(out), start_line, start_col)
@@ -261,13 +250,13 @@ def _lex(text: str) -> list[_Token]:
             emit(punct)
             i, col = i + 1, col + 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
-            if j + 1 < n and text[j] == "." and text[j + 1].isdigit():
+            if j + 1 < n and text[j] == "." and text[j + 1] in _DIGITS:
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
             emit("NUMBER", text[i:j], start_line, start_col)
             col += j - i
@@ -516,12 +505,12 @@ class _Parser:
         return Bgp(tuple(patterns))
 
     def parse_same_subject(self) -> list[TriplePattern]:
-        subject = self.parse_atom(allow_literal=False, what="subject")
+        subject = self.parse_atom(allow_literal=False, what="a subject")
         patterns = []
         while True:
             steps = self.parse_verb()
             while True:
-                obj = self.parse_atom(allow_literal=True, what="object")
+                obj = self.parse_atom(allow_literal=True, what="an object")
                 current = subject
                 for step in steps[:-1]:
                     hop = self.fresh_var()
@@ -595,7 +584,7 @@ class _Parser:
         if tok.kind == "NUMBER" and allow_literal:
             self.next()
             return literal(tok.value, XSD + ("decimal" if "." in tok.value else "integer"))
-        raise self.error(f"expected a {what}", tok)
+        raise self.error(f"expected {what}", tok)
 
 
 def parse_query(text: str) -> Query:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -37,6 +38,7 @@ SNAPSHOT_FORMAT_VERSION = 1
 _SNAPSHOT_FILES = ("MANIFEST", "DICT", "VNG", "ENTRIES", "META")
 # Predicates of the linking triples the store derives from its vng records.
 _LINK_PREDICATES = (IS_IN_VERSION, IS_VERSION_OF)
+_NOT_A_BIT = re.compile("[^01]").search
 
 
 def bit_for(ordinal: int) -> int:
@@ -53,17 +55,17 @@ def bitmap_ordinals(bits: int) -> Iterator[int]:
 
 def render_bitmap(bits: int, width: int) -> str:
     """Textual bitstring with version 1 leftmost, zero-padded to `width`."""
-    return "".join("1" if bits >> i & 1 else "0" for i in range(width))
+    # `format` writes at least one digit, so width 0 is its own case.
+    return format(bits, f"0{width}b")[::-1] if width else ""
 
 
 def parse_bitmap(text: str) -> int:
-    bits = 0
-    for i, c in enumerate(text):
-        if c == "1":
-            bits |= 1 << i
-        elif c != "0":
-            raise ValueError(f"bitstring may only contain 0/1, got {c!r}")
-    return bits
+    # `int(_, 2)` also takes "_", a sign, a "0b" prefix and surrounding
+    # whitespace, so anything but 0 and 1 is turned away first.
+    bad = _NOT_A_BIT(text)
+    if bad:
+        raise ValueError(f"bitstring may only contain 0/1, got {bad.group()!r}")
+    return int(text[::-1], 2) if text else 0
 
 
 @dataclass
@@ -544,6 +546,7 @@ def _rebuild(raw: dict[str, str]) -> Store:
             raise SnapshotError(f"DICT line {lineno + 1} malformed: {exc}")
         if tid != dictionary.encode(term):
             raise SnapshotError(f"DICT ids are not dense at line {lineno + 1}")
+    term_count = len(dictionary)
 
     records: list[VngRecord] = []
     seen_counters: set[int] = set()
@@ -559,6 +562,8 @@ def _rebuild(raw: dict[str, str]) -> Store:
             raise SnapshotError(f"VNG line {lineno + 1} out of range")
         if counter in seen_counters or (graph_id, ordinal) in seen_pairs:
             raise SnapshotError(f"VNG line {lineno + 1} duplicates a versioned graph")
+        if not 0 <= graph_id < term_count:
+            raise SnapshotError(f"VNG line {lineno + 1} names a term id outside the dictionary")
         seen_counters.add(counter)
         seen_pairs.add((graph_id, ordinal))
         graph = dictionary.decode(graph_id)
@@ -584,11 +589,12 @@ def _rebuild(raw: dict[str, str]) -> Store:
             raise SnapshotError(
                 f"ENTRIES line {lineno + 1} sets a version with no versioned graph for its graph"
             )
-        if entry.key() in seen_keys:
+        key = entry.key()
+        if key in seen_keys:
             raise SnapshotError(f"ENTRIES line {lineno + 1} duplicates a quad key")
-        seen_keys.add(entry.key())
-        for tid in entry.key():
-            dictionary.decode(tid)  # raises on dangling ids
+        if min(key) < 0 or max(key) >= term_count:
+            raise SnapshotError(f"ENTRIES line {lineno + 1} names a term id outside the dictionary")
+        seen_keys.add(key)
         entries.append(entry)
 
     user_metadata: list[tuple[Term, Term, Term]] = []

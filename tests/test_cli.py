@@ -112,20 +112,69 @@ def test_query_unsupported_operator_exits_1(tmp_path, capsys):
     assert "unsupported operator OPTIONAL" in err and "query" in err
 
 
-def test_query_with_a_malformed_term_exits_1_without_a_traceback(tmp_path):
-    store_dir = _setup_buildings(tmp_path)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    done = subprocess.run(
-        [sys.executable, "-c", "from converg.cli import script_entry; script_entry()", "query", store_dir, "-"],
-        input=b'SELECT ?s WHERE { ?s <urn:p> "x"@123 . }',
-        env=dict(os.environ, PYTHONPATH=src),
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+_ENTRY = "from converg.cli import script_entry; script_entry()"
+# The same entry, then the converg modules the command imported, on stderr.
+_ENTRY_LISTING_MODULES = (
+    "import atexit, sys\n"
+    "atexit.register(lambda: print(*sorted(m for m in sys.modules if m.startswith('converg.')), file=sys.stderr))\n"
+    + _ENTRY
+)
+
+
+def _script(args, input=b"", code=_ENTRY):
+    """Run `converg <args>` in a child process, as the console script does."""
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        input=input,
+        env=dict(os.environ, PYTHONPATH=_SRC),
         capture_output=True,
         timeout=60,
     )
+
+
+@pytest.mark.parametrize(
+    "query, message",
+    [
+        ('SELECT ?s WHERE { ?s <urn:p> "x"@123 . }', "line 1, column 33: malformed language tag: '123'"),
+        ('SELECT ?s WHERE { ?s <urn:p> "\\U00110000" . }', "line 1, column 30: escape beyond the Unicode range"),
+    ],
+    ids=["language-tag", "escape-beyond-unicode"],
+)
+def test_query_with_a_malformed_term_exits_1_without_a_traceback(tmp_path, query, message):
+    store_dir = _setup_buildings(tmp_path)
+    done = _script(["query", store_dir, "-"], input=query.encode())
     assert done.returncode == 1
     assert done.stdout == b""
     assert b"Traceback" not in done.stderr
-    assert done.stderr.decode() == "converg query: line 1, column 33: malformed language tag: '123'\n"
+    assert done.stderr.decode() == f"converg query: {message}\n"
+
+
+def test_each_command_imports_only_what_it_runs(tmp_path):
+    synth, store_dir = str(tmp_path / "synth"), str(tmp_path / "store")
+    gen = ["gen", "--out", synth, "--products", "3", "--graphs", "2", "--versions", "2", "--seed", "7"]
+    assert _script(gen).returncode == 0
+    assert _script(["init", store_dir]).returncode == 0
+    store_commands = [
+        ["load", store_dir, os.path.join(synth, "v0001.nq")],
+        ["load", store_dir, os.path.join(synth, "v0002.nq")],
+        ["stats", store_dir],
+        ["diff", store_dir, "urn:converg:vng:1", "urn:converg:vng:3"],
+        ["export-flat", store_dir],
+    ]
+    for args in store_commands:
+        done = _script(args, code=_ENTRY_LISTING_MODULES)
+        assert done.returncode == 0, done.stderr
+        loaded = set(done.stderr.decode().split())
+        assert "converg.store" in loaded
+        assert loaded.isdisjoint({"converg.engine", "converg.sparql", "converg.gen"}), args
+    done = _script(
+        ["query", store_dir, "-"],
+        input=b"SELECT ?version WHERE { ?vng <urn:converg:vocab:is-in-version> ?version . }",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.decode().splitlines()[0] == "version"
+    assert len(done.stdout.splitlines()) == 1 + 4  # two graphs in each of two versions
 
 
 def test_query_missing_file_exits_1(tmp_path, capsys):
@@ -202,19 +251,20 @@ def test_corrupt_snapshot_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "old, new, message",
+    "name, old, new, message",
     [
         # graph id 2 is the literal "10.5"
-        ("4\t7\t2\n", "4\t2\t2\n", "not an IRI"),
+        ("VNG", "4\t7\t2\n", "4\t2\t2\n", "not an IRI"),
         # Gr-Lyon entries keep their version-2 bits
-        ("3\t3\t2\n", "", "no versioned graph"),
+        ("VNG", "3\t3\t2\n", "", "no versioned graph"),
+        ("ENTRIES", "3\t0\t1\t2\t11\n", "3\t99999\t1\t2\t11\n", "ENTRIES line 1 names a term id outside the dictionary"),
     ],
-    ids=["vng-graph-literal", "entry-bit-without-vng"],
+    ids=["vng-graph-literal", "entry-bit-without-vng", "entry-term-outside-dictionary"],
 )
-def test_inconsistent_snapshot_exits_2(tmp_path, capsys, old, new, message):
+def test_inconsistent_snapshot_exits_2(tmp_path, capsys, name, old, new, message):
     store_dir = _setup_buildings(tmp_path)
-    vng = pathlib.Path(store_dir, "VNG")
-    vng.write_text(vng.read_text().replace(old, new))
+    path = pathlib.Path(store_dir, name)
+    path.write_text(path.read_text().replace(old, new))
     rewrite_checksums(pathlib.Path(store_dir))
     capsys.readouterr()
     for command in (["stats", store_dir], ["export-flat", store_dir]):

@@ -258,6 +258,12 @@ def test_benchmark_style_aggregate_texts_parse():
         ('SELECT ?s WHERE { ?s <urn:p> "x"^^<> . }', 1, 35, "IRI must be non-empty"),
         ("PREFIX e: <>\nSELECT ?s WHERE { ?s e: ?o . }", 2, 22, "IRI must be non-empty"),
         ("SELECT ?s WHERE { GRAPH <> { ?s ?p ?o . } }", 1, 25, "IRI must be non-empty"),
+        ('SELECT ?s WHERE { ?s <urn:p> "\\U00110000" . }', 1, 30, "escape beyond the Unicode range"),
+        ('SELECT ?s WHERE {\n  ?s <urn:p> "a\\uD800" . }', 2, 14, "escape names a surrogate code point"),
+        # numbers are ASCII digits only: other Unicode digits are no term
+        ("SELECT ?s WHERE { ?s <urn:p> \u00b2 . }", 1, 30, "expected an object"),
+        ("SELECT ?s WHERE { ?s <urn:p> \u0663 . }", 1, 30, "expected an object"),
+        ("SELECT ?s WHERE { ?s <urn:p> 1\u00b2 . }", 1, 31, "expected a triple pattern"),
     ],
 )
 def test_malformed_query_terms_are_positioned_parse_errors(text, line, column, message):

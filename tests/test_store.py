@@ -46,6 +46,39 @@ def test_bitmap_helpers():
         parse_bitmap("10x")
 
 
+def _render_per_character(bits, width):
+    return "".join("1" if bits >> i & 1 else "0" for i in range(width))
+
+
+def _parse_per_character(text):
+    bits = 0
+    for i, c in enumerate(text):
+        if c == "1":
+            bits |= 1 << i
+        elif c != "0":
+            raise ValueError(f"bitstring may only contain 0/1, got {c!r}")
+    return bits
+
+
+def test_bitstrings_match_the_per_character_reference():
+    rng = random.Random(130)
+    for width in range(131):
+        for bits in (0, (1 << width) - 1, rng.getrandbits(width), rng.getrandbits(width)):
+            text = _render_per_character(bits, width)
+            assert render_bitmap(bits, width) == text
+            assert parse_bitmap(text) == _parse_per_character(text) == bits
+
+
+# The first five are numerals to a bare int(text[::-1], 2).
+@pytest.mark.parametrize("text", ["1b0", "0_1", "1+", " 1", "1 ", "10x"])
+def test_parse_bitmap_rejects_anything_but_0_and_1(text):
+    with pytest.raises(ValueError) as reference:
+        _parse_per_character(text)
+    with pytest.raises(ValueError) as exc:
+        parse_bitmap(text)
+    assert str(exc.value) == str(reference.value)
+
+
 # ------------------------------------------------------------------ ingest
 
 
@@ -444,6 +477,37 @@ def test_load_rejects_entry_bit_without_a_vng(tmp_path, buildings_store):
     (tmp_path / "VNG").write_text(vng)
     rewrite_checksums(tmp_path)
     with pytest.raises(SnapshotError, match="ENTRIES line 1 sets a version with no versioned graph"):
+        load_snapshot(tmp_path)
+
+
+# Two-version bitstrings that int(text[::-1], 2) would take.
+@pytest.mark.parametrize("bits_text", ["1+", " 1", "1 "])
+def test_load_rejects_a_bitstring_of_other_characters(tmp_path, buildings_store, bits_text):
+    save_snapshot(buildings_store, tmp_path)
+    entries = (tmp_path / "ENTRIES").read_text()
+    assert entries.startswith("3\t0\t1\t2\t11\n")
+    (tmp_path / "ENTRIES").write_text(entries.replace("11", bits_text, 1))
+    rewrite_checksums(tmp_path)
+    with pytest.raises(SnapshotError, match="ENTRIES line 1 malformed"):
+        load_snapshot(tmp_path)
+
+
+@pytest.mark.parametrize("term_id", [99999, -1])
+def test_load_rejects_a_term_id_outside_the_dictionary(tmp_path, buildings_store, term_id):
+    save_snapshot(buildings_store, tmp_path)
+    entries = (tmp_path / "ENTRIES").read_text()
+    (tmp_path / "ENTRIES").write_text(entries.replace("3\t0\t", f"3\t{term_id}\t", 1))
+    rewrite_checksums(tmp_path)
+    with pytest.raises(SnapshotError, match="ENTRIES line 1 names a term id outside the dictionary"):
+        load_snapshot(tmp_path)
+
+
+def test_load_rejects_a_vng_graph_id_outside_the_dictionary(tmp_path, buildings_store):
+    save_snapshot(buildings_store, tmp_path)
+    vng = (tmp_path / "VNG").read_text().replace("4\t7\t2\n", "4\t99999\t2\n")
+    (tmp_path / "VNG").write_text(vng)
+    rewrite_checksums(tmp_path)
+    with pytest.raises(SnapshotError, match="VNG line 4 names a term id outside the dictionary"):
         load_snapshot(tmp_path)
 
 
