@@ -8,7 +8,9 @@ them. `GRAPH ?vng { ... }`, alone or joined with the linking metadata
 patterns on ?vng, stays condensed as `VersionedRows`: the links are
 resolved from each row's graph id and bits. GROUP BY folds over those rows
 (counting a version is summing a bit column); a grouped sub-select inside
-GRAPH is the one operator that runs once per version.
+GRAPH is the one operator that runs once per version. The output stage
+reads ungrouped top-level versioned rows condensed: a row's bound cells are
+serialized once, and only the ?vng and version cells change per set bit.
 
 `eval_oracle` is the deliberately naive reference: it evaluates the same
 query over the flat quad list with nested loops, no dictionary, no indexes,
@@ -737,41 +739,84 @@ class ResultTable:
         return buffer.getvalue()
 
 
-def _table(columns, projected_rows) -> ResultTable:
-    """Rows sorted on the tuple of their cell texts, "" for unbound.
+def _table(columns, result) -> ResultTable:
+    """The result table of `result`: `VersionedRows`, or a list of plain
+    solutions, each of which enters as a row with no per-bit column that
+    stands for one solution.
 
-    Each term object is serialized once: the memo is keyed by id(), which
-    is sound because the rows keep every term alive for the whole call (a
-    Term key would hash and compare in Python, no cheaper than serializing).
-    A row's cells are joined by tabs and the lines sorted as strings. That
-    is the same order: no cell text holds a tab, and a text that is a proper
+    A (binding, graph id, bits) row looks up the texts of the cells it binds
+    once; per set bit only the ?vng cell and the version cells change, so
+    each solution costs one tuple and one line. Each term object is
+    serialized once: the memo is keyed by id(), which is sound because the
+    rows and the store keep every term alive for the whole call (a Term key
+    would hash and compare in Python, no cheaper than serializing).
+
+    Rows are sorted on the tuple of their cell texts, "" for unbound. A
+    row's cells are joined by tabs and the lines sorted as strings. That is
+    the same order: no cell text holds a tab, and a text that is a proper
     prefix of another ("a" of "a"@en, _:a of _:ab, "" of any) is continued
     there by a character above the tab.
     """
-    rows = [tuple(map(solution.get, columns)) for solution in projected_rows]
+    vng_at, version_at = None, []
+    if isinstance(result, VersionedRows):
+        rows = result.rows
+        if result.vng_var in columns:
+            vng_at = columns.index(result.vng_var)
+            vng_iri_for = result.store.vng_iri_for
+        version_at = [i for i, name in enumerate(columns) if name in result.version_vars]
+        if version_at:
+            versions = result.store.version_iris()
+            version_texts = [serialize_term(v) for v in versions]
+    else:
+        rows = zip(result, repeat(None), repeat(1))
     texts = {id(None): ""}
-    for row in rows:
-        for term in row:
+    out_rows, lines = [], []
+    for binding, graph_id, bits in rows:
+        terms = list(map(binding.get, columns))
+        for term in terms:
             if id(term) not in texts:
                 texts[id(term)] = serialize_term(term)
-    text_of = texts.__getitem__
-    lines = ["\t".join(map(text_of, map(id, row))) for row in rows]
-    order = sorted(range(len(rows)), key=lines.__getitem__)
-    return ResultTable(tuple(columns), [rows[i] for i in order], [lines[i] for i in order])
+        cells = list(map(texts.__getitem__, map(id, terms)))
+        if vng_at is None and not version_at:
+            row, line = tuple(terms), "\t".join(cells)
+            for _ in range(bits.bit_count()):
+                out_rows.append(row)
+                lines.append(line)
+            continue
+        for ordinal in bitmap_ordinals(bits):
+            if vng_at is not None:
+                vng = vng_iri_for(graph_id, ordinal)
+                if id(vng) not in texts:
+                    texts[id(vng)] = serialize_term(vng)
+                terms[vng_at] = vng
+                cells[vng_at] = texts[id(vng)]
+            for i in version_at:
+                terms[i] = versions[ordinal - 1]
+                cells[i] = version_texts[ordinal - 1]
+            out_rows.append(tuple(terms))
+            lines.append("\t".join(cells))
+    order = sorted(range(len(lines)), key=lines.__getitem__)
+    return ResultTable(
+        tuple(columns), list(map(out_rows.__getitem__, order)), list(map(lines.__getitem__, order))
+    )
 
 
-def execute_plan(store: Store, query: Query):
-    """(columns, projected solution rows)."""
-    columns, solutions, _bits = eval_select(store, query, None)
-    return columns, solutions
+def execute_plan(store: Store, query: Query) -> ResultTable:
+    """The sorted result table of `query`. An ungrouped top-level pattern
+    that stays condensed reaches the output stage as versioned rows, never
+    expanded into solutions."""
+    rows = _CondensedEvaluator(store).eval_rows(query.pattern, None)
+    if isinstance(rows, VersionedRows) and not (query.group_by or _aggregates_with_aliases(query)):
+        return _table(column_names(query), rows)
+    columns, solutions, _bits = _project(query, rows, None)
+    return _table(columns, solutions)
 
 
 def execute_query(store: Store, text: str) -> ResultTable:
     """Parse, validate, plan, evaluate, project; rows are sorted by the
     serialized form of their terms so output is deterministic."""
     query = validate_and_name(parse_query(text))
-    columns, rows = execute_plan(store, query)
-    return _table(columns, rows)
+    return execute_plan(store, query)
 
 
 # ------------------------------------------------------------------ oracle
@@ -909,7 +954,7 @@ class _OracleEvaluator:
 def eval_oracle(flat_quads, query: Query):
     """Ground-truth evaluation of `query` over an exported flat quad list.
 
-    Returns (columns, projected rows), the same shape `execute_plan` yields.
+    Returns (columns, projected rows), the rows unsorted solution dicts.
     """
     dataset = _OracleDataset(flat_quads)
     evaluator = _OracleEvaluator(dataset)

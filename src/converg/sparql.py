@@ -264,9 +264,11 @@ def _lex(text: str) -> list[_Token]:
             continue
         if ch.isalpha() or ch == "_" or ch == ":":
             j = i
-            while j < n and text[j] in _WORD_CHARS:
+            while j < n and (text[j] in _WORD_CHARS or text[j].isalnum()):
                 j += 1
             word = text[i:j]
+            if not word.isascii():  # keywords and prefixes are ASCII only
+                raise err(f"unexpected word {word!r}", start_line, start_col)
             if j < n and text[j] == ":":
                 j += 1
                 local_start = j

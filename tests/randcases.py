@@ -275,12 +275,12 @@ def folds(store, query) -> bool:
 
 def check_against_oracle(store, query):
     """Assert the engine's answer to `query` equals the oracle's on the flat
-    export; returns the engine's rows."""
-    columns, rows = execute_plan(store, query)
+    export; returns the engine's result table."""
+    table = execute_plan(store, query)
     oracle_columns, oracle_rows = eval_oracle(list(store.export_flat()), query)
-    assert columns == oracle_columns
-    assert rows_counter(columns, rows) == rows_counter(oracle_columns, oracle_rows)
-    return rows
+    assert table.columns == oracle_columns
+    assert Counter(table.rows) == rows_counter(oracle_columns, oracle_rows)
+    return table
 
 
 def reference_output(columns, rows):
@@ -303,12 +303,13 @@ def reference_output(columns, rows):
 
 def check_output(store, text, oracle_result):
     """Assert `execute_query(store, text)` gives the rows, TSV and CSV that
-    `reference_output` builds from the oracle's answer."""
+    `reference_output` builds from the oracle's answer; returns its table."""
     table = execute_query(store, text)
     rows, tsv, csv_text = reference_output(*oracle_result)
     assert table.rows == rows, text
     assert table.to_tsv() == tsv, text
     assert table.to_csv() == csv_text, text
+    return table
 
 
 def run_differential_case(rng, wide=None) -> str:
@@ -337,9 +338,8 @@ def run_differential_case(rng, wide=None) -> str:
             f"error disagreement on {text!r}: engine={engine_error!r} oracle={oracle_error!r}"
         )
         return "error-agree"
-    columns_e, rows_e = engine_result
     columns_o, rows_o = oracle_result
-    assert columns_e == columns_o, text
-    assert rows_counter(columns_e, rows_e) == rows_counter(columns_o, rows_o), text
+    assert engine_result.columns == columns_o, text
+    assert Counter(engine_result.rows) == rows_counter(columns_o, rows_o), text
     check_output(store, text, oracle_result)
     return "ok"

@@ -1,3 +1,4 @@
+import functools
 import random
 from collections import Counter
 from decimal import Decimal
@@ -15,6 +16,7 @@ from conftest import (
     read_query,
 )
 from converg.engine import (
+    VersionedRows,
     _CondensedEvaluator,
     _table,
     eval_group_aggregate,
@@ -35,6 +37,7 @@ from randcases import (
     PREDICATE_POOL,
     SUBJECT_POOL,
     check_against_oracle,
+    check_output,
     folds,
     random_store,
     random_wide_store,
@@ -349,15 +352,15 @@ def _count_by_version_plan(bgp_text):
 def test_fast_count_vector(buildings_store):
     plan = _count_by_version_plan("?s <urn:ex:height> ?o .")
     assert folds(buildings_store, plan)
-    rows = check_against_oracle(buildings_store, plan)
-    counts = {row["version"]: int(row["agg1"].lexical) for row in rows}
+    table = check_against_oracle(buildings_store, plan)
+    counts = {version: int(count.lexical) for version, count in table.rows}
     assert counts == {version_iri(1): 3, version_iri(2): 3}
 
 
 def test_fast_count_zero_vector(buildings_store):
     plan = _count_by_version_plan("?s <urn:ex:nothere> ?o .")
     assert folds(buildings_store, plan)
-    assert check_against_oracle(buildings_store, plan) == []
+    assert check_against_oracle(buildings_store, plan).rows == []
 
 
 def test_fast_path_is_detected_and_used(buildings_store):
@@ -416,13 +419,13 @@ def test_group_by_version_folds_over_minus_inside_graph(buildings_store):
         "?vng <urn:converg:vocab:is-in-version> ?version . } GROUP BY ?version"
     )
     assert folds(buildings_store, plan)
-    rows = check_against_oracle(buildings_store, plan)
+    table = check_against_oracle(buildings_store, plan)
     # bldg1 is 10.5 in both versions of Gr-Lyon and in version 2 of IGN
     expected = {}
     for ordinal, raw in ((1, BUILDINGS_V1_ROWS), (2, BUILDINGS_V2_ROWS)):
         dropped = {(s, g) for s, o, g in raw if o == "10.5"}
         expected[version_iri(ordinal)] = sum(1 for s, o, g in raw if (s, g) not in dropped)
-    assert {row["version"]: int(row["n"].lexical) for row in rows} == expected
+    assert {version: int(n.lexical) for version, n in table.rows} == expected
 
 
 def test_grouped_sub_select_inside_graph_runs_per_version(buildings_store):
@@ -430,12 +433,12 @@ def test_grouped_sub_select_inside_graph_runs_per_version(buildings_store):
         "SELECT ?version ?n WHERE { GRAPH ?vng { { SELECT (COUNT(?s) AS ?n) WHERE "
         "{ ?s <urn:ex:height> ?o . } } } ?vng <urn:converg:vocab:is-in-version> ?version . }"
     )
-    rows = check_against_oracle(buildings_store, plan)
+    table = check_against_oracle(buildings_store, plan)
     expected = Counter()
     for ordinal, raw in ((1, BUILDINGS_V1_ROWS), (2, BUILDINGS_V2_ROWS)):
         for graph in (GR_LYON, IGN):
             expected[(version_iri(ordinal), sum(1 for *_r, g in raw if g == graph))] += 1
-    assert Counter((row["version"], int(row["n"].lexical)) for row in rows) == expected
+    assert Counter((version, int(n.lexical)) for version, n in table.rows) == expected
 
 
 def test_unbound_aggregate_alias_inside_graph_is_no_key_error(buildings_store):
@@ -443,13 +446,13 @@ def test_unbound_aggregate_alias_inside_graph_is_no_key_error(buildings_store):
     # MAX over nothing leaves the alias unbound: GRAPH then binds ?vng, and
     # the link binds ?v once per version
     plan = _plan(f"SELECT ?vng WHERE {{ GRAPH ?vng {{ {{ SELECT (MAX(?o) AS ?vng) {empty} }} }} }}")
-    assert len(check_against_oracle(buildings_store, plan)) == len(buildings_store.vng_records)
+    assert len(check_against_oracle(buildings_store, plan).rows) == len(buildings_store.vng_records)
     plan = _plan(
         f"SELECT ?vng ?v WHERE {{ GRAPH ?vng {{ {{ SELECT (MIN(?o) AS ?v) {empty} }} }} "
         "?vng <urn:converg:vocab:is-in-version> ?v . }"
     )
-    rows = check_against_oracle(buildings_store, plan)
-    assert Counter((r["vng"], r["v"]) for r in rows) == Counter(
+    table = check_against_oracle(buildings_store, plan)
+    assert Counter(table.rows) == Counter(
         (rec.vng_iri, version_iri(rec.ordinal)) for rec in buildings_store.vng_records
     )
 
@@ -594,12 +597,90 @@ _cells = st.one_of(
 )
 
 
-@given(st.lists(st.tuples(_cells, _cells, _cells), max_size=25))
-def test_result_table_matches_the_naive_reference_on_any_terms(rows):
+@functools.cache
+def _two_graph_store() -> Store:
+    """66 versions, each minting a vng for urn:g:1 and for urn:g:2."""
+    store = Store()
+    for _ in range(66):
+        store.ingest_version(parse_nquads("<urn:s> <urn:p> <urn:o> <urn:g:1> .\n<urn:s> <urn:p> <urn:o> <urn:g:2> .\n"))
+    return store
+
+
+@given(
+    st.lists(
+        st.tuples(_cells, _cells, _cells, st.sampled_from([0, 1]), st.integers(1, (1 << 66) - 1)),
+        max_size=25,
+    ),
+    st.permutations(("a", "b", "c", "y", "z")),
+    st.integers(0, 4),
+)
+def test_result_table_matches_the_naive_reference_on_any_terms(rows, names, version_count):
     columns = ("a", "b", "c")
     solutions = [{name: t for name, t in zip(columns, row) if t is not None} for row in rows]
     table = _table(columns, solutions)
     assert (table.rows, table.to_tsv(), table.to_csv()) == reference_output(columns, solutions)
+    # Condensed: ?vng and the version variables take any columns, or none
+    # (?y and ?z are not projected); each row stands for a solution per bit.
+    store = _two_graph_store()
+    graph_ids = list(store.minted_versions())
+    vng_var, version_vars = names[0], names[1 : 1 + version_count]
+    per_bit = {vng_var, *version_vars}
+    vrows = VersionedRows(
+        store,
+        [
+            ({name: t for name, t in zip(columns, row) if t is not None and name not in per_bit}, graph_ids[g], bits)
+            for *row, g, bits in rows
+        ],
+        vng_var,
+        version_vars,
+    )
+    table = _table(columns, vrows)
+    expanded = vrows.expand(columns)
+    assert (table.rows, table.to_tsv(), table.to_csv()) == reference_output(columns, expanded)
+
+
+_LINKED = (
+    "PREFIX vers: <urn:converg:vocab:>\n"
+    "SELECT %s WHERE { GRAPH ?vng { ?s ?p ?o . } ?vng vers:is-in-version ?v1 . "
+    "?vng vers:is-in-version ?v2 . ?vng vers:is-version-of ?graph . }"
+)
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["buildings", "wide"])
+@pytest.mark.parametrize(
+    "projection",
+    [
+        "?vng ?v1 ?v2 ?graph ?s",
+        "?s ?graph ?v2 ?v1 ?vng",
+        "?v1 ?s ?vng ?v2 ?graph",
+        "?graph ?v2 ?s ?vng",
+        "?v2 ?o ?s",
+        "?o ?v1 ?graph",
+        "?vng",
+        "?s ?o",
+    ],
+)
+def test_condensed_output_matches_the_oracle_in_any_column_layout(buildings_store, wide, projection):
+    store = random_wide_store(random.Random(64)) if wide else buildings_store
+    text = _LINKED % projection
+    rows = _CondensedEvaluator(store).eval_rows(_plan(text).pattern, None)
+    assert isinstance(rows, VersionedRows)
+    table = check_output(store, text, eval_oracle(list(store.export_flat()), _plan(text)))
+    if "?vng" not in projection and "?graph" not in projection:
+        # bldg1 is 10.5 in both graphs in version 2, and the wide store
+        # draws the quads of its two graphs from one pool: lines recur.
+        assert len(set(table.lines)) < len(table.lines)
+
+
+def test_ungrouped_versioned_rows_reach_the_output_stage_unexpanded(buildings_store, monkeypatch):
+    def refuse(self, names=None):
+        raise AssertionError("versioned rows expanded before the output stage")
+
+    monkeypatch.setattr(VersionedRows, "expand", refuse)
+    table = execute_query(buildings_store, read_query("all_versions.rq"))
+    for suffix, produced in (("tsv", table.to_tsv()), ("csv", table.to_csv())):
+        with open(query_path(f"all_versions.{suffix}"), "r", encoding="utf-8", newline="") as fh:
+            assert produced == fh.read(), f"all_versions.{suffix}"
 
 
 def test_distinct_version_count_never_exceeds_version_count():
@@ -628,10 +709,10 @@ def test_engine_matches_oracle_on_fixture_queries(buildings_store):
         "count_by_version.rq",
     ):
         plan = _plan(read_query(name))
-        columns_e, rows_e = execute_plan(buildings_store, plan)
+        table = execute_plan(buildings_store, plan)
         columns_o, rows_o = eval_oracle(flat, plan)
-        assert columns_e == columns_o
-        assert rows_counter(columns_e, rows_e) == rows_counter(columns_o, rows_o)
+        assert table.columns == columns_o
+        assert Counter(table.rows) == rows_counter(columns_o, rows_o)
 
 
 def test_distinct_versions_by_graph_over_a_generated_store_matches_golden_and_oracle():
@@ -653,7 +734,8 @@ def test_distinct_versions_by_graph_over_a_generated_store_matches_golden_and_or
 def test_oracle_on_empty_store():
     plan = _plan("SELECT ?s WHERE { GRAPH ?g { ?s ?p ?o . } }")
     assert eval_oracle([], plan) == (("s",), [])
-    assert execute_plan(Store(), plan) == (("s",), [])
+    table = execute_plan(Store(), plan)
+    assert (table.columns, table.rows) == (("s",), [])
 
 
 def test_differential_equivalence_quick():

@@ -264,6 +264,10 @@ def test_benchmark_style_aggregate_texts_parse():
         ("SELECT ?s WHERE { ?s <urn:p> \u00b2 . }", 1, 30, "expected an object"),
         ("SELECT ?s WHERE { ?s <urn:p> \u0663 . }", 1, 30, "expected an object"),
         ("SELECT ?s WHERE { ?s <urn:p> 1\u00b2 . }", 1, 31, "expected a triple pattern"),
+        # a word that holds a non-ASCII letter is quoted whole
+        ("SELECT ?s WHERE { ?s <urn:p> \u00e9 . }", 1, 30, "unexpected word '\u00e9'"),
+        ("PREFIX \u00e9: <urn:x:>\nSELECT ?s WHERE { ?s ?p ?o . }", 1, 8, "unexpected word '\u00e9'"),
+        ("SELECT ?s WHERE { ?s <urn:p> a\u00e9 . }", 1, 30, "unexpected word 'a\u00e9'"),
     ],
 )
 def test_malformed_query_terms_are_positioned_parse_errors(text, line, column, message):
