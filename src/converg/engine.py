@@ -6,11 +6,12 @@ graph pattern is matched once per named graph while the version dimension
 stays a bitmap; a join ANDs the bits of compatible rows and MINUS clears
 them. `GRAPH ?vng { ... }`, alone or joined with the linking metadata
 patterns on ?vng, stays condensed as `VersionedRows`: the links are
-resolved from each row's graph id and bits. GROUP BY folds over those rows
-(counting a version is summing a bit column); a grouped sub-select inside
-GRAPH is the one operator that runs once per version. The output stage
-reads ungrouped top-level versioned rows condensed: a row's bound cells are
-serialized once, and only the ?vng and version cells change per set bit.
+resolved from each row's graph id and bits. Every GROUP BY folds over
+rows, by whole row or per bit (counting a version is summing a bit
+column). The output stage reads ungrouped top-level versioned rows
+condensed: a row's cells are serialized once, and only the ?vng and
+version cells change per set bit. Versioned rows expand only under MINUS,
+joined with a non-link pattern, or in an ungrouped sub-select.
 
 `eval_oracle` is the deliberately naive reference: it evaluates the same
 query over the flat quad list with nested loops, no dictionary, no indexes,
@@ -248,12 +249,12 @@ class VersionedRows:
 
     Each (binding, graph id, bits) row stands for one solution per set bit
     m: the binding, plus `vng_var` bound to the versioned graph (graph id,
-    m) and every name in `version_vars` bound to version m.
+    m) and each of `version_vars` bound to version m (none for plain rows).
     """
 
     store: Store
     rows: list
-    vng_var: str
+    vng_var: str | None
     version_vars: tuple = ()
 
     @property
@@ -281,26 +282,13 @@ class VersionedRows:
                 out.append(solution)
         return out
 
-    def values(self, members, name: str) -> Counter:
-        """Multiplicity of each value `name` takes over the solutions that
-        `members` (a subset of the rows) stand for."""
-        values: Counter = Counter()
+    def value(self, binding: Solution, graph_id, ordinal: int, name: str):
+        """What `name` is bound to at bit `ordinal` of a row; None if unbound."""
         if name == self.vng_var:
-            vng_iri_for = self.store.vng_iri_for
-            for _binding, graph_id, bits in members:
-                for ordinal in bitmap_ordinals(bits):
-                    values[vng_iri_for(graph_id, ordinal)] += 1
-        elif name in self.version_vars:
-            versions = self.store.version_iris()
-            for _binding, _graph_id, bits in members:
-                for ordinal in bitmap_ordinals(bits):
-                    values[versions[ordinal - 1]] += 1
-        else:
-            for binding, _graph_id, bits in members:
-                term = binding.get(name)
-                if term is not None:
-                    values[term] += bits.bit_count()
-        return values
+            return self.store.vng_iri_for(graph_id, ordinal)
+        if name in self.version_vars:
+            return self.store.version_iris()[ordinal - 1]
+        return binding.get(name)
 
 
 # ------------------------------------------------------ pattern evaluation
@@ -519,147 +507,134 @@ def _apply_aggregate(spec: SelectAgg, values: Counter, group_desc: str):
     raise EvalError(f"unknown aggregate {spec.func}")
 
 
-def _group_and_fold(rows, binding_of, group_by, aggregates, fold) -> list[Solution]:
-    """Partition `rows` by the GROUP BY key of `binding_of(row)` (first-
-    occurrence order); each group gives one result row, its key plus every
-    aggregate's `fold(spec, members, group_desc)`. With no GROUP BY the
-    whole input forms a single group, even when empty."""
+def _describe(group_vars, key: Solution) -> str:
+    """A group as an aggregate error names it: its key in GROUP BY order."""
+    if not group_vars:
+        return "(all rows)"
+    return "(" + ", ".join(serialize_term(key[n]) if n in key else "UNBOUND" for n in group_vars) + ")"
+
+
+def _group(vrows: VersionedRows, group_by, aggregates, scope: int = 0) -> list:
+    """GROUP BY over (binding, graph id, bits) rows without expanding them.
+    Keys bound once per row group whole rows. Keys on ?vng or a version
+    variable group per bit, as do plain rows inside GRAPH: `scope` holds
+    their versions in scope, each one group when there is no GROUP BY.
+    Returns (result, ordinal) pairs, ordinal None for a whole-row group."""
     group_vars = [v.name for v in group_by] if group_by else []
-    groups: dict[tuple, list] = {}
-    for row in rows:
-        binding = binding_of(row)
-        groups.setdefault(tuple(binding.get(name) for name in group_vars), []).append(row)
-    if not group_vars and not groups:
-        groups[()] = []
-    out = []
-    for key, members in groups.items():
-        result: Solution = {
-            name: term for name, term in zip(group_vars, key) if term is not None
-        }
-        desc = (
-            "(" + ", ".join(serialize_term(t) if t else "UNBOUND" for t in key) + ")"
-            if group_vars
-            else "(all rows)"
-        )
-        for spec, alias in aggregates:
-            term = fold(spec, members, desc)
-            if term is not None:
-                result[alias] = term
-        out.append(result)
-    return out
-
-
-def eval_group_aggregate(rows: list[Solution], group_by, aggregates) -> list[Solution]:
-    """GROUP BY over solutions: each aggregate folds over its bound
-    argument values."""
-
-    def fold(spec, members, desc):
-        name = spec.arg.name
-        return _apply_aggregate(spec, Counter(row[name] for row in members if name in row), desc)
-
-    return _group_and_fold(rows, lambda row: row, group_by, aggregates, fold)
-
-
-def fold_group_aggregate(vrows: VersionedRows, group_by, aggregates):
-    """GROUP BY over versioned rows without expanding them.
-
-    Keys bound once per row group whole rows, each weighing popcount(bits)
-    solutions. Keys on ?vng or a version variable group per bit position:
-    COUNT sums bit columns, MAX and MIN hand each position to the best value
-    whose bits cover it. Returns None when an aggregate has no folded form
-    for the keys; the caller then expands the rows.
-    """
-    per_bit = vrows.per_bit
-    group_vars = [v.name for v in group_by] if group_by else []
-    if per_bit.isdisjoint(group_vars):
-        return _fold_by_row(vrows, group_by, aggregates)
-    for spec, _alias in aggregates:
-        if spec.func == "COUNT" and not spec.distinct:
-            continue
-        if spec.func in ("MAX", "MIN") and spec.arg.name not in per_bit:
-            continue
-        return None
-    return _fold_by_bit(vrows, group_vars, aggregates)
-
-
-def _fold_by_row(vrows: VersionedRows, group_by, aggregates) -> list[Solution]:
-    def fold(spec, members, desc):
-        if spec.distinct and spec.func == "COUNT" and spec.arg.name in vrows.version_vars:
-            union = 0
-            for _binding, _graph_id, bits in members:
-                union |= bits
-            return _count_literal(union.bit_count())
-        return _apply_aggregate(spec, vrows.values(members, spec.arg.name), desc)
-
-    return _group_and_fold(vrows.rows, lambda row: row[0], group_by, aggregates, fold)
-
-
-def _fold_by_bit(vrows: VersionedRows, group_vars, aggregates) -> list[Solution]:
     per_bit = vrows.per_bit
     row_keys = [name for name in group_vars if name not in per_bit]
-    by_graph = vrows.vng_var in group_vars
+    bit_keys = [name for name in group_vars if name in per_bit]
+    by_graph = vrows.vng_var in bit_keys
+    groups = {((), None): vrows.rows}  # one group: no keys to build
     if row_keys or by_graph:
-        groups: dict[tuple, list] = {}
+        groups = {}
         for row in vrows.rows:
             key = (tuple(row[0].get(name) for name in row_keys), row[1] if by_graph else None)
             groups.setdefault(key, []).append(row)
-    else:
-        groups = {((), None): vrows.rows}
-    store = vrows.store
-    versions = store.version_iris()
     out = []
     for (key, graph_id), members in groups.items():
-        present = 0
-        for _binding, _graph_id, bits in members:
-            present |= bits
-        folded = [_fold_positions(spec, members, per_bit, store.version_count) for spec, _ in aggregates]
+        base = {name: term for name, term in zip(row_keys, key) if term is not None}
+        if not (scope or bit_keys):
+            desc = _describe(group_vars, base)
+            for spec, alias in aggregates:
+                term = _fold_rows(vrows, spec, members, desc)
+                if term is not None:
+                    base[alias] = term
+            out.append((base, None))
+            continue
+        present = scope
+        if group_vars:
+            present = 0
+            for _binding, _graph_id, bits in members:
+                present |= bits
+        keys = {}
         for ordinal in bitmap_ordinals(present):
-            result: Solution = {
-                name: term for name, term in zip(row_keys, key) if term is not None
-            }
-            for name in group_vars:
-                if name == vrows.vng_var:
-                    result[name] = store.vng_iri_for(graph_id, ordinal)
-                elif name in per_bit:
-                    result[name] = versions[ordinal - 1]
+            keys[ordinal] = result = dict(base)
+            for name in bit_keys:
+                result[name] = vrows.value(None, graph_id, ordinal, name)
+        folded = [_fold_positions(vrows, spec, members, keys, group_vars) for spec, _ in aggregates]
+        for ordinal, result in keys.items():
             for (_spec, alias), by_position in zip(aggregates, folded):
                 term = by_position[ordinal - 1]
                 if term is not None:
                     result[alias] = term
-            out.append(result)
+            out.append((result, ordinal))
     return out
 
 
-def _fold_positions(spec: SelectAgg, members, per_bit, width: int) -> list:
-    """COUNT, MAX or MIN of `spec` at every bit position over `members`."""
+def _fold_rows(vrows: VersionedRows, spec: SelectAgg, members, desc: str):
+    """`spec` over a whole-row group; COUNT(DISTINCT ?version) ORs the bits."""
     name = spec.arg.name
-    if spec.func == "COUNT":
-        counts = [0] * width
-        always_bound = name in per_bit
+    if spec.distinct and spec.func == "COUNT" and name in vrows.version_vars:
+        union = 0
+        for _binding, _graph_id, bits in members:
+            union |= bits
+        return _count_literal(union.bit_count())
+    values: Counter = Counter()
+    if name in vrows.per_bit:
+        for binding, graph_id, bits in members:
+            for ordinal in bitmap_ordinals(bits):
+                values[vrows.value(binding, graph_id, ordinal, name)] += 1
+    else:
         for binding, _graph_id, bits in members:
-            if always_bound or name in binding:
-                while bits:
-                    low = bits & -bits
-                    counts[low.bit_length() - 1] += 1
-                    bits ^= low
-        return [_count_literal(n) for n in counts]
-    coverage: dict[Term, int] = {}
-    for binding, _graph_id, bits in members:
-        term = binding.get(name)
-        if term is not None:
-            coverage[term] = coverage.get(term, 0) | bits
-    best: list = [None] * width
-    unclaimed = 0
-    for bits in coverage.values():
-        unclaimed |= bits
-    for term in sorted(coverage, key=term_order_key, reverse=spec.func == "MAX"):
-        claimed = coverage[term] & unclaimed
-        for ordinal in bitmap_ordinals(claimed):
-            best[ordinal - 1] = term
-        unclaimed ^= claimed
-        if not unclaimed:
-            break
-    return best
+            term = binding.get(name)
+            if term is not None:
+                values[term] += bits.bit_count()
+    return _apply_aggregate(spec, values, desc)
+
+
+def _fold_positions(vrows: VersionedRows, spec: SelectAgg, members, keys, group_vars) -> list:
+    """`spec` at each position of `keys` (position -> group key), indexed by
+    ordinal - 1. COUNT sums bit columns; COUNT(DISTINCT), MAX and MIN of a
+    per-row variable read the bits each value covers; anything else folds
+    the values each position counts."""
+    name = spec.arg.name
+    width = vrows.store.version_count
+    per_row = name not in vrows.per_bit
+    if spec.func == "COUNT" and not spec.distinct:
+        bound = [bits for binding, _graph_id, bits in members if not per_row or name in binding]
+        return _bit_counts(bound, width)
+    if per_row and spec.func != "SUM":
+        coverage: dict[Term, int] = {}
+        for binding, _graph_id, bits in members:
+            term = binding.get(name)
+            if term is not None:
+                coverage[term] = coverage.get(term, 0) | bits
+        if spec.func == "COUNT":
+            return _bit_counts(coverage.values(), width)
+        best: list = [None] * width
+        unclaimed = 0
+        for bits in coverage.values():
+            unclaimed |= bits
+        for term in sorted(coverage, key=term_order_key, reverse=spec.func == "MAX"):
+            claimed = coverage[term] & unclaimed
+            for ordinal in bitmap_ordinals(claimed):
+                best[ordinal - 1] = term
+            unclaimed ^= claimed
+            if not unclaimed:
+                break
+        return best
+    counts = {ordinal: Counter() for ordinal in keys}  # the members' bits are among the keys
+    for binding, graph_id, bits in members:
+        for ordinal in bitmap_ordinals(bits):
+            term = vrows.value(binding, graph_id, ordinal, name)
+            if term is not None:
+                counts[ordinal][term] += 1
+    out: list = [None] * width
+    for ordinal, key in keys.items():
+        out[ordinal - 1] = _apply_aggregate(spec, counts[ordinal], _describe(group_vars, key))
+    return out
+
+
+def _bit_counts(bitmaps, width: int) -> list:
+    """COUNT at every bit position: how many of `bitmaps` hold it."""
+    counts = [0] * width
+    for bits in bitmaps:
+        while bits:
+            low = bits & -bits
+            counts[low.bit_length() - 1] += 1
+            bits ^= low
+    return [_count_literal(n) for n in counts]
 
 
 # ------------------------------------------------------------ select logic
@@ -680,33 +655,27 @@ def eval_select(store: Store, query: Query, ctx=None):
     """
     evaluator = _CondensedEvaluator(store)
     rows = evaluator.eval_rows(query.pattern, ctx)
-    return _project(query, rows, ctx)
+    return _project(store, query, rows, ctx)
 
 
-def _project(query: Query, rows, ctx):
-    """Group and project. Ungrouped rows keep their bits; grouped rows
-    are grouped once per version in scope, the one step that runs per bit
-    (versioned rows hold in every version of `ctx`, so they group once)."""
+def _project(store: Store, query: Query, rows, ctx):
+    """Group and project. Ungrouped rows keep their bits, and the groups of
+    versioned rows hold in every version of `ctx`; plain rows inside GRAPH
+    group per version in scope, each group holding in its version only."""
     columns = column_names(query)
     aggregates = _aggregates_with_aliases(query)
-    grouped = bool(aggregates or query.group_by)
+    scope = _scope_bits(ctx)
     if isinstance(rows, VersionedRows):
-        if not grouped:
+        if not (aggregates or query.group_by):
             projected = rows.expand(columns)
-            return columns, projected, [_scope_bits(ctx)] * len(projected)
-        folded = fold_group_aggregate(rows, query.group_by, aggregates)
-        if folded is None:
-            folded = eval_group_aggregate(rows.expand(), query.group_by, aggregates)
-        rows = zip(folded, repeat(_scope_bits(ctx)))
-    elif grouped:
-        scopes = [-1] if ctx is None else [bit_for(m) for m in bitmap_ordinals(ctx[1])]
-        rows = [
-            (row, bit)
-            for bit in scopes
-            for row in eval_group_aggregate(
-                [solution for solution, bits in rows if bits & bit], query.group_by, aggregates
-            )
-        ]
+            return columns, projected, [scope] * len(projected)
+        rows = ((result, scope) for result, _ordinal in _group(rows, query.group_by, aggregates))
+    elif aggregates or query.group_by:
+        plain = VersionedRows(store, [(b, None, 1 if ctx is None else bits) for b, bits in rows], None)
+        rows = (
+            (result, bit_for(ordinal) if ordinal else scope)
+            for result, ordinal in _group(plain, query.group_by, aggregates, 0 if ctx is None else scope)
+        )
     projected, bits = [], []
     for row, row_bits in rows:
         out = {}
@@ -808,7 +777,7 @@ def execute_plan(store: Store, query: Query) -> ResultTable:
     rows = _CondensedEvaluator(store).eval_rows(query.pattern, None)
     if isinstance(rows, VersionedRows) and not (query.group_by or _aggregates_with_aliases(query)):
         return _table(column_names(query), rows)
-    columns, solutions, _bits = _project(query, rows, None)
+    columns, solutions, _bits = _project(store, query, rows, None)
     return _table(columns, solutions)
 
 

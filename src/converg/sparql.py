@@ -15,13 +15,15 @@ predicate written as IRIs joined by ``/`` becomes a chain through fresh
 A term the ``Term`` constructors reject (an empty IRI, a malformed language
 tag) is a ``ParseError`` at its token's line and column.
 
-A prefixed name whose local part contains ``/`` (as benchmark vocabularies
-sometimes do) expands as one IRI: prefix expansion wins over the path
-reading whenever the whole token resolves.
+A prefixed name's local part may contain ``/`` (as benchmark vocabularies
+sometimes do: ``bsbm:v01/vocabulary/rating2`` is one IRI). It ends before a
+``/`` followed by ``<``, by ``:`` or by another ``name:``, so that
+``ex:p1/ex:p2`` is a path of two steps.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -76,7 +78,9 @@ _UNSUPPORTED = {
 _WORD_CHARS = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-"
 )
-_LOCAL_CHARS = _WORD_CHARS | frozenset("./#%:")
+# A prefixed name's local part: word characters and any of ./#%: , ending
+# before a "/" that starts the next step of a path (`<`, `:` or `name:`).
+_LOCAL_PART = re.compile(r"[\w\-.#%:]*(?:/(?![\w\-]*:|<)[\w\-.#%:]*)*", re.ASCII)
 _DIGITS = frozenset("0123456789")
 
 
@@ -272,8 +276,7 @@ def _lex(text: str) -> list[_Token]:
             if j < n and text[j] == ":":
                 j += 1
                 local_start = j
-                while j < n and text[j] in _LOCAL_CHARS:
-                    j += 1
+                j = _LOCAL_PART.match(text, j).end()
                 local = text[local_start:j]
                 while local.endswith("."):
                     local = local[:-1]

@@ -18,7 +18,6 @@ from converg.engine import (
     eval_oracle,
     execute_plan,
     execute_query,
-    fold_group_aggregate,
 )
 from converg.errors import EvalError
 from converg.model import XSD, Quad, iri, literal
@@ -262,15 +261,10 @@ def rows_counter(columns, rows) -> Counter:
 
 
 def folds(store, query) -> bool:
-    """Whether the engine answers `query` by folding versioned rows, without
-    expanding them into per-version solutions."""
-    aggregates = _aggregates_with_aliases(query)
+    """Whether the engine answers `query` by folding versioned rows: the
+    query is grouped and its pattern stays condensed."""
     rows = _CondensedEvaluator(store).eval_rows(query.pattern, None)
-    return (
-        isinstance(rows, VersionedRows)
-        and bool(aggregates or query.group_by)
-        and fold_group_aggregate(rows, query.group_by, aggregates) is not None
-    )
+    return isinstance(rows, VersionedRows) and bool(_aggregates_with_aliases(query) or query.group_by)
 
 
 def check_against_oracle(store, query):

@@ -18,8 +18,8 @@ from conftest import (
 from converg.engine import (
     VersionedRows,
     _CondensedEvaluator,
+    _group,
     _table,
-    eval_group_aggregate,
     eval_join,
     eval_minus,
     eval_oracle,
@@ -296,15 +296,22 @@ def test_count_by_version_matches_row_counts(buildings_store):
     assert dict(table.rows) == expected
 
 
+def _group_solutions(solutions, group_by, aggregates):
+    """`_group` over plain solutions, each entering as a row of bits 1 the
+    way a top-level pattern's solutions do."""
+    rows = VersionedRows(Store(), [(solution, None, 1) for solution in solutions], None)
+    return [result for result, _ordinal in _group(rows, group_by, aggregates)]
+
+
 def test_group_aggregate_on_empty_input_with_group_by():
-    out = eval_group_aggregate([], (Var("g"),), [(SelectAgg("COUNT", False, Var("x")), "n")])
+    out = _group_solutions([], (Var("g"),), [(SelectAgg("COUNT", False, Var("x")), "n")])
     assert out == []
 
 
 def test_aggregate_only_group_over_empty_input():
-    out = eval_group_aggregate([], None, [(SelectAgg("COUNT", False, Var("x")), "n")])
+    out = _group_solutions([], None, [(SelectAgg("COUNT", False, Var("x")), "n")])
     assert out == [{"n": literal("0", datatype=INTEGER)}]
-    out = eval_group_aggregate([], None, [(SelectAgg("MAX", False, Var("x")), "m")])
+    out = _group_solutions([], None, [(SelectAgg("MAX", False, Var("x")), "m")])
     assert out == [{}]
 
 
@@ -312,31 +319,44 @@ def test_count_distinct_versus_plain():
     rows = [{"g": iri("urn:g"), "x": iri("urn:a")}] * 3 + [
         {"g": iri("urn:g"), "x": iri("urn:b")}
     ]
-    plain = eval_group_aggregate(rows, (Var("g"),), [(SelectAgg("COUNT", False, Var("x")), "n")])
-    distinct = eval_group_aggregate(rows, (Var("g"),), [(SelectAgg("COUNT", True, Var("x")), "n")])
+    plain = _group_solutions(rows, (Var("g"),), [(SelectAgg("COUNT", False, Var("x")), "n")])
+    distinct = _group_solutions(rows, (Var("g"),), [(SelectAgg("COUNT", True, Var("x")), "n")])
     assert plain[0]["n"] == literal("4", datatype=INTEGER)
     assert distinct[0]["n"] == literal("2", datatype=INTEGER)
 
 
 def test_sum_over_non_numeric_names_group():
     rows = [{"g": iri("urn:g"), "x": literal("red")}]
-    with pytest.raises(EvalError, match="SUM over non-numeric"):
-        eval_group_aggregate(rows, (Var("g"),), [(SelectAgg("SUM", False, Var("x")), "s")])
+    with pytest.raises(EvalError, match=r"SUM over non-numeric term \"red\" in group \(<urn:g>\)"):
+        _group_solutions(rows, (Var("g"),), [(SelectAgg("SUM", False, Var("x")), "s")])
 
 
 def test_sum_integer_and_decimal_typing():
     ints = [{"x": literal("2", datatype=INTEGER)}, {"x": literal("3", datatype=INTEGER)}]
-    out = eval_group_aggregate(ints, None, [(SelectAgg("SUM", False, Var("x")), "s")])
+    out = _group_solutions(ints, None, [(SelectAgg("SUM", False, Var("x")), "s")])
     assert out[0]["s"] == literal("5", datatype=INTEGER)
     mixed = ints + [{"x": _height("0.5")}]
-    out = eval_group_aggregate(mixed, None, [(SelectAgg("SUM", False, Var("x")), "s")])
+    out = _group_solutions(mixed, None, [(SelectAgg("SUM", False, Var("x")), "s")])
     assert out[0]["s"] == literal("5.5", datatype=DECIMAL)
 
 
 def test_unbound_aggregate_arguments_are_skipped():
     rows = [{"g": iri("urn:g"), "x": literal("1", datatype=INTEGER)}, {"g": iri("urn:g")}]
-    out = eval_group_aggregate(rows, (Var("g"),), [(SelectAgg("COUNT", False, Var("x")), "n")])
+    out = _group_solutions(rows, (Var("g"),), [(SelectAgg("COUNT", False, Var("x")), "n")])
     assert out[0]["n"] == literal("1", datatype=INTEGER)
+
+
+def test_per_bit_sum_over_non_numeric_names_the_version_of_its_group():
+    store = Store()
+    store.ingest_version(parse_nquads('<urn:a> <urn:p> "1"^^<http://www.w3.org/2001/XMLSchema#integer> <urn:g> .\n'))
+    store.ingest_version(parse_nquads('<urn:a> <urn:p> "red" <urn:g> .\n'))
+    text = (
+        "SELECT ?version (SUM(?o) AS ?s) WHERE { GRAPH ?vng { ?a <urn:p> ?o . } "
+        "?vng <urn:converg:vocab:is-in-version> ?version . } GROUP BY ?version"
+    )
+    assert folds(store, _plan(text))
+    with pytest.raises(EvalError, match=r'term "red" in group \(<urn:converg:version:2>\)$'):
+        execute_query(store, text)
 
 
 # ---------------------------------------------------------- fast count path
@@ -367,9 +387,9 @@ def test_fast_path_is_detected_and_used(buildings_store):
     plan = _plan(read_query("count_by_version.rq"))
     assert folds(buildings_store, plan)
     check_against_oracle(buildings_store, plan)
-    # COUNT DISTINCT of a per-row variable by version expands the rows
+    # COUNT DISTINCT of a per-row variable by version folds too
     distinct_text = read_query("count_by_version.rq").replace("COUNT(?subj", "COUNT(DISTINCT ?subj")
-    assert not folds(buildings_store, _plan(distinct_text))
+    assert folds(buildings_store, _plan(distinct_text))
     check_against_oracle(buildings_store, _plan(distinct_text))
     # and a query whose graph and version variables coincide is no link
     degenerate = _plan(
@@ -681,6 +701,42 @@ def test_ungrouped_versioned_rows_reach_the_output_stage_unexpanded(buildings_st
     for suffix, produced in (("tsv", table.to_tsv()), ("csv", table.to_csv())):
         with open(query_path(f"all_versions.{suffix}"), "r", encoding="utf-8", newline="") as fh:
             assert produced == fh.read(), f"all_versions.{suffix}"
+
+
+_LINK = "?vng <urn:converg:vocab:is-in-version> ?version ."
+_GROUPED_WITHOUT_EXPANSION = [
+    f"SELECT ?{key} ({aggregate} AS ?a) WHERE {{ GRAPH ?vng {{ ?s ?p ?o . }} {_LINK} }} GROUP BY ?{key}"
+    for key in ("version", "vng")
+    for aggregate in ("COUNT(DISTINCT ?s)", "SUM(?o)", "MAX(?vng)", "MIN(?version)")
+] + [
+    "SELECT ?vng ?version ?s ?n WHERE { GRAPH ?vng { { SELECT ?s (SUM(?o) AS ?n) "
+    f"WHERE {{ ?s ?p ?o . }} GROUP BY ?s }} }} {_LINK} }}",
+    "SELECT ?vng ?n WHERE { GRAPH ?vng { { SELECT (COUNT(DISTINCT ?o) AS ?n) WHERE { ?s ?p ?o . } } } }",
+]
+
+
+@pytest.mark.parametrize(
+    "store_kind, text",
+    [
+        (kind, text)
+        for text in _GROUPED_WITHOUT_EXPANSION
+        for kind in ("buildings", "numeric", "wide")
+        if kind != "wide" or "SUM" not in text  # the wide store holds non-numeric objects
+    ],
+)
+def test_no_group_by_expands_versioned_rows(buildings_store, monkeypatch, store_kind, text):
+    store = {
+        "buildings": buildings_store,
+        "numeric": random_store(random.Random(41), numeric_only=True)[0],
+        "wide": random_wide_store(random.Random(64)),
+    }[store_kind]
+
+    def refuse(self, names=None):
+        raise AssertionError("versioned rows expanded for GROUP BY")
+
+    monkeypatch.setattr(VersionedRows, "expand", refuse)
+    table = check_against_oracle(store, _plan(text))
+    assert table.rows
 
 
 def test_distinct_version_count_never_exceeds_version_count():

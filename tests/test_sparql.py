@@ -167,6 +167,23 @@ def test_slashed_local_name_expands_as_one_iri():
     )
 
 
+@pytest.mark.parametrize("step", ["ex:p2", ":p2", "<urn:ex:p2>"])
+def test_a_prefixed_name_ends_before_the_next_path_step(step):
+    prefixes = "PREFIX ex: <urn:ex:>\nPREFIX : <urn:ex:>\n"
+    q = parse_query(f"{prefixes}SELECT ?s WHERE {{ ?s ex:p1/{step} ?o . }}")
+    hop = q.pattern.patterns[0].object
+    assert q.pattern.patterns == (
+        TriplePattern(Var("s"), iri("urn:ex:p1"), hop),
+        TriplePattern(hop, iri("urn:ex:p2"), Var("o")),
+    )
+    # a slashed local name stays one IRI, and a path may follow it
+    q = parse_query(f"{prefixes}SELECT ?s WHERE {{ ?s ex:v01/vocabulary/rating2/{step} ?o . }}")
+    assert [p.predicate for p in q.pattern.patterns] == [
+        iri("urn:ex:v01/vocabulary/rating2"),
+        iri("urn:ex:p2"),
+    ]
+
+
 def test_iri_path_desugars_with_fresh_variable():
     q = parse_query("SELECT ?s ?o WHERE { ?s <urn:p1>/<urn:p2> ?o . }")
     pats = q.pattern.patterns
@@ -268,6 +285,9 @@ def test_benchmark_style_aggregate_texts_parse():
         ("SELECT ?s WHERE { ?s <urn:p> \u00e9 . }", 1, 30, "unexpected word '\u00e9'"),
         ("PREFIX \u00e9: <urn:x:>\nSELECT ?s WHERE { ?s ?p ?o . }", 1, 8, "unexpected word '\u00e9'"),
         ("SELECT ?s WHERE { ?s <urn:p> a\u00e9 . }", 1, 30, "unexpected word 'a\u00e9'"),
+        # a path of prefixed names is no subject or object
+        ("PREFIX ex: <urn:ex:>\nSELECT ?s WHERE { ex:a/ex:b <urn:p> ?o . }", 2, 23, "expected a predicate"),
+        ("PREFIX ex: <urn:ex:>\nSELECT ?s WHERE { ?s <urn:p> ex:a/ex:b . }", 2, 34, "expected a triple pattern"),
     ],
 )
 def test_malformed_query_terms_are_positioned_parse_errors(text, line, column, message):
