@@ -226,13 +226,16 @@ def _cmd_stats(args) -> int:
 def _cmd_gen(args) -> int:
     from . import gen as genmod
 
-    cfg = genmod.GenConfig(
-        products=args.products,
-        graphs=args.graphs,
-        versions=args.versions,
-        change_rate=args.change_rate,
-        seed=args.seed,
-    )
+    try:
+        cfg = genmod.GenConfig(
+            products=args.products,
+            graphs=args.graphs,
+            versions=args.versions,
+            change_rate=args.change_rate,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     paths = genmod.write_version_files(cfg, args.out)
     print(f"wrote {len(paths)} version files under {args.out}")
     return 0

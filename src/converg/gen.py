@@ -5,11 +5,13 @@ vocabulary: every graph asserts, for every product, one rdf:type triple and
 one integer rating. Version 1 draws ratings uniformly; later versions
 re-roll each rating independently with a configurable probability.
 
-Randomness comes from a splitmix64-style hash over (seed, version, graph,
-product), so any single version can be generated without materializing its
-predecessors, and re-running with the same configuration is byte-identical.
-How a benchmark dump would really be split into graphs is anyone's guess;
-the graphs/products split here is simply a parameter.
+Randomness comes from a splitmix64-style hash chain: the state after
+(seed, kind) is mixed with the version, then the graph, then the product;
+kind 1 draws re-rolls and kind 2 ratings. A call computes each state it
+reaches once, so a draw costs one mix, and any single version is still
+generated without its predecessors. The same configuration always gives
+the same bytes. How a benchmark dump would really be split into graphs is
+anyone's guess; the graphs/products split here is simply a parameter.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .model import RDF_TYPE, XSD, Quad, iri, literal
+from .model import RDF_TYPE, XSD, Quad, Term, iri, literal
 from .nquads import ParsedDocument, serialize_nquads
 
 BSBM_NS = "http://www4.wiwiss.fu-berlin.de/bizer/bsbm/"
@@ -55,42 +57,40 @@ def _mix(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _derive(*fields: int) -> int:
-    state = 0
-    for field in fields:
-        state = _mix(state ^ (field & _MASK64))
-    return state
-
-
-def _rating(cfg: GenConfig, ordinal: int, graph: int, product: int) -> int:
+def _ratings(cfg: GenConfig, ordinal: int, g: int, roll: int, draw: int) -> list[int]:
+    """Graph `g`'s ratings in version `ordinal`, in product order. All products
+    walk back together, a version a step, to the one that last re-rolled each;
+    version 1 always rolls. Modulo bias is irrelevant at these spans."""
     lo, hi = cfg.rating_range
-    span = hi - lo + 1
-    # Walk back to the most recent version that re-rolled this rating;
-    # version 1 always rolls. Modulo bias is irrelevant at these spans.
-    m = ordinal
-    while m > 1:
-        chance = _derive(cfg.seed, 1, m, graph, product) / float(1 << 64)
-        if chance < cfg.change_rate:
-            break
-        m -= 1
-    return lo + _derive(cfg.seed, 2, m, graph, product) % span
+    threshold = cfg.change_rate * 2.0**64  # float(x) < this iff x / 2**64 < rate
+    ratings, pending, m = [0] * cfg.products, range(1, cfg.products + 1), ordinal
+    while pending:
+        rolled, drawn = _mix(_mix(roll ^ m) ^ g), _mix(_mix(draw ^ m) ^ g)
+        kept = []
+        for p in pending:
+            if m > 1 and not float(_mix(rolled ^ p)) < threshold:
+                kept.append(p)
+            else:
+                ratings[p - 1] = lo + _mix(drawn ^ p) % (hi - lo + 1)
+        pending, m = kept, m - 1
+    return ratings
 
 
 def generate_version(cfg: GenConfig, ordinal: int) -> ParsedDocument:
     """Quads of one version: two per (graph, product), graphs in order."""
     if not 1 <= ordinal <= cfg.versions:
         raise ValueError(f"ordinal {ordinal} outside 1..{cfg.versions}")
-    integer_dt = XSD + "integer"
+    roll, draw = (_mix(_mix(cfg.seed & _MASK64) ^ kind) for kind in (1, 2))
+    products = [iri(f"{BSBM_NS}v01/instances/Product{p}") for p in range(1, cfg.products + 1)]
+    literals: dict[int, Term] = {}
     doc = ParsedDocument()
     for g in range(1, cfg.graphs + 1):
         graph = iri(f"{GRAPH_NS}{g}")
-        for p in range(1, cfg.products + 1):
-            product = iri(f"{BSBM_NS}v01/instances/Product{p}")
+        for product, rating in zip(products, _ratings(cfg, ordinal, g, roll, draw)):
+            if rating not in literals:
+                literals[rating] = literal(str(rating), datatype=XSD + "integer")
             doc.quads.append(Quad(product, RDF_TYPE, PRODUCT_CLASS, graph))
-            rating = _rating(cfg, ordinal, g, p)
-            doc.quads.append(
-                Quad(product, RATING_PREDICATE, literal(str(rating), datatype=integer_dt), graph)
-            )
+            doc.quads.append(Quad(product, RATING_PREDICATE, literals[rating], graph))
     return doc
 
 

@@ -292,9 +292,26 @@ def serialize_quad(quad: Quad) -> str:
     return " ".join(parts) + " ."
 
 
+class _TermText(dict):
+    """`serialize_term` of each distinct term, computed on first lookup."""
+
+    def __missing__(self, term: Term) -> str:
+        text = self[term] = serialize_term(term)
+        return text
+
+
 def serialize_nquads(quads) -> str:
-    """Canonical form: one quad per line, ``\\n`` endings, minimal escaping."""
-    return "".join(serialize_quad(q) + "\n" for q in quads)
+    """Canonical form: one quad per line, ``\\n`` endings, minimal escaping.
+
+    Equal to joining ``serialize_quad(q) + "\\n"``; each distinct term is
+    serialized once per call."""
+    text = _TermText()
+    return "".join(
+        f"{text[q.subject]} {text[q.predicate]} {text[q.object]} {text[q.graph]} .\n"
+        if q.graph is not None
+        else f"{text[q.subject]} {text[q.predicate]} {text[q.object]} .\n"
+        for q in quads
+    )
 
 
 def parse_term(text: str) -> Term:

@@ -150,6 +150,27 @@ def test_query_with_a_malformed_term_exits_1_without_a_traceback(tmp_path, query
     assert done.stderr.decode() == f"converg query: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--versions", "0", "products, graphs, and versions must be positive"),
+        ("--products", "-1", "products, graphs, and versions must be positive"),
+        ("--change-rate", "1.5", "change_rate must be within [0, 1]"),
+        ("--change-rate", "nan", "change_rate must be within [0, 1]"),
+    ],
+)
+def test_gen_with_an_invalid_config_exits_1_without_a_traceback(tmp_path, option, value, message):
+    out_dir = tmp_path / "synth"
+    args = {"--products": "2", "--graphs": "2", "--versions": "2", "--change-rate": "0.5"}
+    args[option] = value
+    done = _script(["gen", "--out", str(out_dir), *(part for item in args.items() for part in item)])
+    assert done.returncode == 1
+    assert done.stdout == b""
+    assert b"Traceback" not in done.stderr
+    assert done.stderr.decode() == f"converg gen: {message}\n"
+    assert not out_dir.exists()
+
+
 def test_each_command_imports_only_what_it_runs(tmp_path):
     synth, store_dir = str(tmp_path / "synth"), str(tmp_path / "store")
     gen = ["gen", "--out", synth, "--products", "3", "--graphs", "2", "--versions", "2", "--seed", "7"]

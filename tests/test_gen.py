@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from converg.gen import (
+    BSBM_NS,
     GRAPH_NS,
     RATING_PREDICATE,
     GenConfig,
@@ -119,6 +120,84 @@ def test_write_version_files(tmp_path):
         term = store.dictionary.decode(e.object)
         if term.is_literal and term.datatype == integer:
             assert lo <= int(term.lexical) <= hi
+
+
+# The generator's specification, written out draw by draw: every field of
+# (seed, kind, version, graph, product) goes through its own mix, and a
+# rating walks back one full derivation per version. generate_version must
+# produce exactly these lines, however it shares the work.
+_MASK64 = (1 << 64) - 1
+
+
+def _reference_mix(x):
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def _reference_derive(*fields):
+    state = 0
+    for field in fields:
+        state = _reference_mix(state ^ (field & _MASK64))
+    return state
+
+
+def _reference_rating(cfg, ordinal, graph, product):
+    lo, hi = cfg.rating_range
+    m = ordinal
+    while m > 1:
+        if _reference_derive(cfg.seed, 1, m, graph, product) / float(1 << 64) < cfg.change_rate:
+            break
+        m -= 1
+    return lo + _reference_derive(cfg.seed, 2, m, graph, product) % (hi - lo + 1)
+
+
+def _reference_lines(cfg, ordinal):
+    rdf_type = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"
+    lines = []
+    for g in range(1, cfg.graphs + 1):
+        for p in range(1, cfg.products + 1):
+            product = f"<{BSBM_NS}v01/instances/Product{p}>"
+            graph = f"<{GRAPH_NS}{g}>"
+            rating = _reference_rating(cfg, ordinal, g, p)
+            lines.append(f"{product} {rdf_type} <{BSBM_NS}v01/vocabulary/Product> {graph} .\n")
+            lines.append(
+                f'{product} <{BSBM_NS}v01/vocabulary/rating2> "{rating}"^^<{XSD}integer> {graph} .\n'
+            )
+    return "".join(lines)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        GenConfig(products=6, graphs=3, versions=12, change_rate=0.0, seed=3),
+        GenConfig(products=6, graphs=3, versions=12, change_rate=1.0, seed=3),
+        GenConfig(products=6, graphs=3, versions=12, change_rate=0.37, seed=3),
+        GenConfig(products=5, graphs=2, versions=9, change_rate=0.3, seed=2**64 + 12345),
+        GenConfig(products=5, graphs=2, versions=9, change_rate=0.3, seed=-77),
+        GenConfig(products=5, graphs=2, versions=9, change_rate=0.4, rating_range=(7, 7)),
+        GenConfig(products=5, graphs=2, versions=9, change_rate=0.4, rating_range=(-20, 5)),
+        GenConfig(products=8, graphs=3, versions=1, change_rate=0.5, seed=5),
+        GenConfig(products=8, graphs=1, versions=10, change_rate=0.2, seed=6),
+        GenConfig(products=1, graphs=4, versions=10, change_rate=0.2, seed=6),
+    ],
+    ids=[
+        "rate-0",
+        "rate-1",
+        "rate-0.37",
+        "seed-above-2**64",
+        "negative-seed",
+        "single-rating",
+        "negative-ratings",
+        "one-version",
+        "one-graph",
+        "one-product",
+    ],
+)
+def test_generated_versions_match_the_reference_draws(cfg):
+    for ordinal in range(cfg.versions, 0, -1):
+        assert serialize_nquads(generate_version(cfg, ordinal).quads) == _reference_lines(cfg, ordinal)
 
 
 def test_generated_file_bytes_are_pinned(tmp_path):

@@ -11,6 +11,7 @@ from converg.nquads import (
     parse_nquads,
     parse_term,
     serialize_nquads,
+    serialize_quad,
     serialize_term,
 )
 
@@ -109,6 +110,30 @@ def test_metadata_triple_layout():
     assert line.count(" ") == 3
 
 
+def test_serialize_nquads_equals_line_by_line_serialization():
+    # Terms repeat across quads and positions, as equal but distinct
+    # objects too; literals differing only in datatype or language tag
+    # must each keep their own text.
+    g = iri("urn:ng:g")
+    escaped = literal('say "hi"\\\n\tthere\r')
+    quads = [
+        Quad(iri("urn:s"), iri("urn:p"), escaped, g),
+        Quad(iri("urn:s"), iri("urn:p"), literal('say "hi"\\\n\tthere\r'), None),
+        Quad(blank("b1"), iri("urn:p"), literal("chat", language="fr"), g),
+        Quad(blank("b1"), iri("urn:p"), literal("chat", language="en-GB"), iri("urn:ng:g")),
+        Quad(iri("urn:ng:g"), iri("urn:p"), literal("chat"), None),
+        Quad(blank("b1"), iri("urn:q"), literal("7", datatype=XSD + "integer"), g),
+        Quad(blank("b2"), iri("urn:q"), literal("7", datatype=DECIMAL), g),
+        Quad(iri("urn:s"), iri("urn:q"), g, g),
+        Quad(iri("urn:s"), iri("urn:p"), escaped, g),
+    ]
+    expected = "".join(serialize_quad(q) + "\n" for q in quads)
+    assert serialize_nquads(quads) == expected
+    assert serialize_nquads(iter(quads)) == expected
+    assert '"say \\"hi\\"\\\\\\n\\tthere\\r"' in expected
+    assert Counter(parse_nquads(expected).quads) == Counter(quads)
+
+
 def test_parse_term_single():
     assert parse_term('"1"^^<' + XSD + 'integer>') == literal("1", datatype=XSD + "integer")
     with pytest.raises(ParseError):
@@ -148,6 +173,12 @@ def test_round_trip_preserves_quad_multiset(quads):
     text = serialize_nquads(quads)
     again = parse_nquads(text)
     assert Counter(again.quads) == Counter(quads)
+
+
+@given(st.lists(st.sampled_from(range(6)), max_size=30), st.lists(_quads, min_size=1, max_size=6))
+def test_serialize_nquads_matches_serialize_quad_on_repeats(picks, pool):
+    quads = [pool[i % len(pool)] for i in picks]
+    assert serialize_nquads(quads) == "".join(serialize_quad(q) + "\n" for q in quads)
 
 
 @given(st.one_of(_subjects, _objects))
