@@ -45,6 +45,12 @@ class TermDictionary:
             raise DictionaryError(f"unknown term id {tid}")
         return self._reverse[tid]
 
+    @property
+    def terms(self) -> list[Term]:
+        """Every term, at the index of its id. Read-only: the query path
+        indexes it with ids that are in range by construction."""
+        return self._reverse
+
     def __len__(self) -> int:
         return len(self._reverse)
 

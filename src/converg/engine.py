@@ -3,15 +3,17 @@
 Every pattern evaluates to (solution, bits) rows: a solution of term
 bindings and the bitmap of the versions it holds in. Inside GRAPH a basic
 graph pattern is matched once per named graph while the version dimension
-stays a bitmap; a join ANDs the bits of compatible rows and MINUS clears
-them. `GRAPH ?vng { ... }`, alone or joined with the linking metadata
-patterns on ?vng, stays condensed as `VersionedRows`: the links are
-resolved from each row's graph id and bits. Every GROUP BY folds over
-rows, by whole row or per bit (counting a version is summing a bit
-column). The output stage reads ungrouped top-level versioned rows
-condensed: a row's cells are serialized once, and only the ?vng and
-version cells change per set bit. Versioned rows expand only under MINUS,
-joined with a non-link pattern, or in an ungrouped sub-select.
+stays a bitmap. A join ANDs the bits of compatible rows and MINUS clears
+them; both key the right rows of each domain on the variables a left row
+shares with it, for any pair of domains. `GRAPH ?vng { ... }`, alone or
+joined with the linking metadata patterns on ?vng, stays condensed as
+`VersionedRows`: the links are resolved from each row's graph id and bits.
+Every GROUP BY folds over rows, by whole row or per bit (COUNT per version
+is bit-sliced addition of the rows' bitmaps). The output stage reads
+ungrouped top-level versioned rows condensed: a row's cells are serialized
+once, and only the ?vng and version cells change per set bit. Versioned
+rows expand only under MINUS, joined with a non-link pattern, or in an
+ungrouped sub-select.
 
 `eval_oracle` is the deliberately naive reference: it evaluates the same
 query over the flat quad list with nested loops, no dictionary, no indexes,
@@ -56,7 +58,7 @@ from .sparql import (
     validate_and_name,
     visible_vars,
 )
-from .store import Store, bit_for, bitmap_ordinals
+from .store import Store, bit_for, bitmap_ordinals, render_bitmap
 
 logger = logging.getLogger(__name__)
 
@@ -92,54 +94,58 @@ def _extend(binding: Solution, name: str, term: Term):
     return binding if existing == term else None
 
 
+def _by_domain(rows) -> dict:
+    """(solution, bits) rows grouped by domain: the variables they bind."""
+    out: dict[frozenset, list] = {}
+    for row in rows:
+        out.setdefault(frozenset(row[0]), []).append(row)
+    return out
+
+
 def eval_join(left: list, right: list) -> list:
     """Natural join of (solution, bits) rows: compatible rows merge and
     their bits AND; a pair that shares no version is dropped. Multiplicity
-    is the product of multiplicities."""
-    if not left or not right:
-        return []
-    shared = set().union(*(row for row, _bits in left)) & set().union(*(row for row, _bits in right))
-    key_vars = tuple(sorted(shared))
-    if all(v in row for row, _bits in (*left, *right) for v in key_vars):
-        index: dict[tuple, list] = {}
-        for r in right:
-            index.setdefault(tuple(r[0][v] for v in key_vars), []).append(r)
-        pairs = ((l, r) for l in left for r in index.get(tuple(l[0][v] for v in key_vars), ()))
-    else:
-        # Rare: a shared variable may be unbound (e.g. MAX over an empty
-        # group in a sub-select). Fall back to pairwise compatibility.
-        pairs = ((l, r) for l in left for r in right if compatible(l[0], r[0]))
+    is the product of multiplicities. One index per right domain and the
+    variables a left row shares with it maps their values to its rows."""
+    domains = _by_domain(right)
+    indexes: dict[tuple, dict] = {}
     out = []
-    for (l, l_bits), (r, r_bits) in pairs:
-        if l_bits & r_bits:
-            out.append((merge(l, r), l_bits & r_bits))
+    for l, l_bits in left:
+        for domain, rows in domains.items():
+            key_vars = tuple(sorted(domain.intersection(l)))
+            index = indexes.get((domain, key_vars))
+            if index is None:
+                index = indexes[domain, key_vars] = {}
+                for r in rows:
+                    index.setdefault(tuple(r[0][v] for v in key_vars), []).append(r)
+            for r, r_bits in index.get(tuple(l[v] for v in key_vars), ()):
+                if l_bits & r_bits:
+                    out.append((merge(l, r), l_bits & r_bits))
     return out
 
 
 def eval_minus(left: list, right: list) -> list:
     """Clear from each left (solution, bits) row the bits of every right
     row that is compatible with it and shares at least one bound variable;
-    a row left with no bits is dropped."""
-    index: dict[frozenset, tuple] = {}  # domain -> (its variables, key -> bits, rows)
-    for r in right:
-        domain = frozenset(r[0])
-        if domain not in index:
-            index[domain] = (tuple(sorted(domain)), {}, [])
-        key_vars, keyed, rows = index[domain]
-        keyed.setdefault(tuple(r[0][v] for v in key_vars), []).append(r[1])
-        rows.append(r)
+    a row left with no bits is dropped. For each right domain and the
+    variables a left row shares with it, one index maps the shared values
+    to the OR of the bits of the right rows that hold them."""
+    domains = _by_domain(right)
+    indexes: dict[tuple, dict] = {}
     out = []
     for row in left:
         l, bits = row
-        for domain, (key_vars, keyed, rows) in index.items():
-            common = domain.intersection(l)
-            if common and common == domain:
-                for r_bits in keyed.get(tuple(l[v] for v in key_vars), ()):
-                    bits &= ~r_bits
-            elif common:
+        for domain, rows in domains.items():
+            key_vars = tuple(sorted(domain.intersection(l)))
+            if not key_vars:
+                continue
+            index = indexes.get((domain, key_vars))
+            if index is None:
+                index = indexes[domain, key_vars] = {}
                 for r, r_bits in rows:
-                    if compatible(l, r):
-                        bits &= ~r_bits
+                    key = tuple(r[v] for v in key_vars)
+                    index[key] = index.get(key, 0) | r_bits
+            bits &= ~index.get(tuple(l[v] for v in key_vars), 0)
         if bits:
             out.append(row if bits == row[1] else (l, bits))
     return out
@@ -148,65 +154,53 @@ def eval_minus(left: list, right: list) -> list:
 # ------------------------------------------------- condensed BGP matching
 
 
-def _pattern_ids(store: Store, pattern, binding: Solution):
-    """(s, p, o) as TermId or None per position; False if a constant is
-    absent from the dictionary (nothing can match)."""
-    ids = []
-    for atom in (pattern.subject, pattern.predicate, pattern.object):
-        if isinstance(atom, Var):
-            bound = binding.get(atom.name)
-            if bound is None:
-                ids.append(None)
-                continue
-            atom = bound
-        tid = store.dictionary.lookup(atom)
-        if tid is None:
-            return False
-        ids.append(tid)
-    return ids
-
-
 def _match_bgp_in_graph(store: Store, patterns, graph_id: int, mask: int):
     """Join the patterns inside one named graph, ANDing version bitmaps.
 
     Returns (binding, bits) rows with bits != 0; `mask` holds the versions
-    in scope.
+    in scope. Every row binds the variables of the patterns before, so a
+    pattern's constant ids and the positions it binds are resolved once.
+    An entry's terms are read off the term list by id: ingest encodes them
+    and `load_snapshot` range-checks them.
     """
-    decode = store.dictionary.decode
+    lookup = store.dictionary.lookup
+    terms = store.dictionary.terms
     rows = [({}, mask)]
+    bound: set[str] = set()
     for pattern in patterns:
-        variables = [
-            atom.name if isinstance(atom, Var) else None
-            for atom in (pattern.subject, pattern.predicate, pattern.object)
-        ]
+        ids, joins, binds, repeats = [None, None, None], [], {}, []
+        for at, atom in enumerate((pattern.subject, pattern.predicate, pattern.object)):
+            if not isinstance(atom, Var):
+                ids[at] = lookup(atom)
+                if ids[at] is None:
+                    return []  # a constant absent from the dictionary matches nothing
+            elif atom.name in bound:  # its id is looked up per row
+                joins.append((at, atom.name))
+            elif atom.name in binds:  # bound twice here: both positions hold one id
+                repeats.append((at, binds[atom.name]))
+            else:  # bound here, from its first position
+                binds[atom.name] = at
         next_rows = []
         for binding, bits in rows:
-            ids = _pattern_ids(store, pattern, binding)
-            if ids is False:
-                continue
-            for entry in store.lookup_pattern(graph_id, ids[0], ids[1], ids[2]):
+            for at, name in joins:  # read off the term list, so its id is found
+                ids[at] = lookup(binding[name])
+            for entry in store.lookup_pattern(graph_id, *ids):
                 joined = bits & entry.bits
                 if not joined:
                     continue
+                found = (entry.subject, entry.predicate, entry.object)
+                if repeats and any(found[at] != found[first] for at, first in repeats):
+                    continue
                 extended = binding
-                ok = True
-                for name, tid in zip(variables, (entry.subject, entry.predicate, entry.object)):
-                    if name is None:
-                        continue
-                    term = decode(tid)
-                    existing = extended.get(name)
-                    if existing is None:
-                        if extended is binding:
-                            extended = dict(binding)
-                        extended[name] = term
-                    elif existing != term:
-                        ok = False
-                        break
-                if ok:
-                    next_rows.append((extended, joined))
+                if binds:
+                    extended = binding.copy()
+                    for name, at in binds.items():
+                        extended[name] = terms[found[at]]
+                next_rows.append((extended, joined))
         rows = next_rows
         if not rows:
             break
+        bound.update(binds)
     return rows
 
 
@@ -627,14 +621,20 @@ def _fold_positions(vrows: VersionedRows, spec: SelectAgg, members, keys, group_
 
 
 def _bit_counts(bitmaps, width: int) -> list:
-    """COUNT at every bit position: how many of `bitmaps` hold it."""
-    counts = [0] * width
-    for bits in bitmaps:
-        while bits:
-            low = bits & -bits
-            counts[low.bit_length() - 1] += 1
-            bits ^= low
-    return [_count_literal(n) for n in counts]
+    """COUNT at every bit position: how many of `bitmaps` hold it. Counts
+    add bit-sliced: plane i holds bit i of every position's count, and each
+    bitmap ripples in as the carry, a few big-int operations however many
+    bits it sets. Each count is read off the planes at the end."""
+    planes = [0] * max(1, len(bitmaps).bit_length())  # no count exceeds len(bitmaps)
+    for carry in bitmaps:
+        i = 0
+        while carry:
+            plane = planes[i]
+            planes[i] = plane ^ carry
+            carry &= plane
+            i += 1
+    columns = zip(*(render_bitmap(plane, width) for plane in reversed(planes)))
+    return [_count_literal(int("".join(digits), 2)) for digits in columns]
 
 
 # ------------------------------------------------------------ select logic

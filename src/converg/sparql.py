@@ -206,7 +206,7 @@ def _lex(text: str) -> list[_Token]:
             j = i + 1
             out = []
             while True:
-                if j >= n or text[j] == "\n":
+                if j >= n or text[j] in "\r\n":  # STRING_LITERAL2 holds no raw line break
                     raise err("unterminated string", start_line, start_col)
                 c = text[j]
                 if c == '"':

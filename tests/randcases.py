@@ -32,6 +32,7 @@ PREDICATE_POOL = [iri(f"urn:p:{i}") for i in (1, 2, 3)]
 # that GRAPH blocks can bind the values the linking metadata uses.
 OBJECT_IRIS = [iri("urn:o:1"), iri("urn:o:2"), iri("urn:converg:vng:1"), iri("urn:converg:version:2")]
 WORDS = ["red", "green", "blue", "sensor"]
+IN_VERSION = "<urn:converg:vocab:is-in-version>"
 
 
 def random_object(rng, numeric_only=False):
@@ -134,6 +135,14 @@ def random_query(rng, store) -> str:
         visible.add(name)
         return f"?{name}"
 
+    def version_text(variable=True):
+        """An existing version, one past the last, or (if `variable`) ?version."""
+        roll = rng.random()
+        if variable and roll < 0.3:
+            return "?version"
+        ordinal = rng.randint(1, store.version_count) if roll < 0.85 else store.version_count + 1
+        return f"<urn:converg:version:{ordinal}>"
+
     def link_block():
         predicates = rng.sample(["is-in-version", "is-version-of"], rng.randint(1, 2))
         links = " ; ".join(f"<urn:converg:vocab:{p}> {link_object(p)}" for p in predicates)
@@ -225,15 +234,27 @@ def random_query(rng, store) -> str:
             # unknown or plain-graph IRI: must evaluate to empty, not error
             target = rng.choice(["<urn:converg:vng:999>", "<urn:g:1>"])
             target_is_var = False
-        parts.append(f"GRAPH {target} {{ {graph_inner('vng')} }}")
+        inner = graph_inner("vng")
+        parts.append(f"GRAPH {target} {{ {inner} }}")
         if target_is_var and rng.random() < 0.6:
             parts.append(link_block())
-        pattern = " ".join(parts)
+        right = None
         if rng.random() < 0.25:
-            if rng.random() < 0.5:
+            roll = rng.random()
+            if roll < 0.35:
                 right, _ = hidden(lambda: f"GRAPH ?vng2 {{ {bgp_text(2)} }}")
-            else:
+            elif roll < 0.65:
                 right, _ = hidden(lambda: bgp_text(2))
+            else:
+                # a cross-version MINUS: another versioned graph, often with
+                # the left's body, linked to a version that is constant,
+                # unknown or the left's ?version
+                body = inner if rng.random() < 0.6 else hidden(lambda: bgp_text(2))[0]
+                right = f"GRAPH ?w {{ {body} }} ?w {IN_VERSION} {version_text()} ."
+                if target_is_var and rng.random() < 0.4:
+                    parts.append(f"?vng {IN_VERSION} {version_text(variable=False)} .")
+        pattern = " ".join(parts)
+        if right is not None:
             pattern = f"{{ {pattern} }} MINUS {{ {right} }}"
 
     ordered = sorted(visible)

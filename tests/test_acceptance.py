@@ -21,7 +21,7 @@ from conftest import (
     read_query,
 )
 from converg.engine import execute_query
-from converg.gen import GenConfig, write_version_files
+from converg.gen import GenConfig, generate_version, write_version_files
 from converg.model import XSD, Quad, blank, iri, literal, version_iri
 from converg.nquads import parse_nquads, serialize_nquads
 from converg.store import Store, load_snapshot, render_bitmap, save_snapshot
@@ -286,6 +286,31 @@ def test_criterion_7_scaled_throughput(scaled):
         assert len(count_table.rows) == 100
         per_version = cfg.products * cfg.graphs
         assert all(int(c.lexical) == per_version for _v, c in count_table.rows)
+
+        # ratings in version 100 whose (product, rating) is in no graph of version 1
+        start = time.monotonic()
+        minus_table = execute_query(
+            store,
+            f"PREFIX vers: <urn:converg:vocab:>\n"
+            f"PREFIX bsbm: <{bsbm}>\n"
+            "SELECT ?vng ?s ?o WHERE {\n"
+            "  { GRAPH ?vng { ?s bsbm:v01/vocabulary/rating2 ?o . }\n"
+            "    ?vng vers:is-in-version <urn:converg:version:100> . }\n"
+            "  MINUS { GRAPH ?w { ?s bsbm:v01/vocabulary/rating2 ?o . }\n"
+            "    ?w vers:is-in-version <urn:converg:version:1> . }\n"
+            "}",
+        )
+        timings["cross-version-minus"] = time.monotonic() - start
+        rating2 = iri(bsbm + "v01/vocabulary/rating2")
+
+        def ratings(ordinal):
+            quads = generate_version(cfg, ordinal).quads
+            return {(q.graph, q.subject, q.object) for q in quads if q.predicate == rating2}
+
+        in_v1 = {(s, o) for _g, s, o in ratings(1)}
+        expected = sum((s, o) not in in_v1 for _g, s, o in ratings(100))
+        assert len(minus_table.rows) == expected > 0
+        assert timings["cross-version-minus"] < 5.0, f"cross-version MINUS {timings['cross-version-minus']:.1f}s"
 
         total = sum(timings.values())
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024

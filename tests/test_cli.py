@@ -150,6 +150,23 @@ def test_query_with_a_malformed_term_exits_1_without_a_traceback(tmp_path, query
     assert done.stderr.decode() == f"converg query: {message}\n"
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_query_with_a_raw_carriage_return_in_a_string_exits_1(tmp_path, source):
+    # A file reads with universal newlines, stdin as it comes: both refuse it.
+    store_dir = _setup_buildings(tmp_path)
+    query = b'SELECT ?s WHERE { ?s ?p "a\rb" . }'
+    path = tmp_path / "cr-in-string.rq"
+    path.write_bytes(query)
+    if source == "file":
+        done = _script(["query", store_dir, str(path)])
+    else:
+        done = _script(["query", store_dir, "-"], input=query)
+    assert done.returncode == 1
+    assert done.stdout == b""
+    assert b"Traceback" not in done.stderr
+    assert done.stderr.decode() == "converg query: line 1, column 25: unterminated string\n"
+
+
 @pytest.mark.parametrize(
     "option, value, message",
     [

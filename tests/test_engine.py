@@ -15,8 +15,10 @@ from conftest import (
     query_path,
     read_query,
 )
+import converg.engine as engine
 from converg.engine import (
     VersionedRows,
+    _bit_counts,
     _CondensedEvaluator,
     _group,
     _table,
@@ -39,6 +41,7 @@ from randcases import (
     check_against_oracle,
     check_output,
     folds,
+    random_query,
     random_store,
     random_wide_store,
     reference_output,
@@ -707,7 +710,7 @@ _LINK = "?vng <urn:converg:vocab:is-in-version> ?version ."
 _GROUPED_WITHOUT_EXPANSION = [
     f"SELECT ?{key} ({aggregate} AS ?a) WHERE {{ GRAPH ?vng {{ ?s ?p ?o . }} {_LINK} }} GROUP BY ?{key}"
     for key in ("version", "vng")
-    for aggregate in ("COUNT(DISTINCT ?s)", "SUM(?o)", "MAX(?vng)", "MIN(?version)")
+    for aggregate in ("COUNT(DISTINCT ?s)", "COUNT(DISTINCT ?o)", "SUM(?o)", "MAX(?vng)", "MIN(?version)")
 ] + [
     "SELECT ?vng ?version ?s ?n WHERE { GRAPH ?vng { { SELECT ?s (SUM(?o) AS ?n) "
     f"WHERE {{ ?s ?p ?o . }} GROUP BY ?s }} }} {_LINK} }}",
@@ -751,6 +754,49 @@ def test_distinct_version_count_never_exceeds_version_count():
     table = execute_query(store, text)
     for _graph, count in table.rows:
         assert int(count.lexical) <= store.version_count
+
+
+# ---------------------------------------------------------- bit counting
+
+
+def _per_bit_counts(bitmaps, width):
+    """COUNT at every bit position one set bit at a time: the loop that
+    `_bit_counts` replaced, kept as its reference."""
+    counts = [0] * width
+    for bits in bitmaps:
+        while bits:
+            low = bits & -bits
+            counts[low.bit_length() - 1] += 1
+            bits ^= low
+    return [literal(str(n), datatype=INTEGER) for n in counts]
+
+
+@pytest.mark.parametrize("width", [0, 1, 63, 64, 65, 130])
+def test_bit_counts_equal_the_per_bit_loop(width):
+    rng = random.Random(width)
+    for n in [0, 1, 2, 300] + [rng.randint(0, 300) for _ in range(20)]:
+        density = rng.choice([0.05, 0.5, 0.95])
+        bitmaps = [
+            sum(1 << i for i in range(width) if rng.random() < density) for _ in range(n)
+        ]
+        assert _bit_counts(bitmaps, width) == _per_bit_counts(bitmaps, width), (n, density)
+
+
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 130])
+def test_bit_counts_carry_across_planes(width):
+    # A run of 2**k - 1 equal bitmaps fills k planes; one more carries into
+    # plane k, at every position the bitmap sets.
+    rng = random.Random(width)
+    full = (1 << width) - 1
+    patterns = [full, 1 << (width - 1), full // 3, rng.getrandbits(width)]
+    for k in range(9):
+        for run in sorted({1, 2**k - 1, 2**k, 2**k + 1} - {0}):
+            for bits in patterns:
+                bitmaps = [bits] * run
+                assert _bit_counts(bitmaps, width) == _per_bit_counts(bitmaps, width), (run, bits)
+                # after other bitmaps, so the carry meets planes already set
+                mixed = [rng.getrandbits(width) for _ in range(5)] + bitmaps
+                assert _bit_counts(mixed, width) == _per_bit_counts(mixed, width), (run, bits)
 
 
 # ------------------------------------------------------------- differential
@@ -807,3 +853,39 @@ def test_differential_equivalence_wide_stores():
     rng = random.Random(6464)
     outcomes = Counter(run_differential_case(rng, wide=True) for _ in range(40))
     assert outcomes["ok"] > 0
+
+
+def _cross_version_minus(rng, store) -> str:
+    """A random query whose top-level MINUS subtracts a GRAPH ?w block, linked
+    to a version, from a GRAPH ?vng block."""
+    while True:
+        text = random_query(rng, store)
+        if "GRAPH ?vng {" in text and "GRAPH ?w {" in text:
+            return text
+
+
+def test_cross_version_minus_is_keyed_and_matches_the_oracle(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("MINUS compared rows pairwise")
+
+    rng = random.Random(1201)
+    wide = random_wide_store(random.Random(64))
+    cases = [random_store(rng)[0] for _ in range(200)] + [wide] * 40
+    outcomes = Counter()
+    for store in cases:
+        text = _cross_version_minus(rng, store)
+        query = _plan(text)
+        try:
+            expected = eval_oracle(list(store.export_flat()), query)
+        except EvalError:
+            expected = None
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "compatible", refuse)
+            if expected is None:
+                with pytest.raises(EvalError):
+                    execute_plan(store, query)
+                outcomes["error-agree"] += 1
+            else:
+                table = check_output(store, text, expected)
+                outcomes["rows" if table.rows else "empty"] += 1
+    assert outcomes["rows"] > 20, outcomes

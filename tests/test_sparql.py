@@ -288,6 +288,9 @@ def test_benchmark_style_aggregate_texts_parse():
         # a path of prefixed names is no subject or object
         ("PREFIX ex: <urn:ex:>\nSELECT ?s WHERE { ex:a/ex:b <urn:p> ?o . }", 2, 23, "expected a predicate"),
         ("PREFIX ex: <urn:ex:>\nSELECT ?s WHERE { ?s <urn:p> ex:a/ex:b . }", 2, 34, "expected a triple pattern"),
+        # STRING_LITERAL2 excludes a raw line feed and a raw carriage return
+        ('SELECT ?s WHERE { ?s ?p "a\nb" . }', 1, 25, "unterminated string"),
+        ('SELECT ?s WHERE { ?s ?p "a\rb" . }', 1, 25, "unterminated string"),
     ],
 )
 def test_malformed_query_terms_are_positioned_parse_errors(text, line, column, message):
