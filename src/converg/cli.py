@@ -172,12 +172,12 @@ def _vng_argument(text: str):
 
 def _cmd_query(args) -> int:
     store_dir, path = _resolve_positionals([args.store, args.file], ["store", "file"])
+    # The lexer ends a line at LF, CR or CRLF, so a file and stdin read alike.
     if path == "-":
         text = _decode(sys.stdin.buffer.read(), "stdin")
     else:
         with open(path, "rb") as fh:
-            # a query file reads with universal newlines, as in text mode
-            text = _decode(fh.read(), path).replace("\r\n", "\n").replace("\r", "\n")
+            text = _decode(fh.read(), path)
     with _StoreLock(store_dir, exclusive=False):
         store = load_snapshot(store_dir)
     table = execute_query(store, text)

@@ -6,7 +6,11 @@ class ConvergError(Exception):
 
 
 class ParseError(ConvergError):
-    """Syntax error in an N-Quads document or a query, with source position."""
+    """Syntax error in an N-Quads document or a query, with source position.
+
+    `expected` names the tokens that would have been accepted, for callers
+    that read it; the message already says so in words, and `str` shows
+    only the position and the message."""
 
     def __init__(self, message, line=None, column=None, expected=None):
         self.message = message
@@ -22,10 +26,7 @@ class ParseError(ConvergError):
             if self.column is not None:
                 where += f", column {self.column}"
             where += ": "
-        hint = ""
-        if self.expected:
-            hint = " (expected " + " or ".join(self.expected) + ")"
-        return f"{where}{self.message}{hint}"
+        return f"{where}{self.message}"
 
 
 class UnsupportedQueryError(ParseError):

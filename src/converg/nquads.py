@@ -9,12 +9,15 @@ byte is ``#`` are comments. UTF-8 only.
 terms separated by spaces or tabs, each an ``<iri>``, a ``_:label`` or a
 literal without escapes (optionally ``@tag`` or ``^^<iri>``), an optional
 graph IRI, then ``.`` and trailing spaces or tabs. Each distinct token is
-turned into a `Term` once per document, by the same constructors the
-scanner uses. Every other line (escapes, comments, blank lines, CR
-endings, a token a constructor rejects, malformed input) goes to the
-character scanner, so a `ParseError` carries the scanner's message, line
-and column. A line the fast path accepts is one the scanner accepts, with
-an equal `Quad`.
+turned into a `Term` once per process, by the same constructors the
+scanner uses: a memo of at most 65536 tokens (emptied when full) maps
+token text to its `Term`, so equal tokens in any two documents give the
+same object, which the store's dictionary then finds by identity. A token
+a constructor rejects is not remembered. Every other line (escapes,
+comments, blank lines, CR endings, a token a constructor rejects,
+malformed input) goes to the character scanner, so a `ParseError`
+carries the scanner's message, line and column. A line the fast path
+accepts is one the scanner accepts, with an equal `Quad`.
 """
 
 from __future__ import annotations
@@ -222,17 +225,17 @@ def parse_nquads(data, require_graph: bool = False) -> ParsedDocument:
             raise ParseError(f"input is not UTF-8: {exc}")
     doc = ParsedDocument()
     append = doc.quads.append
-    terms: dict[str, Term] = {}  # token text -> Term, for this document
+    terms = _TERMS
     for lineno, line in enumerate(data.split("\n"), start=1):
         match = _FAST_LINE(line)
         if match is not None:
             s, p, o, g = match.groups()
             if g is not None or not require_graph:
                 try:
-                    subject = terms.get(s) or _token_term(s, terms)
-                    predicate = terms.get(p) or _token_term(p, terms)
-                    obj = terms.get(o) or _token_term(o, terms)
-                    graph = None if g is None else terms.get(g) or _token_term(g, terms)
+                    subject = terms.get(s) or _token_term(s)
+                    predicate = terms.get(p) or _token_term(p)
+                    obj = terms.get(o) or _token_term(o)
+                    graph = None if g is None else terms.get(g) or _token_term(g)
                 except ValueError:
                     pass  # a token the scanner rejects too, and it says where
                 else:
@@ -244,8 +247,15 @@ def parse_nquads(data, require_graph: bool = False) -> ParsedDocument:
     return doc
 
 
-def _token_term(token: str, terms: dict[str, Term]) -> Term:
-    """The Term of one token `_FAST_LINE` matched, remembered in `terms`."""
+# Token text -> Term, shared by every document the process parses (Terms
+# are immutable). Emptied when it reaches the bound, so it stays small.
+_TERMS: dict[str, Term] = {}
+_TERMS_BOUND = 1 << 16
+
+
+def _token_term(token: str) -> Term:
+    """The Term of one token `_FAST_LINE` matched, remembered in `_TERMS`.
+    A token a constructor rejects raises ValueError and is not remembered."""
     if token[0] == "<":
         term = iri(token[1:-1])
     elif token[0] == "_":
@@ -259,7 +269,9 @@ def _token_term(token: str, terms: dict[str, Term]) -> Term:
             term = literal(token[1:close], language=suffix[1:])
         else:
             term = literal(token[1:close], datatype=suffix[3:-1])
-    terms[token] = term
+    if len(_TERMS) >= _TERMS_BOUND:
+        _TERMS.clear()
+    _TERMS[token] = term
     return term
 
 

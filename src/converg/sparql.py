@@ -13,7 +13,8 @@ number (with ``@lang`` or ``^^datatype``) becomes a literal ``Term``, and a
 predicate written as IRIs joined by ``/`` becomes a chain through fresh
 ``_pathN`` variables, numbered past every variable name the query spells.
 A term the ``Term`` constructors reject (an empty IRI, a malformed language
-tag) is a ``ParseError`` at its token's line and column.
+tag) is a ``ParseError`` at its token's line and column. LF, CR and CRLF
+each end a line and a ``#`` comment.
 
 A prefixed name's local part may contain ``/`` (as benchmark vocabularies
 sometimes do: ``bsbm:v01/vocabulary/rating2`` is one IRI). It ends before a
@@ -170,14 +171,15 @@ def _lex(text: str) -> list[_Token]:
 
     while i < n:
         ch = text[i]
-        if ch == "\n":
-            i, line, col = i + 1, line + 1, 1
+        if ch in "\n\r":  # LF, CR and CRLF each end one line
+            i += 2 if text.startswith("\r\n", i) else 1
+            line, col = line + 1, 1
             continue
-        if ch in " \t\r":
+        if ch in " \t":
             i, col = i + 1, col + 1
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
+        if ch == "#":  # a comment runs to the next LF or CR
+            while i < n and text[i] not in "\n\r":
                 i += 1
             continue
         start_line, start_col = line, col

@@ -117,9 +117,11 @@ def random_query(rng, store) -> str:
             return f"?{v}"
         return serialize_term(random_object(rng))
 
-    def link_object(predicate):
+    def link_object(predicate, plain=False):
+        """?version or ?graph, else (unless `plain`) another variable or a
+        constant that may not match."""
         roll = rng.random()
-        if roll < 0.7:
+        if plain or roll < 0.7:
             name = "version" if predicate == "is-in-version" else "graph"
         elif roll < 0.8:
             # may meet a variable of the GRAPH block, or an aggregate's alias
@@ -135,17 +137,19 @@ def random_query(rng, store) -> str:
         visible.add(name)
         return f"?{name}"
 
-    def version_text(variable=True):
-        """An existing version, one past the last, or (if `variable`) ?version."""
+    def version_text(variable=True, apart_from=None):
+        """An existing version (other than `apart_from` where there is one),
+        one past the last, or (if `variable`) ?version."""
         roll = rng.random()
         if variable and roll < 0.3:
             return "?version"
-        ordinal = rng.randint(1, store.version_count) if roll < 0.85 else store.version_count + 1
+        others = [n for n in range(1, store.version_count + 1) if n != apart_from]
+        ordinal = rng.choice(others or [apart_from]) if roll < 0.85 else store.version_count + 1
         return f"<urn:converg:version:{ordinal}>"
 
-    def link_block():
+    def link_block(plain=False):
         predicates = rng.sample(["is-in-version", "is-version-of"], rng.randint(1, 2))
-        links = " ; ".join(f"<urn:converg:vocab:{p}> {link_object(p)}" for p in predicates)
+        links = " ; ".join(f"<urn:converg:vocab:{p}> {link_object(p, plain)}" for p in predicates)
         return f"?vng {links} ."
 
     def bgp_text(max_patterns):
@@ -161,6 +165,31 @@ def random_query(rng, store) -> str:
                 subject = subject_text()
             lines.append(f"{subject} {predicate_text()} {object_text()} .")
         return " ".join(lines)
+
+    def anchored_bgp(quads):
+        """One or two patterns that match in the versioned graph of a quad
+        drawn from `quads`: their constants are that quad's terms, and a
+        second pattern, from the same graph, shares the first's subject."""
+        first = rng.choice(quads)
+        drawn = [first]
+        if rng.random() < 0.4:
+            same_subject = [q for q in quads if q.graph == first.graph and q.subject == first.subject]
+            drawn.append(rng.choice(same_subject))
+        subject, *objects = rng.sample(var_pool, 3)
+        visible.add(subject)
+        lines = []
+        for quad, obj in zip(drawn, objects):
+            predicate = serialize_term(quad.predicate)
+            if not lines and rng.random() < 0.15:
+                predicate = "?p"
+                visible.add("p")
+            if rng.random() < 0.5:
+                visible.add(obj)
+                obj = f"?{obj}"
+            else:
+                obj = serialize_term(quad.object)
+            lines.append(f"?{subject} {predicate} {obj} .")
+        return " ".join(lines), first.graph
 
     def hidden(text_of):
         """`text_of()` with the variables it binds kept out of `visible`;
@@ -234,25 +263,41 @@ def random_query(rng, store) -> str:
             # unknown or plain-graph IRI: must evaluate to empty, not error
             target = rng.choice(["<urn:converg:vng:999>", "<urn:g:1>"])
             target_is_var = False
-        inner = graph_inner("vng")
+        # Drawn before the left block, whose body depends on it.
+        minus_roll = rng.random() if rng.random() < 0.25 else None
+        anchor = None
+        if minus_roll is not None and minus_roll >= 0.65 and rng.random() < 0.85:
+            # the left of a cross-version MINUS mostly matches something:
+            # its constants come from a quad of the target graph
+            quads = [q for q in store.export_flat() if q.graph is not None]
+            if not target_is_var:
+                quads = [q for q in quads if f"<{q.graph.lexical}>" == target]
+            if quads:
+                inner, anchor = anchored_bgp(quads)
+        if anchor is None:
+            inner = graph_inner("vng")
         parts.append(f"GRAPH {target} {{ {inner} }}")
         if target_is_var and rng.random() < 0.6:
-            parts.append(link_block())
+            parts.append(link_block(plain=anchor is not None))
         right = None
-        if rng.random() < 0.25:
-            roll = rng.random()
-            if roll < 0.35:
-                right, _ = hidden(lambda: f"GRAPH ?vng2 {{ {bgp_text(2)} }}")
-            elif roll < 0.65:
-                right, _ = hidden(lambda: bgp_text(2))
-            else:
-                # a cross-version MINUS: another versioned graph, often with
-                # the left's body, linked to a version that is constant,
-                # unknown or the left's ?version
-                body = inner if rng.random() < 0.6 else hidden(lambda: bgp_text(2))[0]
-                right = f"GRAPH ?w {{ {body} }} ?w {IN_VERSION} {version_text()} ."
-                if target_is_var and rng.random() < 0.4:
-                    parts.append(f"?vng {IN_VERSION} {version_text(variable=False)} .")
+        if minus_roll is None:
+            pass
+        elif minus_roll < 0.35:
+            right, _ = hidden(lambda: f"GRAPH ?vng2 {{ {bgp_text(2)} }}")
+        elif minus_roll < 0.65:
+            right, _ = hidden(lambda: bgp_text(2))
+        else:
+            # a cross-version MINUS: another versioned graph, often with the
+            # left's body, linked to a version that is constant (apart from
+            # the left's, where that is constant), unknown or ?version
+            body = inner if rng.random() < 0.6 else hidden(lambda: bgp_text(2))[0]
+            left_version = None
+            if target_is_var and anchor is not None and rng.random() < 0.6:
+                left_version = store.resolve_vng(anchor)[1]
+                parts.append(f"?vng {IN_VERSION} <urn:converg:version:{left_version}> .")
+            elif target_is_var and rng.random() < 0.4:
+                parts.append(f"?vng {IN_VERSION} {version_text(variable=False)} .")
+            right = f"GRAPH ?w {{ {body} }} ?w {IN_VERSION} {version_text(apart_from=left_version)} ."
         pattern = " ".join(parts)
         if right is not None:
             pattern = f"{{ {pattern} }} MINUS {{ {right} }}"

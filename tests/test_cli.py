@@ -102,6 +102,26 @@ def test_query_file_reads_with_universal_newlines(tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 1 + 6
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_query_lines_end_at_a_bare_carriage_return_from_file_or_stdin(tmp_path, capsys, monkeypatch, source):
+    store_dir = _setup_buildings(tmp_path)
+
+    def run(query: bytes):
+        path = tmp_path / "query.rq"
+        path.write_bytes(query)
+        monkeypatch.setattr("sys.stdin", _stdin(query))
+        capsys.readouterr()
+        status = main(["query", store_dir, str(path) if source == "file" else "-"])
+        return status, capsys.readouterr()
+
+    status, out = run(b"# c\rSELECT ?s WHERE { GRAPH ?g { ?s ?p ?o . } }")
+    assert status == 0
+    assert len(out.out.splitlines()) == 1 + 6
+    status, out = run(b"# c\rSELECT ?s WHERE {\r\n ?s <urn:p> ] }")
+    assert status == 1
+    assert out.err == "converg query: line 3, column 13: expected an object\n"
+
+
 def test_query_unsupported_operator_exits_1(tmp_path, capsys):
     store_dir = _setup_buildings(tmp_path)
     bad = tmp_path / "bad.rq"

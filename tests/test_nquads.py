@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from converg import nquads
 from converg.errors import ParseError
 from converg.model import XSD, Quad, blank, iri, literal
 from converg.nquads import (
@@ -218,6 +219,8 @@ def _assert_same_as_scanner(line, require_graph):
     def document():
         return parse_nquads(line, require_graph=require_graph).quads
 
+    # The second parse finds the line's tokens in the process-wide memo.
+    assert _outcome(document) == _outcome(scanner), repr(line)
     assert _outcome(document) == _outcome(scanner), repr(line)
 
 
@@ -300,6 +303,40 @@ def test_repeated_tokens_share_one_term_per_document():
     first, second = doc.quads
     assert first.subject is second.object and first.predicate is second.predicate
     assert first.graph is second.graph
+
+
+def test_equal_tokens_in_two_documents_share_one_term():
+    line = '<urn:s> <urn:p> "7"^^<urn:dt> <urn:g> .\n_:b1 <urn:p> "x"@en <urn:g> .\n'
+    first = parse_nquads(line).quads
+    second = parse_nquads("# another document\n" + line).quads
+    assert first == second
+    for a, b in zip(first, second):
+        assert a.subject is b.subject and a.predicate is b.predicate
+        assert a.object is b.object and a.graph is b.graph
+
+
+def test_the_token_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(nquads, "_TERMS_BOUND", 4)
+    monkeypatch.setattr(nquads, "_TERMS", {})
+    text = "".join(f'<urn:s{i}> <urn:p> "{i}" <urn:g> .\n' for i in range(10))
+    quads = parse_nquads(text).quads
+    assert len(nquads._TERMS) <= 4
+    assert quads == [Quad(iri(f"urn:s{i}"), iri("urn:p"), literal(str(i)), iri("urn:g")) for i in range(10)]
+
+
+def test_a_rejected_token_fails_again_in_every_document():
+    # `<urn:a b>` has the fast path's shape, but no IRI holds a space: the
+    # constructor's error is not remembered, so each document falls through
+    # to the scanner and reports its own line and column.
+    bad = "<urn:s> <urn:p> <urn:a b> <urn:g> ."
+    assert _FAST_LINE(bad) is not None
+    with pytest.raises(ParseError) as exc:
+        parse_nquads(bad + "\n")
+    assert (exc.value.line, exc.value.column) == (1, 17)
+    with pytest.raises(ParseError) as exc:
+        parse_nquads("<urn:s> <urn:p> <urn:o> <urn:g> .\n\n\t" + bad + "\n")
+    assert (exc.value.line, exc.value.column) == (3, 18)
+    assert "IRI must be non-empty, without whitespace" in exc.value.message
 
 
 _iri_tokens = st.builds(lambda s: f"<{s}>", st.text("urn:ab#\"\u00e9 <>", max_size=6))

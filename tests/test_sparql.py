@@ -104,6 +104,27 @@ def test_syntax_error_carries_position():
     assert exc.value.column is not None
 
 
+@pytest.mark.parametrize("text", ["", "ASK {}", "  \n# only a comment\n"])
+def test_a_missing_select_states_the_expectation_once(text):
+    with pytest.raises(ParseError) as exc:
+        parse_query(text)
+    assert exc.value.expected == ("SELECT",)
+    assert str(exc.value).count("SELECT") == 1
+    assert str(exc.value).endswith(": expected SELECT")
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r", "\r\n"])
+def test_comments_and_lines_end_at_lf_cr_or_crlf(newline):
+    text = newline.join(
+        ["# a comment", "SELECT ?s # another", "WHERE { ?s <urn:p> ?o . }", "# last"]
+    )
+    q = parse_query(text)
+    assert q.projection == (SelectVar(Var("s")),)
+    with pytest.raises(ParseError) as exc:
+        parse_query(text.replace("?o .", "?o . ]"))
+    assert (exc.value.line, exc.value.column) == (3, 25)
+
+
 def test_aggregate_mixed_with_plain_needs_group_by():
     with pytest.raises(QueryValidationError, match="GROUP BY"):
         parse_query("SELECT ?s COUNT(?o) WHERE { ?s <urn:p> ?o . }")

@@ -163,6 +163,21 @@ def test_blank_nodes_are_scoped_per_load():
     assert store.stats().entry_count == 2
 
 
+def test_a_blank_term_shared_by_two_documents_is_rescoped_per_load():
+    # The parser hands both documents the same `_:b1` Term object; each load
+    # still gets its own blank node, and the raw label never reaches the store.
+    first = parse_nquads("_:b1 <urn:p> <urn:o> <urn:g> .\n<urn:s> <urn:p> _:b1 <urn:g> .\n")
+    second = parse_nquads("<urn:s> <urn:p> _:b1 <urn:g> .\n_:b1 <urn:p> <urn:o> <urn:g> .\n")
+    assert first.quads[0].subject is second.quads[0].object
+    store = Store()
+    store.ingest_version(first)
+    store.ingest_version(second)
+    terms = {store.dictionary.decode(tid) for e in store.entries for tid in e.key()}
+    assert {t for t in terms if t.is_blank} == {blank("v1b0"), blank("v2b0")}
+    assert blank("b1") not in set(store.dictionary)
+    assert store.stats().entry_count == 4
+
+
 def test_version_labels():
     store = Store()
     store.ingest_version(ParsedDocument(), label="first drop")
