@@ -9,11 +9,11 @@ shares with it, for any pair of domains. `GRAPH ?vng { ... }`, alone or
 joined with the linking metadata patterns on ?vng, stays condensed as
 `VersionedRows`: the links are resolved from each row's graph id and bits.
 Every GROUP BY folds over rows, by whole row or per bit (COUNT per version
-is bit-sliced addition of the rows' bitmaps). The output stage reads
-ungrouped top-level versioned rows condensed: a row's cells are serialized
-once, and only the ?vng and version cells change per set bit. Versioned
-rows expand only under MINUS, joined with a non-link pattern, or in an
-ungrouped sub-select.
+is bit-sliced addition of the rows' bitmaps). The output stage builds only
+text, reading ungrouped top-level versioned rows condensed: only the ?vng
+and version cells change per set bit. `ResultTable.rows` is decoded from
+the sorted lines on first read. Versioned rows expand only under MINUS,
+joined with a non-link pattern, or in an ungrouped sub-select.
 
 `eval_oracle` is the deliberately naive reference: it evaluates the same
 query over the flat quad list with nested loops, no dictionary, no indexes,
@@ -23,14 +23,11 @@ which is what the differential tests exercise.
 
 from __future__ import annotations
 
-import csv
-import io
-import logging
 from collections import Counter
 from itertools import repeat
 from dataclasses import dataclass
 from decimal import Decimal
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import EvalError, UnknownVngError
 from .model import (
@@ -59,8 +56,6 @@ from .sparql import (
     visible_vars,
 )
 from .store import Store, bit_for, bitmap_ordinals, render_bitmap
-
-logger = logging.getLogger(__name__)
 
 Solution = dict  # variable name -> Term
 
@@ -412,7 +407,8 @@ class _CondensedEvaluator:
         try:
             graph_id, ordinal = self.store.resolve_vng(node.target)
         except UnknownVngError:
-            logger.warning(
+            import logging  # here only: a query that warns nothing skips importing it
+            logging.getLogger(__name__).warning(
                 "GRAPH names %s, which is not a versioned graph; empty match",
                 serialize_term(node.target),
             )
@@ -693,14 +689,27 @@ def _project(store: Store, query: Query, rows, ctx):
 
 @dataclass
 class ResultTable:
+    """A query's answer, sorted. TSV and CSV are written from `lines` alone.
+    `rows` is decoded from them on first read, each cell text looked up in
+    `terms`: exact, since `serialize_term` is injective (the snapshot's DICT
+    section relies on that too) and no cell text holds a tab."""
+
     columns: tuple
-    rows: list  # tuples of Term-or-None, canonically sorted
     lines: list  # each row's N-Triples cell texts ("" for unbound), joined by tabs
+    terms: dict  # every cell text in `lines` -> its Term, "" -> None
+
+    @cached_property
+    def rows(self) -> list:
+        """Each line as a tuple of Term-or-None; kept after the first read."""
+        return [tuple(map(self.terms.__getitem__, line.split("\t"))) for line in self.lines]
 
     def to_tsv(self) -> str:
         return "\n".join(["\t".join(self.columns), *self.lines]) + "\n"
 
     def to_csv(self) -> str:
+        import csv
+        import io
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(self.columns)
@@ -709,24 +718,21 @@ class ResultTable:
 
 
 def _table(columns, result) -> ResultTable:
-    """The result table of `result`: `VersionedRows`, or a list of plain
-    solutions, each of which enters as a row with no per-bit column that
-    stands for one solution.
+    """The sorted result table of `result`: `VersionedRows`, or a list of
+    plain solutions (rows with no per-bit column, each one solution). Only
+    text is built: a row's cells are serialized once, and per set bit only
+    the ?vng and version cells change. Each term object is serialized once
+    and its text mapped back to it for `rows`; the memo is keyed by id(),
+    sound because the rows and the store keep every term alive for the call
+    (a Term key would hash and compare in Python).
 
-    A (binding, graph id, bits) row looks up the texts of the cells it binds
-    once; per set bit only the ?vng cell and the version cells change, so
-    each solution costs one tuple and one line. Each term object is
-    serialized once: the memo is keyed by id(), which is sound because the
-    rows and the store keep every term alive for the whole call (a Term key
-    would hash and compare in Python, no cheaper than serializing).
-
-    Rows are sorted on the tuple of their cell texts, "" for unbound. A
-    row's cells are joined by tabs and the lines sorted as strings. That is
-    the same order: no cell text holds a tab, and a text that is a proper
-    prefix of another ("a" of "a"@en, _:a of _:ab, "" of any) is continued
-    there by a character above the tab.
+    Rows sort on the tuple of their cell texts, "" for unbound: the order of
+    the lines as strings, since no cell text holds a tab and a text that is
+    a proper prefix of another ("a" of "a"@en, _:a of _:ab, "" of any) is
+    continued there by a character above the tab.
     """
     vng_at, version_at = None, []
+    texts, terms_of = {id(None): ""}, {"": None}
     if isinstance(result, VersionedRows):
         rows = result.rows
         if result.vng_var in columns:
@@ -736,38 +742,32 @@ def _table(columns, result) -> ResultTable:
         if version_at:
             versions = result.store.version_iris()
             version_texts = [serialize_term(v) for v in versions]
+            terms_of.update(zip(version_texts, versions))
     else:
         rows = zip(result, repeat(None), repeat(1))
-    texts = {id(None): ""}
-    out_rows, lines = [], []
+    lines = []
     for binding, graph_id, bits in rows:
         terms = list(map(binding.get, columns))
         for term in terms:
             if id(term) not in texts:
-                texts[id(term)] = serialize_term(term)
+                texts[id(term)] = text = serialize_term(term)
+                terms_of[text] = term
         cells = list(map(texts.__getitem__, map(id, terms)))
         if vng_at is None and not version_at:
-            row, line = tuple(terms), "\t".join(cells)
-            for _ in range(bits.bit_count()):
-                out_rows.append(row)
-                lines.append(line)
+            lines += ["\t".join(cells)] * bits.bit_count()
             continue
         for ordinal in bitmap_ordinals(bits):
             if vng_at is not None:
                 vng = vng_iri_for(graph_id, ordinal)
                 if id(vng) not in texts:
-                    texts[id(vng)] = serialize_term(vng)
-                terms[vng_at] = vng
+                    texts[id(vng)] = text = serialize_term(vng)
+                    terms_of[text] = vng
                 cells[vng_at] = texts[id(vng)]
             for i in version_at:
-                terms[i] = versions[ordinal - 1]
                 cells[i] = version_texts[ordinal - 1]
-            out_rows.append(tuple(terms))
             lines.append("\t".join(cells))
-    order = sorted(range(len(lines)), key=lines.__getitem__)
-    return ResultTable(
-        tuple(columns), list(map(out_rows.__getitem__, order)), list(map(lines.__getitem__, order))
-    )
+    lines.sort()
+    return ResultTable(tuple(columns), lines, terms_of)
 
 
 def execute_plan(store: Store, query: Query) -> ResultTable:

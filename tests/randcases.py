@@ -137,11 +137,11 @@ def random_query(rng, store) -> str:
         visible.add(name)
         return f"?{name}"
 
-    def version_text(variable=True, apart_from=None):
+    def version_text(variable=0.3, apart_from=None):
         """An existing version (other than `apart_from` where there is one),
-        one past the last, or (if `variable`) ?version."""
+        one past the last, or (with chance `variable`) ?version."""
         roll = rng.random()
-        if variable and roll < 0.3:
+        if roll < variable:
             return "?version"
         others = [n for n in range(1, store.version_count + 1) if n != apart_from]
         ordinal = rng.choice(others or [apart_from]) if roll < 0.85 else store.version_count + 1
@@ -289,15 +289,19 @@ def random_query(rng, store) -> str:
         else:
             # a cross-version MINUS: another versioned graph, often with the
             # left's body, linked to a version that is constant (apart from
-            # the left's, where that is constant), unknown or ?version
-            body = inner if rng.random() < 0.6 else hidden(lambda: bgp_text(2))[0]
+            # the left's, where that is constant), unknown or ?version. The
+            # left's body under ?version matches every left row again, in
+            # its own version, and removes them all: that is drawn rarely.
+            repeated = rng.random() < 0.6
+            body = inner if repeated else hidden(lambda: bgp_text(2))[0]
             left_version = None
             if target_is_var and anchor is not None and rng.random() < 0.6:
                 left_version = store.resolve_vng(anchor)[1]
                 parts.append(f"?vng {IN_VERSION} <urn:converg:version:{left_version}> .")
             elif target_is_var and rng.random() < 0.4:
-                parts.append(f"?vng {IN_VERSION} {version_text(variable=False)} .")
-            right = f"GRAPH ?w {{ {body} }} ?w {IN_VERSION} {version_text(apart_from=left_version)} ."
+                parts.append(f"?vng {IN_VERSION} {version_text(variable=0)} .")
+            version = version_text(0.05 if repeated else 0.3, apart_from=left_version)
+            right = f"GRAPH ?w {{ {body} }} ?w {IN_VERSION} {version} ."
         pattern = " ".join(parts)
         if right is not None:
             pattern = f"{{ {pattern} }} MINUS {{ {right} }}"

@@ -23,7 +23,7 @@ from conftest import (
 from converg.engine import execute_query
 from converg.gen import GenConfig, generate_version, write_version_files
 from converg.model import XSD, Quad, blank, iri, literal, version_iri
-from converg.nquads import parse_nquads, serialize_nquads
+from converg.nquads import parse_nquads, serialize_nquads, serialize_term
 from converg.store import Store, load_snapshot, render_bitmap, save_snapshot
 from randcases import random_store, run_differential_case
 
@@ -256,6 +256,7 @@ def test_criterion_7_scaled_throughput(scaled):
         assert stats.version_count == 100
 
         bsbm = "http://www4.wiwiss.fu-berlin.de/bizer/bsbm/"
+        rating2 = iri(bsbm + "v01/vocabulary/rating2")
         start = time.monotonic()
         max_table = execute_query(
             store,
@@ -301,7 +302,6 @@ def test_criterion_7_scaled_throughput(scaled):
             "}",
         )
         timings["cross-version-minus"] = time.monotonic() - start
-        rating2 = iri(bsbm + "v01/vocabulary/rating2")
 
         def ratings(ordinal):
             quads = generate_version(cfg, ordinal).quads
@@ -311,6 +311,32 @@ def test_criterion_7_scaled_throughput(scaled):
         expected = sum((s, o) not in in_v1 for _g, s, o in ratings(100))
         assert len(minus_table.rows) == expected > 0
         assert timings["cross-version-minus"] < 5.0, f"cross-version MINUS {timings['cross-version-minus']:.1f}s"
+
+        # every rating in every version, written as TSV
+        start = time.monotonic()
+        all_table = execute_query(
+            store,
+            f"PREFIX vers: <urn:converg:vocab:>\n"
+            f"PREFIX bsbm: <{bsbm}>\n"
+            "SELECT ?version ?subj ?obj WHERE {\n"
+            "  GRAPH ?vng { ?subj bsbm:v01/vocabulary/rating2 ?obj . }\n"
+            "  ?vng vers:is-in-version ?version .\n"
+            "}",
+        )
+        all_tsv = all_table.to_tsv()
+        timings["all-versions"] = time.monotonic() - start
+        assert len(all_table.lines) == cfg.products * cfg.graphs * cfg.versions == 500_000
+        assert all_tsv.startswith("version\tsubj\tobj\n") and all_tsv.count("\n") == 1 + 500_000
+        for ordinal in (1, 57, 100):
+            cell = f"<urn:converg:version:{ordinal}>\t"
+            produced = Counter(line for line in all_table.lines if line.startswith(cell))
+            generated = Counter(
+                cell + serialize_term(q.subject) + "\t" + serialize_term(q.object)
+                for q in generate_version(cfg, ordinal).quads
+                if q.predicate == rating2
+            )
+            assert produced == generated, ordinal
+        del all_table, all_tsv
 
         total = sum(timings.values())
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024

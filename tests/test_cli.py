@@ -134,10 +134,12 @@ def test_query_unsupported_operator_exits_1(tmp_path, capsys):
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 _ENTRY = "from converg.cli import script_entry; script_entry()"
-# The same entry, then the converg modules the command imported, on stderr.
+# The same entry, then the converg modules the command imported, and
+# `logging` and `csv` if it imported them, on stderr.
 _ENTRY_LISTING_MODULES = (
     "import atexit, sys\n"
-    "atexit.register(lambda: print(*sorted(m for m in sys.modules if m.startswith('converg.')), file=sys.stderr))\n"
+    "atexit.register(lambda: print(*sorted(m for m in sys.modules"
+    " if m.startswith('converg.') or m in ('logging', 'csv')), file=sys.stderr))\n"
     + _ENTRY
 )
 
@@ -229,10 +231,31 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     done = _script(
         ["query", store_dir, "-"],
         input=b"SELECT ?version WHERE { ?vng <urn:converg:vocab:is-in-version> ?version . }",
+        code=_ENTRY_LISTING_MODULES,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.decode().splitlines()[0] == "version"
     assert len(done.stdout.splitlines()) == 1 + 4  # two graphs in each of two versions
+    # A TSV answer with nothing to warn about needs neither logging nor csv.
+    loaded = set(done.stderr.decode().split())
+    assert "converg.engine" in loaded
+    assert loaded.isdisjoint({"logging", "csv"}), loaded
+
+
+def _refuse_rows(table):
+    raise AssertionError("the output stage decoded result rows")
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "csv"])
+def test_query_writes_golden_bytes_from_lines_without_decoding_rows(tmp_path, capsys, monkeypatch, fmt):
+    from converg.engine import ResultTable
+
+    monkeypatch.setattr(ResultTable, "rows", property(_refuse_rows))
+    store_dir = _setup_buildings(tmp_path)
+    capsys.readouterr()
+    assert main(["query", store_dir, query_path("all_versions.rq"), "--format", fmt]) == 0
+    with open(query_path(f"all_versions.{fmt}"), "r", encoding="utf-8", newline="") as fh:
+        assert capsys.readouterr().out == fh.read()
 
 
 def test_query_missing_file_exits_1(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import functools
+import logging
 import random
 from collections import Counter
 from decimal import Decimal
@@ -17,6 +18,7 @@ from conftest import (
 )
 import converg.engine as engine
 from converg.engine import (
+    ResultTable,
     VersionedRows,
     _bit_counts,
     _CondensedEvaluator,
@@ -554,12 +556,32 @@ FIXTURE_QUERIES = (
 )
 
 
+def _refuse_rows(table):
+    raise AssertionError("the output stage decoded result rows")
+
+
 @pytest.mark.parametrize("name", FIXTURE_QUERIES)
-def test_fixture_query_output_matches_golden(buildings_store, name):
-    table = execute_query(buildings_store, read_query(f"{name}.rq"))
-    for suffix, produced in (("tsv", table.to_tsv()), ("csv", table.to_csv())):
-        with open(query_path(f"{name}.{suffix}"), "r", encoding="utf-8", newline="") as fh:
-            assert produced == fh.read(), f"{name}.{suffix}"
+def test_fixture_query_output_matches_golden(buildings_store, monkeypatch, name):
+    # TSV and CSV are written from the lines alone: no row is decoded.
+    with monkeypatch.context() as patch:
+        patch.setattr(ResultTable, "rows", property(_refuse_rows))
+        table = execute_query(buildings_store, read_query(f"{name}.rq"))
+        for suffix, produced in (("tsv", table.to_tsv()), ("csv", table.to_csv())):
+            with open(query_path(f"{name}.{suffix}"), "r", encoding="utf-8", newline="") as fh:
+                assert produced == fh.read(), f"{name}.{suffix}"
+    # Read afterwards, the rows are the oracle's, in the order of the lines.
+    oracle = eval_oracle(list(buildings_store.export_flat()), _plan(read_query(f"{name}.rq")))
+    rows, tsv, _csv = reference_output(*oracle)
+    assert (table.rows, table.to_tsv()) == (rows, tsv)
+
+
+def test_unknown_vng_warns_through_the_engine_logger(buildings_store, caplog):
+    caplog.set_level(logging.WARNING, logger="converg.engine")
+    table = execute_query(buildings_store, "SELECT ?s WHERE { GRAPH <urn:converg:vng:99> { ?s ?p ?o . } }")
+    assert table.lines == [] and table.rows == []
+    assert [(r.name, r.getMessage()) for r in caplog.records] == [
+        ("converg.engine", "GRAPH names <urn:converg:vng:99>, which is not a versioned graph; empty match")
+    ]
 
 
 def test_result_rows_sort_on_the_tuple_of_cell_texts():
@@ -659,7 +681,11 @@ def test_result_table_matches_the_naive_reference_on_any_terms(rows, names, vers
     )
     table = _table(columns, vrows)
     expanded = vrows.expand(columns)
-    assert (table.rows, table.to_tsv(), table.to_csv()) == reference_output(columns, expanded)
+    rows, tsv, csv_text = reference_output(columns, expanded)
+    # Rows are decoded from the lines on first read, after the text is out,
+    # and kept.
+    assert (table.to_tsv(), table.to_csv(), table.rows) == (tsv, csv_text, rows)
+    assert table.rows is table.rows
 
 
 _LINKED = (
