@@ -154,17 +154,18 @@ def _match_bgp_in_graph(store: Store, patterns, graph_id: int, mask: int):
 
     Returns (binding, bits) rows with bits != 0; `mask` holds the versions
     in scope. Every row binds the variables of the patterns before, so a
-    pattern's constant ids and the positions it binds are resolved once.
-    An entry's terms are read off the term list by id: ingest encodes them
-    and `load_snapshot` range-checks them.
+    pattern's constant ids and the key positions it binds are resolved once.
+    `lookup_pattern` yields (key, bits) pairs, and a bound term is read off
+    the term list by its id in the (graph, s, p, o) key: ingest encodes
+    those ids and `load_snapshot` range-checks them.
     """
     lookup = store.dictionary.lookup
     terms = store.dictionary.terms
     rows = [({}, mask)]
     bound: set[str] = set()
     for pattern in patterns:
-        ids, joins, binds, repeats = [None, None, None], [], {}, []
-        for at, atom in enumerate((pattern.subject, pattern.predicate, pattern.object)):
+        ids, joins, binds, repeats = [graph_id, None, None, None], [], {}, []
+        for at, atom in enumerate((pattern.subject, pattern.predicate, pattern.object), 1):
             if not isinstance(atom, Var):
                 ids[at] = lookup(atom)
                 if ids[at] is None:
@@ -179,18 +180,17 @@ def _match_bgp_in_graph(store: Store, patterns, graph_id: int, mask: int):
         for binding, bits in rows:
             for at, name in joins:  # read off the term list, so its id is found
                 ids[at] = lookup(binding[name])
-            for entry in store.lookup_pattern(graph_id, *ids):
-                joined = bits & entry.bits
+            for key, entry_bits in store.lookup_pattern(*ids):
+                joined = bits & entry_bits
                 if not joined:
                     continue
-                found = (entry.subject, entry.predicate, entry.object)
-                if repeats and any(found[at] != found[first] for at, first in repeats):
+                if repeats and any(key[at] != key[first] for at, first in repeats):
                     continue
                 extended = binding
                 if binds:
                     extended = binding.copy()
                     for name, at in binds.items():
-                        extended[name] = terms[found[at]]
+                        extended[name] = terms[key[at]]
                 next_rows.append((extended, joined))
         rows = next_rows
         if not rows:

@@ -2,10 +2,14 @@
 
 Each distinct (graph, subject, predicate, object) gets one entry whose
 bitmap records the versions containing it: bit m-1 set means the quad was
-present in version m. Ingesting a version appends one bit position; graphs
-absent from a version simply contribute zeros. The flat form (one quad per
-set bit, graph renamed to the versioned-named-graph IRI, plus linking
-metadata in the default graph) is derivable at any time and round-trips.
+present in version m. In memory the entries are one insertion-ordered dict
+from the id key (graph id, subject id, predicate id, object id) to its
+bitmap int; the dict both stores and deduplicates them, and its order is
+the `ENTRIES` line order. Ingesting a version appends one bit position;
+graphs absent from a version simply contribute zeros. The flat form (one
+quad per set bit, graph renamed to the versioned-named-graph IRI, plus
+linking metadata in the default graph) is derivable at any time and
+round-trips.
 
 Concurrency: single writer. `ingest_version` and `save_snapshot` need
 exclusive access; queries only read and may run concurrently between writes.
@@ -69,20 +73,6 @@ def parse_bitmap(text: str) -> int:
 
 
 @dataclass
-class CondensedEntry:
-    """One (graph, s, p, o) with its version-presence bitmap."""
-
-    graph: int
-    subject: int
-    predicate: int
-    object: int
-    bits: int
-
-    def key(self) -> tuple[int, int, int, int]:
-        return (self.graph, self.subject, self.predicate, self.object)
-
-
-@dataclass
 class IngestReport:
     ordinal: int
     minted_vngs: list[VngRecord]
@@ -101,10 +91,20 @@ class StoreStats:
     metadata_triple_count: int
 
 
+EntryKey = tuple[int, int, int, int]  # (graph id, subject id, predicate id, object id)
+
+
 @dataclass
 class Store:
+    """Entries, dictionary, vng records and metadata of every version.
+
+    `entries` maps each entry's id key to its version bitmap. The graph,
+    graph-and-predicate and subject indexes hold those same key tuples, in
+    insertion order.
+    """
+
     dictionary: TermDictionary = field(default_factory=TermDictionary)
-    entries: list[CondensedEntry] = field(default_factory=list)
+    entries: dict[EntryKey, int] = field(default_factory=dict)
     vng_records: list[VngRecord] = field(default_factory=list)
     version_count: int = 0
     vng_counter: int = 0
@@ -112,15 +112,14 @@ class Store:
     user_metadata: list[tuple[Term, Term, Term]] = field(default_factory=list)
 
     def __post_init__(self):
-        self._entry_map: dict[tuple[int, int, int, int], int] = {}
-        self._by_graph: dict[int, list[int]] = {}
-        self._by_graph_pred: dict[tuple[int, int], list[int]] = {}
-        self._by_subject: dict[int, list[int]] = {}
+        self._by_graph: dict[int, list[EntryKey]] = {}
+        self._by_graph_pred: dict[tuple[int, int], list[EntryKey]] = {}
+        self._by_subject: dict[int, list[EntryKey]] = {}
         self._vng_by_iri: dict[Term, tuple[int, int]] = {}
         self._vng_by_pair: dict[tuple[int, int], Term] = {}
         self._minted: dict[int, int] = {}  # graph id -> bits of its vngs' versions
-        for pos, entry in enumerate(self.entries):
-            self._index_entry(pos, entry)
+        for key in self.entries:
+            self._index_entry(key)
         self._user_metadata_set = set(self.user_metadata)
         self._metadata: Optional[tuple[tuple[Term, Term, Term], ...]] = None  # built on first use
         self._version_iris: Optional[tuple[Term, ...]] = None  # built on first use
@@ -174,7 +173,6 @@ class Store:
 
         mask = bit_for(ordinal)
         entries = self.entries
-        entry_map = self._entry_map
         graph_order: dict[int, Term] = {}  # graph id -> graph, first-appearance order
         new_entries = 0
         duplicates = 0
@@ -194,17 +192,15 @@ class Store:
                 gid = term_id(g)
             graph_order.setdefault(gid, g)
             key = (gid, sid, pid, oid)
-            pos = entry_map.get(key)
-            if pos is None:
-                entry = CondensedEntry(gid, sid, pid, oid, mask)
-                pos = len(entries)
-                entries.append(entry)
-                self._index_entry(pos, entry)
+            old = entries.get(key)
+            if old is None:
+                entries[key] = mask
+                self._index_entry(key)
                 new_entries += 1
-            elif entries[pos].bits & mask:
+            elif old & mask:
                 duplicates += 1  # already seen in this document
             else:
-                entries[pos].bits |= mask
+                entries[key] = old | mask
         minted: list[VngRecord] = []
         for graph in graph_order.values():
             self.vng_counter += 1
@@ -278,13 +274,16 @@ class Store:
         subject: Optional[int] = None,
         predicate: Optional[int] = None,
         object: Optional[int] = None,
-    ) -> Iterator[CondensedEntry]:
-        """Entries of `graph` matching the other bound positions, in
-        insertion order."""
+    ) -> Iterator[tuple[EntryKey, int]]:
+        """(key, bits) of each entry of `graph` matching the other bound
+        positions, in insertion order; the key is the entry's
+        (graph, subject, predicate, object) id tuple."""
+        entries = self.entries
         if subject is not None and predicate is not None and object is not None:
-            pos = self._entry_map.get((graph, subject, predicate, object))
-            if pos is not None:
-                yield self.entries[pos]
+            key = (graph, subject, predicate, object)
+            bits = entries.get(key)
+            if bits is not None:
+                yield key, bits
             return
         if predicate is not None:
             candidates = self._by_graph_pred.get((graph, predicate), ())
@@ -292,15 +291,14 @@ class Store:
             candidates = self._by_subject.get(subject, ())
         else:
             candidates = self._by_graph.get(graph, ())
-        for pos in candidates:  # each already matches the predicate, if bound
-            entry = self.entries[pos]
-            if entry.graph != graph:  # the subject index spans every graph
+        for key in candidates:  # each already matches the predicate, if bound
+            if key[0] != graph:  # the subject index spans every graph
                 continue
-            if subject is not None and entry.subject != subject:
+            if subject is not None and key[1] != subject:
                 continue
-            if object is not None and entry.object != object:
+            if object is not None and key[3] != object:
                 continue
-            yield entry
+            yield key, entries[key]
 
     def minted_versions(self) -> dict[int, int]:
         """Graph id -> bits of the versions that minted a vng for it, in
@@ -324,12 +322,12 @@ class Store:
         """Every entry expanded over its set bits (graph renamed to the vng
         IRI), followed by all metadata triples as default-graph quads."""
         decode = self.dictionary.decode
-        for entry in self.entries:
-            s = decode(entry.subject)
-            p = decode(entry.predicate)
-            o = decode(entry.object)
-            for ordinal in bitmap_ordinals(entry.bits):
-                yield Quad(s, p, o, self._vng_by_pair[(entry.graph, ordinal)])
+        for (graph_id, sid, pid, oid), bits in self.entries.items():
+            s = decode(sid)
+            p = decode(pid)
+            o = decode(oid)
+            for ordinal in bitmap_ordinals(bits):
+                yield Quad(s, p, o, self._vng_by_pair[(graph_id, ordinal)])
         for s, p, o in self.metadata_graph():
             yield Quad(s, p, o, None)
 
@@ -343,25 +341,21 @@ class Store:
         graph_a, ord_a = self.resolve_vng(a)
         graph_b, ord_b = self.resolve_vng(b)
         decode = self.dictionary.decode
+        entries = self.entries
         result: set[tuple[Term, Term, Term]] = set()
         if graph_a == graph_b:
             want, avoid = bit_for(ord_a), bit_for(ord_b)
-            for pos in self._by_graph.get(graph_a, ()):
-                entry = self.entries[pos]
-                if entry.bits & want and not entry.bits & avoid:
-                    result.add((decode(entry.subject), decode(entry.predicate), decode(entry.object)))
+            for key in self._by_graph.get(graph_a, ()):
+                bits = entries[key]
+                if bits & want and not bits & avoid:
+                    result.add((decode(key[1]), decode(key[2]), decode(key[3])))
             return result
         mask_b = bit_for(ord_b)
-        present_b = {
-            (self.entries[pos].subject, self.entries[pos].predicate, self.entries[pos].object)
-            for pos in self._by_graph.get(graph_b, ())
-            if self.entries[pos].bits & mask_b
-        }
+        present_b = {key[1:] for key in self._by_graph.get(graph_b, ()) if entries[key] & mask_b}
         mask_a = bit_for(ord_a)
-        for pos in self._by_graph.get(graph_a, ()):
-            entry = self.entries[pos]
-            if entry.bits & mask_a and (entry.subject, entry.predicate, entry.object) not in present_b:
-                result.add((decode(entry.subject), decode(entry.predicate), decode(entry.object)))
+        for key in self._by_graph.get(graph_a, ()):
+            if entries[key] & mask_a and key[1:] not in present_b:
+                result.add((decode(key[1]), decode(key[2]), decode(key[3])))
         return result
 
     def stats(self) -> StoreStats:
@@ -370,7 +364,7 @@ class Store:
             graph_count=len(self._by_graph),
             vng_count=len(self.vng_records),
             entry_count=len(self.entries),
-            flat_quad_count=sum(e.bits.bit_count() for e in self.entries),
+            flat_quad_count=sum(bits.bit_count() for bits in self.entries.values()),
             metadata_triple_count=2 * len(self.vng_records) + len(self.user_metadata),
         )
 
@@ -382,19 +376,18 @@ class Store:
             and self.vng_counter == other.vng_counter
             and self.version_labels == other.version_labels
             and self.dictionary == other.dictionary
-            and [e.key() + (e.bits,) for e in self.entries]
-            == [e.key() + (e.bits,) for e in other.entries]
+            and list(self.entries.items()) == list(other.entries.items())
             and self.vng_records == other.vng_records
             and self.user_metadata == other.user_metadata
         )
 
     # -------------------------------------------------------------- internals
 
-    def _index_entry(self, pos: int, entry: CondensedEntry):
-        self._entry_map[entry.key()] = pos
-        self._by_graph.setdefault(entry.graph, []).append(pos)
-        self._by_graph_pred.setdefault((entry.graph, entry.predicate), []).append(pos)
-        self._by_subject.setdefault(entry.subject, []).append(pos)
+    def _index_entry(self, key: EntryKey):
+        graph_id, sid, pid, _ = key
+        self._by_graph.setdefault(graph_id, []).append(key)
+        self._by_graph_pred.setdefault((graph_id, pid), []).append(key)
+        self._by_subject.setdefault(sid, []).append(key)
 
     def _index_vng(self, rec: VngRecord):
         graph_id = self.dictionary.encode(rec.graph)
@@ -437,8 +430,8 @@ def save_snapshot(store: Store, directory) -> None:
         graph_id = store.dictionary.lookup(rec.graph)
         vng_lines.append(f"{counter}\t{graph_id}\t{rec.ordinal}")
     entry_lines = [
-        f"{e.graph}\t{e.subject}\t{e.predicate}\t{e.object}\t{render_bitmap(e.bits, store.version_count)}"
-        for e in store.entries
+        f"{g}\t{s}\t{p}\t{o}\t{render_bitmap(bits, store.version_count)}"
+        for (g, s, p, o), bits in store.entries.items()
     ]
     meta_lines = [
         f"{serialize_term(s)} {serialize_term(p)} {serialize_term(o)} ."
@@ -483,8 +476,10 @@ def load_snapshot(directory) -> Store:
     checksum_path = os.path.join(directory, "CHECKSUM")
     if not os.path.isfile(checksum_path):
         raise SnapshotError(f"no snapshot at {directory} (missing CHECKSUM)")
+    with open(checksum_path, "rb") as fh:
+        checksum_text = _decoded("CHECKSUM", fh.read())
     expected: dict[str, str] = {}
-    for line in _read_lines(checksum_path):
+    for line in checksum_text.splitlines():
         try:
             name, digest = line.split(" ", 1)
         except ValueError:
@@ -501,13 +496,15 @@ def load_snapshot(directory) -> Store:
             data = fh.read()
         if _digest(data) != expected[name]:
             raise SnapshotError(f"checksum mismatch for {name}")
-        raw[name] = data.decode("utf-8")
+        raw[name] = _decoded(name, data)
     return _rebuild(raw)
 
 
-def _read_lines(path: str) -> list[str]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return [line.rstrip("\n") for line in fh if line != ""]
+def _decoded(name: str, data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SnapshotError(f"{name} is not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
 def _rebuild(raw: dict[str, str]) -> Store:
@@ -572,30 +569,27 @@ def _rebuild(raw: dict[str, str]) -> Store:
         minted_bits[graph_id] = minted_bits.get(graph_id, 0) | bit_for(ordinal)
         records.append(VngRecord(mint_vng_iri(counter), graph, ordinal))
 
-    entries: list[CondensedEntry] = []
-    seen_keys: set[tuple[int, int, int, int]] = set()
+    entries: dict[EntryKey, int] = {}
     for lineno, line in enumerate(raw["ENTRIES"].splitlines()):
         try:
             g, s, p, o, bits_text = line.split("\t")
             if len(bits_text) != version_count:
                 raise ValueError("bitstring width mismatch")
             bits = parse_bitmap(bits_text)
-            entry = CondensedEntry(int(g), int(s), int(p), int(o), bits)
+            key = (int(g), int(s), int(p), int(o))
         except ValueError as exc:
             raise SnapshotError(f"ENTRIES line {lineno + 1} malformed: {exc}")
         if bits == 0:
             raise SnapshotError(f"ENTRIES line {lineno + 1} has an all-zero bitmap")
-        if bits & ~minted_bits.get(entry.graph, 0):
+        if bits & ~minted_bits.get(key[0], 0):
             raise SnapshotError(
                 f"ENTRIES line {lineno + 1} sets a version with no versioned graph for its graph"
             )
-        key = entry.key()
-        if key in seen_keys:
+        if key in entries:
             raise SnapshotError(f"ENTRIES line {lineno + 1} duplicates a quad key")
         if min(key) < 0 or max(key) >= term_count:
             raise SnapshotError(f"ENTRIES line {lineno + 1} names a term id outside the dictionary")
-        seen_keys.add(key)
-        entries.append(entry)
+        entries[key] = bits
 
     user_metadata: list[tuple[Term, Term, Term]] = []
     seen_meta: set[tuple[Term, Term, Term]] = set()

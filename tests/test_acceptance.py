@@ -71,10 +71,10 @@ def test_criterion_1_golden_condensation(tmp_path):
     with criterion("golden-condensation"):
         store = build_buildings_store()
         rendered = {}
-        for e in store.entries:
-            graph = store.dictionary.decode(e.graph).lexical.rsplit(":", 1)[-1]
-            obj = store.dictionary.decode(e.object).lexical
-            rendered[(graph, obj)] = render_bitmap(e.bits, 2)
+        for (g, _, _, o), bits in store.entries.items():
+            graph = store.dictionary.decode(g).lexical.rsplit(":", 1)[-1]
+            obj = store.dictionary.decode(o).lexical
+            rendered[(graph, obj)] = render_bitmap(bits, 2)
         assert rendered == {
             ("IGN", "11"): "10",
             ("IGN", "10.5"): "01",

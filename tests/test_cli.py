@@ -335,22 +335,25 @@ def test_corrupt_snapshot_exits_2(tmp_path, capsys):
     "name, old, new, message",
     [
         # graph id 2 is the literal "10.5"
-        ("VNG", "4\t7\t2\n", "4\t2\t2\n", "not an IRI"),
+        ("VNG", b"4\t7\t2\n", b"4\t2\t2\n", "not an IRI"),
         # Gr-Lyon entries keep their version-2 bits
-        ("VNG", "3\t3\t2\n", "", "no versioned graph"),
-        ("ENTRIES", "3\t0\t1\t2\t11\n", "3\t99999\t1\t2\t11\n", "ENTRIES line 1 names a term id outside the dictionary"),
+        ("VNG", b"3\t3\t2\n", b"", "no versioned graph"),
+        ("ENTRIES", b"3\t0\t1\t2\t11\n", b"3\t99999\t1\t2\t11\n", "ENTRIES line 1 names a term id outside the dictionary"),
+        ("ENTRIES", b"3\t0\t1\t2\t11\n", b"3\t0\t1\t2\t1\xff\n", "ENTRIES is not UTF-8: invalid start byte at byte 9"),
     ],
-    ids=["vng-graph-literal", "entry-bit-without-vng", "entry-term-outside-dictionary"],
+    ids=["vng-graph-literal", "entry-bit-without-vng", "entry-term-outside-dictionary", "entries-not-utf8"],
 )
 def test_inconsistent_snapshot_exits_2(tmp_path, capsys, name, old, new, message):
     store_dir = _setup_buildings(tmp_path)
     path = pathlib.Path(store_dir, name)
-    path.write_text(path.read_text().replace(old, new))
+    path.write_bytes(path.read_bytes().replace(old, new))
     rewrite_checksums(pathlib.Path(store_dir))
     capsys.readouterr()
     for command in (["stats", store_dir], ["export-flat", store_dir]):
         assert main(command) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
 
 def test_gen_writes_version_files(tmp_path, capsys):

@@ -875,7 +875,7 @@ def test_differential_equivalence_quick():
 def test_differential_equivalence_wide_stores():
     store = random_wide_store(random.Random(64))
     assert store.version_count > 64
-    assert any(entry.bits >> 64 for entry in store.entries)
+    assert any(bits >> 64 for bits in store.entries.values())
     rng = random.Random(6464)
     outcomes = Counter(run_differential_case(rng, wide=True) for _ in range(40))
     assert outcomes["ok"] > 0

@@ -71,9 +71,9 @@ def test_zero_change_rate_gives_all_ones_bitmaps():
     for ordinal in range(1, 5):
         store.ingest_version(generate_version(cfg, ordinal))
     rating_id = store.dictionary.lookup(RATING_PREDICATE)
-    rating_entries = [e for e in store.entries if e.predicate == rating_id]
-    assert len(rating_entries) == 6
-    assert all(render_bitmap(e.bits, 4) == "1111" for e in rating_entries)
+    rating_bits = [bits for (_, _, p, _), bits in store.entries.items() if p == rating_id]
+    assert len(rating_bits) == 6
+    assert all(render_bitmap(bits, 4) == "1111" for bits in rating_bits)
 
 
 def test_full_change_rate_density_is_near_uniform():
@@ -88,11 +88,11 @@ def test_full_change_rate_density_is_near_uniform():
     rating_id = store.dictionary.lookup(RATING_PREDICATE)
     slots = cfg.products * cfg.graphs * cfg.versions
     per_value: Counter = Counter()
-    for e in store.entries:
-        if e.predicate != rating_id:
+    for (_, _, p, o), bits in store.entries.items():
+        if p != rating_id:
             continue
-        value = store.dictionary.decode(e.object).lexical
-        per_value[value] += e.bits.bit_count()
+        value = store.dictionary.decode(o).lexical
+        per_value[value] += bits.bit_count()
     assert sum(per_value.values()) == slots
     span = cfg.rating_range[1] - cfg.rating_range[0] + 1
     uniform = 1.0 / span
@@ -116,8 +116,8 @@ def test_write_version_files(tmp_path):
     assert stats.flat_quad_count == 3 * 2 * 2 * 2
     integer = XSD + "integer"
     lo, hi = cfg.rating_range
-    for e in store.entries:
-        term = store.dictionary.decode(e.object)
+    for _, _, _, o in store.entries:
+        term = store.dictionary.decode(o)
         if term.is_literal and term.datatype == integer:
             assert lo <= int(term.lexical) <= hi
 

@@ -1,3 +1,4 @@
+import gc
 import os
 import random
 
@@ -17,6 +18,7 @@ from conftest import (
 )
 from converg.engine import execute_query
 from converg.errors import IngestError, SnapshotError, UnknownVngError
+from converg.gen import GenConfig, generate_version
 from converg.model import IS_IN_VERSION, IS_VERSION_OF, XSD, Quad, Term, blank, iri, literal
 from converg.nquads import ParsedDocument, parse_nquads, serialize_nquads, serialize_term
 from converg.store import (
@@ -91,7 +93,7 @@ def test_first_version_ingest():
         (iri("urn:converg:vng:2"), IGN),
     ]
     assert report.quad_count == 3 and report.new_entry_count == 3
-    assert all(render_bitmap(e.bits, 1) == "1" for e in store.entries)
+    assert all(render_bitmap(bits, 1) == "1" for bits in store.entries.values())
 
 
 def test_second_version_ingest(buildings_store):
@@ -101,17 +103,18 @@ def test_second_version_ingest(buildings_store):
     sid = store.dictionary.lookup(iri("urn:ex:bldg1"))
     pid = store.dictionary.lookup(HEIGHT)
     oid = store.dictionary.lookup(literal("10.5", datatype=DECIMAL))
-    (entry,) = store.lookup_pattern(gid, sid, pid, oid)
-    assert render_bitmap(entry.bits, 2) == "11"
+    ((key, bits),) = store.lookup_pattern(gid, sid, pid, oid)
+    assert key == (gid, sid, pid, oid)
+    assert render_bitmap(bits, 2) == "11"
 
 
 def test_condensed_bitstrings_match_expected(buildings_store):
     store = buildings_store
     rendered = {}
-    for e in store.entries:
-        g = store.dictionary.decode(e.graph).lexical.rsplit(":", 1)[-1]
-        o = store.dictionary.decode(e.object).lexical
-        rendered[(g, o)] = render_bitmap(e.bits, 2)
+    for (gid, _, _, oid), bits in store.entries.items():
+        g = store.dictionary.decode(gid).lexical.rsplit(":", 1)[-1]
+        o = store.dictionary.decode(oid).lexical
+        rendered[(g, o)] = render_bitmap(bits, 2)
     assert rendered == {
         ("IGN", "11"): "10",
         ("IGN", "10.5"): "01",
@@ -126,7 +129,7 @@ def test_ingest_empty_document():
     report = store.ingest_version(ParsedDocument())
     assert report.ordinal == 1
     assert report.minted_vngs == [] and report.new_entry_count == 0
-    assert store.version_count == 1 and store.entries == []
+    assert store.version_count == 1 and store.entries == {}
 
 
 def test_duplicates_within_document_collapse():
@@ -139,7 +142,7 @@ def test_duplicates_within_document_collapse():
 
 def test_default_graph_quads_are_rejected_atomically():
     store = build_buildings_store()
-    before_entries = [e.key() + (e.bits,) for e in store.entries]
+    before_entries = list(store.entries.items())
     bad = ParsedDocument(
         quads=[
             Quad(iri("urn:s"), iri("urn:p"), iri("urn:o"), iri("urn:g")),
@@ -149,7 +152,7 @@ def test_default_graph_quads_are_rejected_atomically():
     with pytest.raises(IngestError):
         store.ingest_version(bad)
     assert store.version_count == 2
-    assert [e.key() + (e.bits,) for e in store.entries] == before_entries
+    assert list(store.entries.items()) == before_entries
     assert len(store.vng_records) == 4
 
 
@@ -158,7 +161,7 @@ def test_blank_nodes_are_scoped_per_load():
     doc = "_:node <urn:p> <urn:o> <urn:g> .\n"
     store.ingest_version(parse_nquads(doc))
     store.ingest_version(parse_nquads(doc))
-    subjects = {store.dictionary.decode(e.subject) for e in store.entries}
+    subjects = {store.dictionary.decode(s) for _, s, _, _ in store.entries}
     assert subjects == {blank("v1b0"), blank("v2b0")}
     assert store.stats().entry_count == 2
 
@@ -172,7 +175,7 @@ def test_a_blank_term_shared_by_two_documents_is_rescoped_per_load():
     store = Store()
     store.ingest_version(first)
     store.ingest_version(second)
-    terms = {store.dictionary.decode(tid) for e in store.entries for tid in e.key()}
+    terms = {store.dictionary.decode(tid) for key in store.entries for tid in key}
     assert {t for t in terms if t.is_blank} == {blank("v1b0"), blank("v2b0")}
     assert blank("b1") not in set(store.dictionary)
     assert store.stats().entry_count == 4
@@ -194,8 +197,8 @@ def test_lookup_by_graph_and_predicate(buildings_store):
     gid = store.dictionary.lookup(GR_LYON)
     pid = store.dictionary.lookup(HEIGHT)
     heights = {
-        (store.dictionary.decode(e.subject).lexical, store.dictionary.decode(e.object).lexical)
-        for e in store.lookup_pattern(graph=gid, predicate=pid)
+        (store.dictionary.decode(s).lexical, store.dictionary.decode(o).lexical)
+        for (_, s, _, o), _ in store.lookup_pattern(graph=gid, predicate=pid)
     }
     assert heights == {("urn:ex:bldg1", "10.5"), ("urn:ex:bldg2", "9.1"), ("urn:ex:bldg3", "15")}
 
@@ -212,11 +215,11 @@ def test_lookup_fully_bound_and_unknown(buildings_store):
 
 def test_lookup_preserves_insertion_order(buildings_store):
     store = buildings_store
-    graph_ids = {e.graph for e in store.entries}
+    graph_ids = {key[0] for key in store.entries}
     assert len(graph_ids) == 2
     for gid in graph_ids:
-        positions = [e.key() for e in store.lookup_pattern(gid)]
-        assert positions == [e.key() for e in store.entries if e.graph == gid]
+        positions = [key for key, _ in store.lookup_pattern(gid)]
+        assert positions == [key for key in store.entries if key[0] == gid]
 
 
 # -------------------------------------------------------------- vng lookup
@@ -323,9 +326,9 @@ def test_diff_partition_property():
             mask = bit_for(rec.ordinal)
             gid = store.dictionary.lookup(rec.graph)
             return {
-                tuple(store.dictionary.decode(t) for t in (e.subject, e.predicate, e.object))
-                for e in store.lookup_pattern(graph=gid)
-                if e.bits & mask
+                tuple(store.dictionary.decode(t) for t in key[1:])
+                for key, bits in store.lookup_pattern(graph=gid)
+                if bits & mask
             }
 
         set_a, set_b = triples_of(a), triples_of(b)
@@ -393,9 +396,9 @@ def test_condensation_soundness_randomized():
         for m, doc_quads in enumerate(docs, start=1):
             expected = {(q.graph, q.subject, q.predicate, q.object) for q in doc_quads}
             assert flat_by_version[m] == expected
-        for entry in store.entries:
-            assert entry.bits != 0
-            assert entry.bits < (1 << store.version_count)
+        for bits in store.entries.values():
+            assert bits != 0
+            assert bits < (1 << store.version_count)
         minted_per_version: dict[int, int] = {}
         for rec in store.vng_records:
             minted_per_version[rec.ordinal] = minted_per_version.get(rec.ordinal, 0) + 1
@@ -524,6 +527,55 @@ def test_load_rejects_a_vng_graph_id_outside_the_dictionary(tmp_path, buildings_
     rewrite_checksums(tmp_path)
     with pytest.raises(SnapshotError, match="VNG line 4 names a term id outside the dictionary"):
         load_snapshot(tmp_path)
+
+
+# The golden ENTRIES lines: 3 0 1 2 11 / 3 4 1 5 10 / 7 0 1 6 10 / 3 8 1 9 01 / 7 0 1 2 01.
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("7\t0\t1\t2\t01\n", "7\t0\t1\t2\t01\n3\t0\t1\t2\t01\n", "ENTRIES line 6 duplicates a quad key"),
+        ("3\t4\t1\t5\t10\n", "3\t4\t1\t5\t00\n", "ENTRIES line 2 has an all-zero bitmap"),
+        ("7\t0\t1\t6\t10\n", "7\t0\t1\t6\t100\n", "ENTRIES line 3 malformed: bitstring width mismatch"),
+    ],
+    ids=["duplicate-key", "all-zero-bitmap", "width-mismatch"],
+)
+def test_load_rejects_inconsistent_entries(tmp_path, buildings_store, old, new, message):
+    save_snapshot(buildings_store, tmp_path)
+    entries = (tmp_path / "ENTRIES").read_text()
+    assert old in entries
+    (tmp_path / "ENTRIES").write_text(entries.replace(old, new))
+    rewrite_checksums(tmp_path)
+    with pytest.raises(SnapshotError, match=message):
+        load_snapshot(tmp_path)
+
+
+@pytest.mark.parametrize("name", ["MANIFEST", "DICT", "VNG", "ENTRIES", "META", "CHECKSUM"])
+def test_load_rejects_a_file_that_is_not_utf8(tmp_path, buildings_store, name):
+    save_snapshot(buildings_store, tmp_path)
+    with open(tmp_path / name, "ab") as fh:
+        fh.write(b"\xff\n")
+    if name != "CHECKSUM":
+        rewrite_checksums(tmp_path)  # the digest matches, so decoding is what fails
+    with pytest.raises(SnapshotError, match=f"{name} is not UTF-8: invalid start byte at byte "):
+        load_snapshot(tmp_path)
+
+
+def test_an_open_store_holds_no_tracked_object_per_entry(tmp_path):
+    # Entries are int tuples and ints, which the collector stops tracking;
+    # only the per-graph and per-subject index lists and the terms remain.
+    cfg = GenConfig(products=100, graphs=4, versions=30, change_rate=0.1, seed=3)
+    store = Store()
+    for ordinal in range(1, cfg.versions + 1):
+        store.ingest_version(generate_version(cfg, ordinal))
+    save_snapshot(store, tmp_path)
+    del store
+    gc.collect()
+    before = len(gc.get_objects())
+    loaded = load_snapshot(tmp_path)
+    gc.collect()
+    grown = len(gc.get_objects()) - before
+    assert len(loaded.entries) == 1931
+    assert grown < len(loaded.entries) // 2
 
 
 def test_snapshot_preserves_labels_and_user_metadata(tmp_path):
