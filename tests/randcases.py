@@ -33,6 +33,8 @@ PREDICATE_POOL = [iri(f"urn:p:{i}") for i in (1, 2, 3)]
 OBJECT_IRIS = [iri("urn:o:1"), iri("urn:o:2"), iri("urn:converg:vng:1"), iri("urn:converg:version:2")]
 WORDS = ["red", "green", "blue", "sensor"]
 IN_VERSION = "<urn:converg:vocab:is-in-version>"
+TAG = iri("urn:ex:tag")
+WEIGHT = iri("urn:ex:weight")
 
 
 def random_object(rng, numeric_only=False):
@@ -88,6 +90,26 @@ def random_wide_store(rng):
             )
         store.ingest_version(ParsedDocument(quads=list(quads)))
     return store
+
+
+def random_metadata(rng, store):
+    """User metadata on the versions and vngs of `store`: a tag "A" or "B"
+    on most version IRIs (now and then both) and on some vng IRIs, and a
+    decimal weight on some of each."""
+    triples = []
+    for version in store.version_iris():
+        if rng.random() < 0.85:
+            tags = "AB" if rng.random() < 0.15 else rng.choice("AB")
+            triples += [(version, TAG, literal(tag)) for tag in tags]
+        if rng.random() < 0.4:
+            weight = rng.choice(["0.5", "1.25", "2", "3.0"])
+            triples.append((version, WEIGHT, literal(weight, datatype=XSD + "decimal")))
+    for rec in store.vng_records:
+        if rng.random() < 0.25:
+            triples.append((rec.vng_iri, TAG, literal(rng.choice("AB"))))
+        if rng.random() < 0.25:
+            triples.append((rec.vng_iri, WEIGHT, literal(rng.choice(["0.5", "2"]), datatype=XSD + "decimal")))
+    store.add_metadata(triples)
 
 
 def random_query(rng, store) -> str:
@@ -243,6 +265,28 @@ def random_query(rng, store) -> str:
         visible.add("h")
         return f"GRAPH ?h {{ {graph_inner('h', nested=True)} }}"
 
+    def metadata_pattern(subject):
+        """A user-metadata pattern on ?`subject`: its tag or weight, to a
+        variable or to a constant."""
+        roll = rng.random()
+        if roll < 0.35:
+            visible.add("tag")
+            return f"?{subject} <{TAG.lexical}> ?tag ."
+        if roll < 0.7:
+            return f'?{subject} <{TAG.lexical}> "{rng.choice("AB")}" .'
+        visible.add("wt")
+        return f"?{subject} <{WEIGHT.lexical}> ?wt ."
+
+    def repeating_versions():
+        """A sub-SELECT that projects ?version alone, so that one version
+        comes back once per tag, or once per versioned graph and match."""
+        if rng.random() < 0.6:
+            body = f"?version <{TAG.lexical}> ?tag ."
+        else:
+            body, _ = hidden(lambda: f"GRAPH ?g3 {{ {bgp_text(1)} }} ?g3 {IN_VERSION} ?version .")
+        visible.add("version")
+        return f"{{ SELECT ?version WHERE {{ {body} }} }}"
+
     shape = rng.random()
     if shape < 0.12:
         # metadata-only query against the default graph
@@ -251,6 +295,8 @@ def random_query(rng, store) -> str:
         other = "version" if predicate == "is-in-version" else "graph"
         visible.add(other)
         pattern = f"?vng <urn:converg:vocab:{predicate}> ?{other} ."
+        if rng.random() < 0.4:
+            pattern += " " + metadata_pattern(rng.choice(["vng", other]))
     else:
         parts = []
         if rng.random() < 0.78 or not store.vng_records:
@@ -279,27 +325,48 @@ def random_query(rng, store) -> str:
         parts.append(f"GRAPH {target} {{ {inner} }}")
         if target_is_var and rng.random() < 0.6:
             parts.append(link_block(plain=anchor is not None))
+        if target_is_var and rng.random() < 0.08:
+            # an ungrouped sub-select over the block, which may project the
+            # graph variable away
+            columns = rng.sample(sorted(visible), rng.randint(1, len(visible)))
+            parts = [f"{{ SELECT {' '.join('?' + c for c in columns)} WHERE {{ {' '.join(parts)} }} }}"]
+            visible.clear()
+            visible.update(columns)
+        if target_is_var and rng.random() < 0.3:
+            parts.append(metadata_pattern("version" if "version" in visible else "vng"))
+        if target_is_var and store.version_count <= 4 and rng.random() < 0.05:
+            # a second graph variable, joined in the default graph
+            visible.add("g2")
+            parts.append(f"GRAPH ?g2 {{ {bgp_text(1)} }}")
+        if "version" in visible and rng.random() < 0.1:
+            parts.append(repeating_versions())
         right = None
         if minus_roll is None:
             pass
         elif minus_roll < 0.35:
             right, _ = hidden(lambda: f"GRAPH ?vng2 {{ {bgp_text(2)} }}")
-        elif minus_roll < 0.65:
+        elif minus_roll < 0.5:
             right, _ = hidden(lambda: bgp_text(2))
+        elif minus_roll < 0.65:
+            right, _ = hidden(lambda: metadata_pattern(rng.choice(["version", "vng"])))
         else:
             # a cross-version MINUS: another versioned graph, often with the
             # left's body, linked to a version that is constant (apart from
             # the left's, where that is constant), unknown or ?version. The
             # left's body under ?version matches every left row again, in
             # its own version, and removes them all: that is drawn rarely.
+            # The left may link its own ?vng to a constant or to ?version.
             repeated = rng.random() < 0.6
             body = inner if repeated else hidden(lambda: bgp_text(2))[0]
             left_version = None
             if target_is_var and anchor is not None and rng.random() < 0.6:
                 left_version = store.resolve_vng(anchor)[1]
                 parts.append(f"?vng {IN_VERSION} <urn:converg:version:{left_version}> .")
-            elif target_is_var and rng.random() < 0.4:
-                parts.append(f"?vng {IN_VERSION} {version_text(variable=0)} .")
+            elif target_is_var and rng.random() < 0.6:
+                linked = version_text(variable=0.5)
+                if linked == "?version":
+                    visible.add("version")
+                parts.append(f"?vng {IN_VERSION} {linked} .")
             version = version_text(0.05 if repeated else 0.3, apart_from=left_version)
             right = f"GRAPH ?w {{ {body} }} ?w {IN_VERSION} {version} ."
         pattern = " ".join(parts)
@@ -310,12 +377,21 @@ def random_query(rng, store) -> str:
     if rng.random() < 0.3:
         linked = [v for v in ("version", "graph", "vng") if v in visible]
         per_bit = [v for v in ("version", "vng") if v in visible]
+        func = rng.choice(["COUNT", "COUNT", "MAX", "MIN", "SUM"])
+        if "wt" in visible and rng.random() < 0.5:
+            func = "SUM"
+        distinct = "DISTINCT " if func == "COUNT" and rng.random() < 0.4 else ""
+        if func == "SUM" and "wt" in visible and rng.random() < 0.8:
+            arg_var = "wt"  # decimal weights
+        elif distinct and "version" in visible and rng.random() < 0.7:
+            arg_var = "version"  # the versions a group covers
+        else:
+            arg_var = rng.choice(per_bit if per_bit and rng.random() < 0.35 else ordered)
+        if rng.random() < (0.5 if arg_var == "version" else 0.25):  # one group of every row
+            return f"SELECT {func}({distinct}?{arg_var}) WHERE {{ {pattern} }}"
         group_vars = [rng.choice(linked if linked and rng.random() < 0.6 else ordered)]
         if len(ordered) > 1 and rng.random() < 0.2:
             group_vars.append(rng.choice([v for v in ordered if v != group_vars[0]]))
-        arg_var = rng.choice(per_bit if per_bit and rng.random() < 0.35 else ordered)
-        func = rng.choice(["COUNT", "COUNT", "MAX", "MIN", "SUM"])
-        distinct = "DISTINCT " if func == "COUNT" and rng.random() < 0.4 else ""
         keys = " ".join(f"?{v}" for v in group_vars)
         return (
             f"SELECT {keys} {func}({distinct}?{arg_var}) "
@@ -380,10 +456,11 @@ def run_differential_case(rng, wide=None) -> str:
     """One random (store, query) case; asserts engine == oracle, for the
     solutions and for the output rows and bytes. About one case in thirty
     (or every case, with `wide=True`) uses a store of more than 64
-    versions."""
+    versions. The store gets user metadata on its versions and vngs."""
     if wide is None:
         wide = rng.random() < 1 / 30
     store = random_wide_store(rng) if wide else random_store(rng)[0]
+    random_metadata(rng, store)
     text = random_query(rng, store)
     query = validate_and_name(parse_query(text))
     flat = list(store.export_flat())
