@@ -1,19 +1,18 @@
 """Query evaluation over the condensed store.
 
-Every pattern evaluates to (solution, bits) rows: a solution of term
-bindings and the bitmap of the versions it holds in. Inside GRAPH a basic
-graph pattern is matched once per named graph while the version dimension
-stays a bitmap. A join ANDs the bits of compatible rows and MINUS clears
-them; both key the right rows of each domain on the variables a left row
-shares with it, for any pair of domains. `GRAPH ?vng { ... }`, alone or
-joined with the linking metadata patterns on ?vng, stays condensed as
-`VersionedRows`: the links are resolved from each row's graph id and bits.
-Every GROUP BY folds over rows, by whole row or per bit (COUNT per version
-is bit-sliced addition of the rows' bitmaps). The output stage builds only
-text, reading ungrouped top-level versioned rows condensed: only the ?vng
-and version cells change per set bit. `ResultTable.rows` is decoded from
-the sorted lines on first read. Versioned rows expand only under MINUS,
-joined with a non-link pattern, or in an ungrouped sub-select.
+Every pattern evaluates to `Rows`: (binding, graph id, bits) rows, plain
+or versioned (see `Rows`). Inside GRAPH a basic graph pattern is matched
+once per named graph while the version dimension stays a bitmap. In the
+default graph a link pattern (`?vng is-in-version X`, `?vng is-version-of
+X`) is read off the minted versions, one row per graph id, and meets GRAPH
+in an ordinary join. Join and MINUS key the right rows on the variables a
+left row shares with them; a value on one side of a variable per-bit on
+the other masks the row's bits, so metadata joins and MINUS on ?version
+stay condensed. Only `Rows.flat` expands, where two bit dimensions meet.
+GROUP BY folds over rows, by whole row or per bit (COUNT per version is
+bit-sliced addition of bitmaps), and the output stage builds only text:
+per set bit, only the ?vng and version cells change. `ResultTable.rows` is
+decoded from the sorted lines on first read.
 
 `eval_oracle` is the deliberately naive reference: it evaluates the same
 query over the flat quad list with nested loops, no dictionary, no indexes,
@@ -24,7 +23,6 @@ which is what the differential tests exercise.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import repeat
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import cached_property, lru_cache
@@ -63,105 +61,174 @@ _XSD_INTEGER = XSD + "integer"
 _XSD_DECIMAL = XSD + "decimal"
 
 
-# --------------------------------------------------------------- solutions
+# -------------------------------------------------------------------- rows
 
 
-def compatible(a: Solution, b: Solution) -> bool:
-    for name, value in a.items():
-        other = b.get(name)
-        if other is not None and other != value:
-            return False
-    return True
+def _version_bit(store: Store, term: Term) -> int:
+    """The bit of the existing version `term` names; 0 for any other term."""
+    if term.is_iri and term.lexical.startswith(VERSION_NS):
+        digits = term.lexical[len(VERSION_NS):]
+        if digits.isdecimal():
+            ordinal = int(digits)
+            if 1 <= ordinal <= store.version_count and store.version_iris()[ordinal - 1] == term:
+                return bit_for(ordinal)
+    return 0
 
 
-def merge(a: Solution, b: Solution) -> Solution:
-    out = dict(a)
-    out.update(b)
-    return out
+@dataclass
+class Rows:
+    """A pattern's solutions, condensed into (binding, graph id, bits) rows.
+
+    A plain row (no `vng_var`, graph id None) stands for its binding once
+    in each version of its context whose bit it carries; in the default
+    graph, which has no versions, every plain row carries -1. A versioned
+    row stands for one solution per set bit m, each holding throughout its
+    context: the binding, plus `vng_var` bound to the versioned graph
+    (graph id, m) and each of `version_vars` bound to version m. Bits lie
+    within the versions that minted a vng for the graph id, and a binding
+    never holds a per-bit variable.
+    """
+
+    store: Store
+    rows: list
+    vng_var: str | None = None
+    version_vars: tuple = ()
+
+    @property
+    def per_bit(self) -> set[str]:
+        """The variables whose value changes with the bit position."""
+        return {self.vng_var, *self.version_vars} - {None}
+
+    def value(self, binding: Solution, graph_id, ordinal: int, name: str):
+        """What `name` is bound to at bit `ordinal` of a row; None if unbound."""
+        if name == self.vng_var:
+            return self.store.vng_iri_for(graph_id, ordinal)
+        if name in self.version_vars:
+            return self.store.version_iris()[ordinal - 1]
+        return binding.get(name)
+
+    def pin(self, name: str, term: Term) -> tuple:
+        """(graph id, bits) at which the per-bit `name` takes the value
+        `term`: a version IRI is its bit in any graph (graph id None), a vng
+        IRI its bit in its own graph, any other term no bit."""
+        if name != self.vng_var:
+            return None, _version_bit(self.store, term)
+        try:
+            graph_id, ordinal = self.store.resolve_vng(term)
+        except UnknownVngError:
+            return None, 0
+        return graph_id, bit_for(ordinal)
+
+    def flat(self, scope: int) -> Rows:
+        """Plain rows, one per solution, each holding throughout `scope`:
+        the one expansion, for where a second bit dimension meets these."""
+        per_bit = self.per_bit
+        rows = []
+        for binding, graph_id, bits in self.rows:
+            for ordinal in bitmap_ordinals(bits):
+                solution = dict(binding)
+                for name in per_bit:
+                    solution[name] = self.value(binding, graph_id, ordinal, name)
+                rows.append((solution, None, scope))
+        return Rows(self.store, rows)
 
 
-def _extend(binding: Solution, name: str, term: Term):
-    existing = binding.get(name)
-    if existing is None:
-        out = dict(binding)
-        out[name] = term
-        return out
-    return binding if existing == term else None
+def _add_layer(layers: list, mask: int) -> None:
+    """Count `mask` into `layers`, where layer i holds the bits that more
+    than i of the masks counted so far hold."""
+    for i, layer in enumerate(layers):
+        layers[i] = layer | mask
+        mask &= layer
+        if not mask:
+            return
+    layers.append(mask)
 
 
-def _by_domain(rows) -> dict:
-    """(solution, bits) rows grouped by domain: the variables they bind."""
-    out: dict[frozenset, list] = {}
-    for row in rows:
-        out.setdefault(frozenset(row[0]), []).append(row)
-    return out
-
-
-def eval_join(left: list, right: list) -> list:
-    """Natural join of (solution, bits) rows: compatible rows merge and
-    their bits AND; a pair that shares no version is dropped. Multiplicity
-    is the product of multiplicities. One index per right domain and the
-    variables a left row shares with it maps their values to its rows."""
-    domains = _by_domain(right)
-    indexes: dict[tuple, dict] = {}
-    out = []
-    for l, l_bits in left:
-        for domain, rows in domains.items():
-            key_vars = tuple(sorted(domain.intersection(l)))
-            index = indexes.get((domain, key_vars))
-            if index is None:
-                index = indexes[domain, key_vars] = {}
-                for r in rows:
-                    index.setdefault(tuple(r[0][v] for v in key_vars), []).append(r)
-            for r, r_bits in index.get(tuple(l[v] for v in key_vars), ()):
-                if l_bits & r_bits:
-                    out.append((merge(l, r), l_bits & r_bits))
-    return out
-
-
-def eval_minus(left: list, right: list) -> list:
-    """Clear from each left (solution, bits) row the bits of every right
-    row that is compatible with it and shares at least one bound variable;
-    a row left with no bits is dropped. For each right domain and the
-    variables a left row shares with it, one index maps the shared values
-    to the OR of the bits of the right rows that hold them."""
-    domains = _by_domain(right)
-    indexes: dict[tuple, dict] = {}
-    out = []
-    for row in left:
-        l, bits = row
-        for domain, rows in domains.items():
-            key_vars = tuple(sorted(domain.intersection(l)))
-            if not key_vars:
+def _fold(left: Rows, right: Rows, domain: frozenset, rows, key_vars):
+    """The right `rows` of one `domain`, indexed on their values of
+    `key_vars`, and on their graph id where it must equal the left row's.
+    A right value of a variable per-bit on the left is a mask, and the
+    rows then fold per binding into layers, one per repeat, so that
+    multiplicity holds. Returns (shares a per-bit variable, by graph,
+    index: key -> [(binding, layers)])."""
+    pins = list(domain.intersection(left.per_bit))
+    by_graph = right.vng_var is not None or left.vng_var in pins
+    index: dict = {}
+    folds: dict = {}  # (key, binding items) -> its layers, where rows fold
+    for binding, graph_id, bits in rows:
+        rest = binding
+        if pins:
+            rest = {name: term for name, term in binding.items() if name not in pins}
+            for name in pins:
+                pinned_graph, pinned_bits = left.pin(name, binding[name])
+                bits &= pinned_bits
+                graph_id = graph_id if pinned_graph is None else pinned_graph
+            if not bits:
                 continue
+        key = tuple(binding[v] for v in key_vars)
+        key = (graph_id, *key) if by_graph else key
+        slot = (key, *rest.items()) if pins else None  # unfolded without pins
+        if slot in folds:
+            _add_layer(folds[slot], bits)
+            continue
+        layers = [bits]
+        if pins:
+            folds[slot] = layers
+        index.setdefault(key, []).append((rest, layers))
+    return bool(pins) or right.vng_var is not None, by_graph, index
+
+
+def _meet(left: Rows, right: Rows):
+    """Each left row with the right rows it is compatible with: yields
+    (row, rest, mask, matches), `matches` holding per right domain (shared,
+    [(binding, layers)]) for the folded right rows that agree with the row
+    on every variable both bind; `shared` is whether they share a variable.
+    A left value of a variable per-bit on the right is `mask`, and `rest`
+    is the binding without it. `right` is plain or has the left's graph
+    variable."""
+    domains: dict[frozenset, list] = {}
+    for row in right.rows:
+        domains.setdefault(frozenset(row[0]), []).append(row)
+    right_per_bit = right.per_bit
+    indexes: dict[tuple, tuple] = {}
+    for row in left.rows:
+        binding, graph_id, _bits = row
+        rest, mask = binding, -1
+        pinned = [name for name in right_per_bit if name in binding] if right_per_bit else ()
+        if pinned:
+            rest = {name: term for name, term in binding.items() if name not in right_per_bit}
+            for name in pinned:
+                pinned_graph, pinned_bits = right.pin(name, binding[name])
+                mask &= pinned_bits if pinned_graph in (None, graph_id) else 0
+        matches = []
+        for domain, rows in domains.items():
+            key_vars = tuple(sorted(domain.intersection(binding)))
             index = indexes.get((domain, key_vars))
             if index is None:
-                index = indexes[domain, key_vars] = {}
-                for r, r_bits in rows:
-                    key = tuple(r[v] for v in key_vars)
-                    index[key] = index.get(key, 0) | r_bits
-            bits &= ~index.get(tuple(l[v] for v in key_vars), 0)
-        if bits:
-            out.append(row if bits == row[1] else (l, bits))
-    return out
+                index = indexes[domain, key_vars] = _fold(left, right, domain, rows, key_vars)
+            pins_shared, by_graph, folded = index
+            key = tuple(binding[v] for v in key_vars)
+            key = (graph_id, *key) if by_graph else key
+            matches.append((pins_shared or bool(key_vars or pinned), folded.get(key, ())))
+        yield row, rest, mask, matches
 
 
 # ------------------------------------------------- condensed BGP matching
 
 
-def _match_bgp_in_graph(store: Store, patterns, graph_id: int, mask: int):
+def _match_bgp_in_graph(store: Store, patterns, graph_id: int, mask: int) -> list:
     """Join the patterns inside one named graph, ANDing version bitmaps.
 
-    Returns (binding, bits) rows with bits != 0; `mask` holds the versions
-    in scope. Every row binds the variables of the patterns before, so a
-    pattern's constant ids and the key positions it binds are resolved once.
-    `lookup_pattern` yields (key, bits) pairs, and a bound term is read off
-    the term list by its id in the (graph, s, p, o) key: ingest encodes
-    those ids and `load_snapshot` range-checks them.
+    Returns plain (binding, None, bits) rows with bits != 0; `mask` holds
+    the versions in scope. Every row binds the variables of the patterns
+    before, so a pattern's constant ids and the key positions it binds are
+    resolved once. `lookup_pattern` yields (key, bits) pairs, and a bound
+    term is read off the term list by its id in the (graph, s, p, o) key:
+    ingest encodes those ids and `load_snapshot` range-checks them.
     """
     lookup = store.dictionary.lookup
     terms = store.dictionary.terms
-    rows = [({}, mask)]
+    rows = [({}, None, mask)]
     bound: set[str] = set()
     for pattern in patterns:
         ids, joins, binds, repeats = [graph_id, None, None, None], [], {}, []
@@ -177,7 +244,7 @@ def _match_bgp_in_graph(store: Store, patterns, graph_id: int, mask: int):
             else:  # bound here, from its first position
                 binds[atom.name] = at
         next_rows = []
-        for binding, bits in rows:
+        for binding, _graph_id, bits in rows:
             for at, name in joins:  # read off the term list, so its id is found
                 ids[at] = lookup(binding[name])
             for key, entry_bits in store.lookup_pattern(*ids):
@@ -191,7 +258,7 @@ def _match_bgp_in_graph(store: Store, patterns, graph_id: int, mask: int):
                     extended = binding.copy()
                     for name, at in binds.items():
                         extended[name] = terms[key[at]]
-                next_rows.append((extended, joined))
+                next_rows.append((extended, None, joined))
         rows = next_rows
         if not rows:
             break
@@ -199,222 +266,176 @@ def _match_bgp_in_graph(store: Store, patterns, graph_id: int, mask: int):
     return rows
 
 
-# ---------------------------------------------------------- versioned rows
-
-
-def _version_bit(store: Store, term: Term) -> int:
-    """The bit of the existing version `term` names; 0 for any other term."""
-    if term.is_iri and term.lexical.startswith(VERSION_NS):
-        digits = term.lexical[len(VERSION_NS):]
-        if digits.isdecimal():
-            ordinal = int(digits)
-            if 1 <= ordinal <= store.version_count and store.version_iris()[ordinal - 1] == term:
-                return bit_for(ordinal)
-    return 0
-
-
-def _vng_bit(store: Store, term: Term, graph_id: int) -> int:
-    """The bit of `term` when it names a versioned graph of `graph_id`."""
-    try:
-        vng_graph, ordinal = store.resolve_vng(term)
-    except UnknownVngError:
-        return 0
-    return bit_for(ordinal) if vng_graph == graph_id else 0
-
-
-def _is_link(pattern, vng_var: str) -> bool:
-    """`?vng is-in-version X` or `?vng is-version-of X`, X not ?vng."""
-    return (
-        isinstance(pattern.subject, Var)
-        and pattern.subject.name == vng_var
-        and pattern.predicate in (IS_IN_VERSION, IS_VERSION_OF)
-        and pattern.object != Var(vng_var)
-    )
-
-
-@dataclass
-class VersionedRows:
-    """Solutions of `GRAPH ?vng { ... }` and its link patterns, condensed.
-
-    Each (binding, graph id, bits) row stands for one solution per set bit
-    m: the binding, plus `vng_var` bound to the versioned graph (graph id,
-    m) and each of `version_vars` bound to version m (none for plain rows).
-    """
-
-    store: Store
-    rows: list
-    vng_var: str | None
-    version_vars: tuple = ()
-
-    @property
-    def per_bit(self) -> set[str]:
-        """The variables whose value changes with the bit position."""
-        return {self.vng_var, *self.version_vars}
-
-    def expand(self, names=None) -> list[Solution]:
-        """One solution per set bit of each row; with `names`, each holds
-        only the variables among them."""
-        vng_iri_for = self.store.vng_iri_for
-        versions = self.store.version_iris()
-        vng_var = self.vng_var if names is None or self.vng_var in names else None
-        version_vars = [v for v in self.version_vars if names is None or v in names]
-        out = []
-        for binding, graph_id, bits in self.rows:
-            if names is not None:
-                binding = {name: binding[name] for name in names if name in binding}
-            for ordinal in bitmap_ordinals(bits):
-                solution = dict(binding)
-                if vng_var is not None:
-                    solution[vng_var] = vng_iri_for(graph_id, ordinal)
-                for name in version_vars:
-                    solution[name] = versions[ordinal - 1]
-                out.append(solution)
-        return out
-
-    def value(self, binding: Solution, graph_id, ordinal: int, name: str):
-        """What `name` is bound to at bit `ordinal` of a row; None if unbound."""
-        if name == self.vng_var:
-            return self.store.vng_iri_for(graph_id, ordinal)
-        if name in self.version_vars:
-            return self.store.version_iris()[ordinal - 1]
-        return binding.get(name)
-
-
 # ------------------------------------------------------ pattern evaluation
 
 
-def _scope_bits(ctx) -> int:
-    """The bits every row of a pattern that holds throughout `ctx` carries."""
-    return -1 if ctx is None else ctx[1]
-
-
+@dataclass
 class _CondensedEvaluator:
-    """Evaluates parsed patterns against a store.
+    """Evaluates parsed patterns against a store, each to `Rows`, under a
+    context: None for the default graph (metadata), or (graph id, bits of
+    the versions in scope) inside GRAPH. Rows never carry 0, and versioned
+    rows occur only in the default graph: inside GRAPH they are flat."""
 
-    Every pattern evaluates to (solution, bits) rows under a context:
-    None for the default graph (metadata), where every row carries -1, or
-    (graph id, bits of the versions in scope), where a row stands for its
-    solution once in each version whose bit it carries. Rows never carry 0.
-    """
+    store: Store
 
-    def __init__(self, store: Store):
-        self.store = store
-
-    def versioned(self, node, ctx):
-        """`node` as VersionedRows when it is GRAPH ?vng { ... }, alone or
-        joined in the default graph with link patterns on ?vng; else None.
-        The rows do not depend on `ctx`: they hold in every version of it."""
-        if isinstance(node, GraphPat):
-            graph, links = node, []
-        elif isinstance(node, Join) and ctx is None:
-            graphs = [p for p in node.parts if isinstance(p, GraphPat)]
-            if len(graphs) != 1 or not all(isinstance(p, (Bgp, GraphPat)) for p in node.parts):
-                return None
-            graph = graphs[0]
-            links = [pat for p in node.parts if isinstance(p, Bgp) for pat in p.patterns]
-        else:
-            return None
-        if isinstance(graph.target, Var) and all(_is_link(p, graph.target.name) for p in links):
-            return self.eval_versioned(graph, links)
-        return None
-
-    def eval_versioned(self, graph: GraphPat, links) -> VersionedRows:
-        """`graph` (GRAPH ?vng { inner }) joined with the link patterns
-        `links`; the inner pattern runs once per graph id, over the versions
-        that minted a vng for it. A link to a constant filters rows by graph
-        id or ANDs in that version's bit; a link to a new variable binds it
-        once per row (the graph) or makes it per-bit (the version); a link
-        to a variable already bound filters.
-        """
-        store = self.store
-        vng_var = graph.target.name
-        rows = [
-            (binding, graph_id, bits)
-            for graph_id, minted in store.minted_versions().items()
-            for binding, bits in self.eval(graph.inner, (graph_id, minted))
-        ]
-        bound = visible_vars(graph.inner)
-        if vng_var in bound:  # an inner ?vng (unless left unbound) must name the row's vng
-            rows = [
-                (b, g, bits if vng_var not in b else bits & _vng_bit(store, b[vng_var], g))
-                for b, g, bits in rows
-            ]
-        version_vars: tuple = ()
-        decode = store.dictionary.decode
-        for pattern in links:
-            obj = pattern.object
-            name = obj.name if isinstance(obj, Var) else None
-            if pattern.predicate == IS_VERSION_OF:
-                if name is None:
-                    graph_id = store.dictionary.lookup(obj)
-                    rows = [row for row in rows if row[1] == graph_id]
-                elif name in version_vars:
-                    rows = [(b, g, bits & _version_bit(store, decode(g))) for b, g, bits in rows]
-                else:
-                    rows = [
-                        (extended, g, bits)
-                        for b, g, bits in rows
-                        if (extended := _extend(b, name, decode(g))) is not None
-                    ]
-                    bound.add(name)
-            elif name is None:
-                mask = _version_bit(store, obj)
-                rows = [(b, g, bits & mask) for b, g, bits in rows]
-            elif name in bound:  # one row per version its value (or, unbound, it) takes
-                versions = store.version_iris()
-                rows = [
-                    (extended, g, bit_for(m))
-                    for b, g, bits in rows
-                    for m in bitmap_ordinals(bits)
-                    if (extended := _extend(b, name, versions[m - 1])) is not None
-                ]
-            elif name not in version_vars:
-                version_vars += (name,)
-        rows = [row for row in rows if row[2]]
-        return VersionedRows(store, rows, vng_var, version_vars)
-
-    def eval_rows(self, node, ctx):
-        """VersionedRows where `node` stays condensed, else its rows."""
-        versioned = self.versioned(node, ctx)
-        return versioned if versioned is not None else self.eval(node, ctx)
-
-    def eval(self, node, ctx) -> list:
-        versioned = self.versioned(node, ctx)
-        if versioned is not None:
-            scope = _scope_bits(ctx)
-            return [(solution, scope) for solution in versioned.expand()]
+    def eval(self, node, ctx) -> Rows:
         if isinstance(node, Bgp):
             if ctx is None:
-                return [(row, -1) for row in _match_triples(self.store.metadata_graph(), node.patterns)]
-            return _match_bgp_in_graph(self.store, node.patterns, *ctx)
+                return self.eval_metadata(node.patterns)
+            return Rows(self.store, _match_bgp_in_graph(self.store, node.patterns, *ctx))
         if isinstance(node, Join):
             rows = self.eval(node.parts[0], ctx)
+            names = visible_vars(node.parts[0])
             for part in node.parts[1:]:  # every part, so its errors are raised too
-                rows = eval_join(rows, self.eval(part, ctx))
+                rows = self.join(rows, self.eval(part, ctx), names)
+                names |= visible_vars(part)
             return rows
         if isinstance(node, Minus):
-            return eval_minus(self.eval(node.left, ctx), self.eval(node.right, ctx))
+            left = self.eval(node.left, ctx)
+            return self.minus(left, self.eval(node.right, ctx), visible_vars(node.left))
         if isinstance(node, GraphPat):
             return self.eval_graph(node, ctx)
-        if isinstance(node, SubSelect):
-            _, solutions, bits = eval_select(self.store, node.query, ctx)
-            return list(zip(solutions, bits))
-        raise TypeError(f"not a pattern node: {node!r}")
+        # a SubSelect: the parser builds no other pattern node
+        columns = column_names(node.query)
+        rows = eval_select(self.store, node.query, ctx)
+        if rows.vng_var not in (None, *columns):  # its graph variable projected away
+            rows = rows.flat(-1)
+        projected = [({n: b[n] for n in columns if n in b}, g, bits) for b, g, bits in rows.rows]
+        version_vars = tuple(name for name in rows.version_vars if name in columns)
+        return Rows(self.store, projected, rows.vng_var, version_vars)
 
-    def eval_graph(self, node: GraphPat, ctx) -> list:
-        """GRAPH <vng> { inner }: the inner rows, which hold throughout
-        `ctx` whichever version of the outer scope is asked."""
+    def eval_metadata(self, patterns) -> Rows:
+        """A default-graph BGP: its link patterns, each a leaf read off the
+        minted versions, joined with its other patterns, matched together
+        against the metadata triples."""
+        links = [  # ?x is-in-version X or ?x is-version-of X, X not ?x
+            p
+            for p in patterns
+            if isinstance(p.subject, Var)
+            and p.predicate in (IS_IN_VERSION, IS_VERSION_OF)
+            and p.object != p.subject
+        ]
+        matched = _match_triples(self.store.metadata_graph(), [p for p in patterns if p not in links])
+        rows = Rows(self.store, [(binding, None, -1) for binding in matched])
+        names = set().union(*matched)
+        for pattern in links:
+            rows = self.join(rows, self.link(pattern), names)
+            names |= visible_vars(Bgp((pattern,)))
+        return rows
+
+    def link(self, pattern) -> Rows:
+        """A link pattern: one row per graph id, over the versions that
+        minted a vng for it. `is-in-version` to a variable makes it per-bit;
+        to a constant it ANDs in that version's bit. `is-version-of` binds
+        or filters the graph."""
+        store, obj = self.store, pattern.object
+        name = obj.name if isinstance(obj, Var) else None
+        minted = store.minted_versions()
+        if pattern.predicate == IS_IN_VERSION:
+            mask = -1 if name else _version_bit(store, obj)
+            rows = [({}, g, bits & mask) for g, bits in minted.items() if bits & mask]
+            return Rows(store, rows, pattern.subject.name, (name,) if name else ())
+        decode = store.dictionary.decode
+        rows = [
+            ({name: decode(g)} if name else {}, g, bits)
+            for g, bits in minted.items()
+            if name or decode(g) == obj
+        ]
+        return Rows(store, rows, pattern.subject.name)
+
+    def join(self, left: Rows, right: Rows, left_names=None) -> Rows:
+        """Natural join: compatible rows merge and their bits AND; a pair
+        that shares no version is dropped. Multiplicity is the product of
+        multiplicities. Two graph variables are two bit dimensions: the
+        right side is then flat. `left_names`, where given, holds every
+        variable the left rows can bind."""
+        if left.rows == [({}, None, -1)]:  # the unit, as of a BGP of link patterns alone
+            return right
+        if left.vng_var is None and right.vng_var is not None:
+            left, right, left_names = right, left, None
+        if right.vng_var not in (None, left.vng_var):
+            right = right.flat(-1)
+        version_vars = tuple(dict.fromkeys(left.version_vars + right.version_vars))
+        by_graph = {g: (b, bits) for b, g, bits in right.rows} if right.vng_var is not None else {}
+        right_vars = set().union(*(binding for binding, _g, _bits in right.rows))
+        if left_names is not None and right.rows and len(by_graph) == len(right.rows) and not (
+            right_vars & left.per_bit or (right_vars | set(right.version_vars)) & left_names
+        ):
+            # one row per graph id of the left's graph variable, sharing only per-bit
+            # variables: a lookup per left row; none if it binds nothing and holds in
+            # every minted version, within which every left row lies
+            minted = self.store.minted_versions()
+            if not right_vars and {g: bits for g, (_b, bits) in by_graph.items()} == minted:
+                return Rows(self.store, left.rows, left.vng_var, version_vars)
+            rows = []
+            for binding, graph_id, bits in left.rows:
+                r_binding, r_bits = by_graph.get(graph_id, (None, 0))
+                if bits & r_bits:
+                    rows.append(({**binding, **r_binding}, graph_id, bits & r_bits))
+            return Rows(self.store, rows, left.vng_var, version_vars)
+        rows = []
+        for (_binding, graph_id, bits), rest, mask, matches in _meet(left, right):
+            for _shared, entries in matches:
+                for r_binding, layers in entries:
+                    merged = {**rest, **r_binding} if r_binding else rest
+                    for layer in layers:
+                        joined = bits & layer & mask
+                        if joined:
+                            rows.append((merged, graph_id, joined))
+        return Rows(self.store, rows, left.vng_var, version_vars)
+
+    def minus(self, left: Rows, right: Rows, left_names: set) -> Rows:
+        """Clear from each left row the bits of its solutions that are
+        compatible with a right solution sharing a variable with them; a
+        row left with no bits is dropped. A right side of another graph
+        variable is flat if it shares a per-bit variable with `left_names`,
+        every variable of the left, and otherwise counts only as its rows'
+        bindings."""
+        if right.vng_var not in (None, left.vng_var):
+            if right.per_bit & left_names:
+                right = right.flat(-1)
+            else:
+                right = Rows(self.store, [(binding, None, -1) for binding, _g, _bits in right.rows])
+        rows = []
+        for row, _rest, mask, matches in _meet(left, right):
+            bits = row[2]
+            for shared, entries in matches:
+                for _r_binding, layers in entries if shared else ():
+                    bits &= ~(layers[0] & mask)
+            if bits:
+                rows.append(row if bits == row[2] else (row[0], row[1], bits))
+        return Rows(self.store, rows, left.vng_var, left.version_vars)
+
+    def eval_graph(self, node: GraphPat, ctx) -> Rows:
+        """GRAPH ?vng { inner }: the inner pattern runs once per graph id,
+        over the versions that minted a vng for it; an inner ?vng must name
+        the row's vng. GRAPH <vng> { inner }: the inner rows, which hold
+        throughout `ctx` whichever version of the outer scope is asked."""
+        store = self.store
+        scope = -1 if ctx is None else ctx[1]  # the bits of rows that hold throughout ctx
+        if isinstance(node.target, Var):
+            out = Rows(store, [], node.target.name)
+            vng_var, append = out.vng_var, out.rows.append
+            for graph_id, minted in store.minted_versions().items():
+                for binding, _g, bits in self.eval(node.inner, (graph_id, minted)).rows:
+                    if vng_var in binding:
+                        binding = dict(binding)
+                        pinned_graph, pinned_bits = out.pin(vng_var, binding.pop(vng_var))
+                        bits &= pinned_bits if pinned_graph == graph_id else 0
+                    if bits:
+                        append((binding, graph_id, bits))
+            return out if ctx is None else out.flat(scope)
         try:
-            graph_id, ordinal = self.store.resolve_vng(node.target)
+            graph_id, ordinal = store.resolve_vng(node.target)
         except UnknownVngError:
             import logging  # here only: a query that warns nothing skips importing it
             logging.getLogger(__name__).warning(
                 "GRAPH names %s, which is not a versioned graph; empty match",
                 serialize_term(node.target),
             )
-            return []
-        scope = _scope_bits(ctx)
-        return [(row, scope) for row, _bits in self.eval(node.inner, (graph_id, bit_for(ordinal)))]
+            return Rows(store, [])
+        inner = self.eval(node.inner, (graph_id, bit_for(ordinal)))
+        return Rows(store, [(binding, None, scope) for binding, _g, _bits in inner.rows])
 
 
 def _match_triples(triples, patterns) -> list[Solution]:
@@ -492,9 +513,7 @@ def _apply_aggregate(spec: SelectAgg, values: Counter, group_desc: str):
         return max(values, key=term_order_key)
     if spec.func == "MIN":
         return min(values, key=term_order_key)
-    if spec.func == "SUM":
-        return _sum_literal(values, group_desc)
-    raise EvalError(f"unknown aggregate {spec.func}")
+    return _sum_literal(values, group_desc)  # SUM: the parser admits no other aggregate
 
 
 def _describe(group_vars, key: Solution) -> str:
@@ -504,7 +523,7 @@ def _describe(group_vars, key: Solution) -> str:
     return "(" + ", ".join(serialize_term(key[n]) if n in key else "UNBOUND" for n in group_vars) + ")"
 
 
-def _group(vrows: VersionedRows, group_by, aggregates, scope: int = 0) -> list:
+def _group(vrows: Rows, group_by, aggregates, scope: int = 0) -> list:
     """GROUP BY over (binding, graph id, bits) rows without expanding them.
     Keys bound once per row group whole rows. Keys on ?vng or a version
     variable group per bit, as do plain rows inside GRAPH: `scope` holds
@@ -552,7 +571,7 @@ def _group(vrows: VersionedRows, group_by, aggregates, scope: int = 0) -> list:
     return out
 
 
-def _fold_rows(vrows: VersionedRows, spec: SelectAgg, members, desc: str):
+def _fold_rows(vrows: Rows, spec: SelectAgg, members, desc: str):
     """`spec` over a whole-row group; COUNT(DISTINCT ?version) ORs the bits."""
     name = spec.arg.name
     if spec.distinct and spec.func == "COUNT" and name in vrows.version_vars:
@@ -573,7 +592,7 @@ def _fold_rows(vrows: VersionedRows, spec: SelectAgg, members, desc: str):
     return _apply_aggregate(spec, values, desc)
 
 
-def _fold_positions(vrows: VersionedRows, spec: SelectAgg, members, keys, group_vars) -> list:
+def _fold_positions(vrows: Rows, spec: SelectAgg, members, keys, group_vars) -> list:
     """`spec` at each position of `keys` (position -> group key), indexed by
     ordinal - 1. COUNT sums bit columns; COUNT(DISTINCT), MAX and MIN of a
     per-row variable read the bits each value covers; anything else folds
@@ -641,47 +660,21 @@ def _aggregates_with_aliases(query: Query):
     return [(item, column) for item, column in pairs if isinstance(item, SelectAgg)]
 
 
-def eval_select(store: Store, query: Query, ctx=None):
-    """Evaluate one (sub-)query body under `ctx`: pattern, grouping,
-    projection.
-
-    Returns (columns, solutions, bits): the solutions carry only the
-    projected names, and `bits` holds the bits of each. Two parallel lists,
-    so that the top level, which drops the bits, builds no pair per row.
-    """
-    evaluator = _CondensedEvaluator(store)
-    rows = evaluator.eval_rows(query.pattern, ctx)
-    return _project(store, query, rows, ctx)
-
-
-def _project(store: Store, query: Query, rows, ctx):
-    """Group and project. Ungrouped rows keep their bits, and the groups of
-    versioned rows hold in every version of `ctx`; plain rows inside GRAPH
-    group per version in scope, each group holding in its version only."""
-    columns = column_names(query)
+def eval_select(store: Store, query: Query, ctx=None) -> Rows:
+    """Evaluate one (sub-)query body under `ctx`: its pattern's rows, grouped
+    if the query groups or aggregates. The groups of versioned rows hold in
+    every version of `ctx`; plain rows inside GRAPH group per version in
+    scope, each group holding in its version only. Bindings keep every
+    variable: the projection is the caller's, by the query's columns."""
+    rows = _CondensedEvaluator(store).eval(query.pattern, ctx)
     aggregates = _aggregates_with_aliases(query)
-    scope = _scope_bits(ctx)
-    if isinstance(rows, VersionedRows):
-        if not (aggregates or query.group_by):
-            projected = rows.expand(columns)
-            return columns, projected, [scope] * len(projected)
-        rows = ((result, scope) for result, _ordinal in _group(rows, query.group_by, aggregates))
-    elif aggregates or query.group_by:
-        plain = VersionedRows(store, [(b, None, 1 if ctx is None else bits) for b, bits in rows], None)
-        rows = (
-            (result, bit_for(ordinal) if ordinal else scope)
-            for result, ordinal in _group(plain, query.group_by, aggregates, 0 if ctx is None else scope)
-        )
-    projected, bits = [], []
-    for row, row_bits in rows:
-        out = {}
-        for name in columns:
-            term = row.get(name)
-            if term is not None:
-                out[name] = term
-        projected.append(out)
-        bits.append(row_bits)
-    return columns, projected, bits
+    if not (aggregates or query.group_by):
+        return rows
+    scope = -1 if ctx is None else ctx[1]
+    per_version = rows.vng_var is None and ctx is not None
+    grouped = _group(rows, query.group_by, aggregates, scope if per_version else 0)
+    rows = [(result, None, bit_for(ordinal) if per_version else scope) for result, ordinal in grouped]
+    return Rows(store, rows)
 
 
 # ------------------------------------------------------------ result table
@@ -717,14 +710,16 @@ class ResultTable:
         return buffer.getvalue()
 
 
-def _table(columns, result) -> ResultTable:
-    """The sorted result table of `result`: `VersionedRows`, or a list of
-    plain solutions (rows with no per-bit column, each one solution). Only
-    text is built: a row's cells are serialized once, and per set bit only
-    the ?vng and version cells change. Each term object is serialized once
-    and its text mapped back to it for `rows`; the memo is keyed by id(),
-    sound because the rows and the store keep every term alive for the call
-    (a Term key would hash and compare in Python).
+
+def _table(columns, rows: Rows) -> ResultTable:
+    """The sorted result table of `rows`. Only text is built: a row's cells
+    are serialized once, and per set bit only the ?vng and version cells
+    change. A row without either column is one line per solution: per set
+    bit, or once for a plain row, whose -1 sets one bit by `bit_count`.
+    Each term object is serialized once and its text mapped back to it for
+    `rows`; the memo is keyed by id(), sound because the rows and the store
+    keep every term alive for the call (a Term key would hash and compare
+    in Python).
 
     Rows sort on the tuple of their cell texts, "" for unbound: the order of
     the lines as strings, since no cell text holds a tab and a text that is
@@ -733,20 +728,16 @@ def _table(columns, result) -> ResultTable:
     """
     vng_at, version_at = None, []
     texts, terms_of = {id(None): ""}, {"": None}
-    if isinstance(result, VersionedRows):
-        rows = result.rows
-        if result.vng_var in columns:
-            vng_at = columns.index(result.vng_var)
-            vng_iri_for = result.store.vng_iri_for
-        version_at = [i for i, name in enumerate(columns) if name in result.version_vars]
-        if version_at:
-            versions = result.store.version_iris()
-            version_texts = [serialize_term(v) for v in versions]
-            terms_of.update(zip(version_texts, versions))
-    else:
-        rows = zip(result, repeat(None), repeat(1))
+    if rows.vng_var in columns:
+        vng_at = columns.index(rows.vng_var)
+        vng_iri_for = rows.store.vng_iri_for
+    version_at = [i for i, name in enumerate(columns) if name in rows.version_vars]
+    if version_at:
+        versions = rows.store.version_iris()
+        version_texts = [serialize_term(v) for v in versions]
+        terms_of.update(zip(version_texts, versions))
     lines = []
-    for binding, graph_id, bits in rows:
+    for binding, graph_id, bits in rows.rows:
         terms = list(map(binding.get, columns))
         for term in terms:
             if id(term) not in texts:
@@ -771,14 +762,9 @@ def _table(columns, result) -> ResultTable:
 
 
 def execute_plan(store: Store, query: Query) -> ResultTable:
-    """The sorted result table of `query`. An ungrouped top-level pattern
-    that stays condensed reaches the output stage as versioned rows, never
-    expanded into solutions."""
-    rows = _CondensedEvaluator(store).eval_rows(query.pattern, None)
-    if isinstance(rows, VersionedRows) and not (query.group_by or _aggregates_with_aliases(query)):
-        return _table(column_names(query), rows)
-    columns, solutions, _bits = _project(store, query, rows, None)
-    return _table(columns, solutions)
+    """The sorted result table of `query`. Ungrouped rows reach the output
+    stage as the pattern left them, never expanded into solutions."""
+    return _table(column_names(query), eval_select(store, query))
 
 
 def execute_query(store: Store, text: str) -> ResultTable:
@@ -789,6 +775,23 @@ def execute_query(store: Store, text: str) -> ResultTable:
 
 
 # ------------------------------------------------------------------ oracle
+
+
+def compatible(a: Solution, b: Solution) -> bool:
+    for name, value in a.items():
+        other = b.get(name)
+        if other is not None and other != value:
+            return False
+    return True
+
+
+def _extend(binding: Solution, name: str, term: Term):
+    existing = binding.get(name)
+    if existing is None:
+        out = dict(binding)
+        out[name] = term
+        return out
+    return binding if existing == term else None
 
 
 class _OracleDataset:
@@ -815,7 +818,7 @@ class _OracleEvaluator:
             rows = self.eval(node.parts[0], active)
             for part in node.parts[1:]:
                 right = self.eval(part, active)
-                rows = [merge(l, r) for l in rows for r in right if compatible(l, r)]
+                rows = [{**l, **r} for l in rows for r in right if compatible(l, r)]
             return rows
         if isinstance(node, Minus):
             left = self.eval(node.left, active)
@@ -880,12 +883,7 @@ class _OracleEvaluator:
                         row[spec.arg.name] for row in buckets[key] if spec.arg.name in row
                     ]
                     if spec.distinct:
-                        kept, seen = [], set()
-                        for v in values:
-                            if v not in seen:
-                                seen.add(v)
-                                kept.append(v)
-                        values = kept
+                        values = list(dict.fromkeys(values))
                     if spec.func == "COUNT":
                         result[alias] = literal(str(len(values)), datatype=_XSD_INTEGER)
                         continue

@@ -32,6 +32,12 @@ from .errors import ParseError, QueryValidationError, UnsupportedQueryError
 from .model import RDF_TYPE, XSD, Term, iri, literal
 from .nquads import read_escape
 
+# Groups (`{ ... }` of WHERE, GRAPH, MINUS and plain nesting) may nest this
+# deep. The parser and the evaluators recurse once or twice per level, so a
+# deeper query is a ParseError at its first group past the limit rather than
+# a RecursionError.
+MAX_GROUP_DEPTH = 128
+
 SUPPORTED_SUBSET = (
     "SELECT, GRAPH, grouped-pattern joins, MINUS, sub-SELECT, "
     "GROUP BY with COUNT/MAX/MIN/SUM"
@@ -320,6 +326,7 @@ class _Parser:
         # Fresh path variables skip every name the text spells, aliases too.
         self.spelled = {tok.value for tok in self.tokens if tok.kind == "VAR"}
         self.path_counter = 0
+        self.depth = 0  # groups open around the parse position
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -450,6 +457,10 @@ class _Parser:
         return SelectAgg(func, distinct, Var(var_tok.value), alias)
 
     def parse_ggp(self):
+        """The group whose `{` was just read, up to its `}`."""
+        self.depth += 1
+        if self.depth > MAX_GROUP_DEPTH:
+            raise self.error(f"groups nested more than {MAX_GROUP_DEPTH} deep", self.tokens[self.pos - 1])
         elements = []
         while True:
             tok = self.peek()
@@ -485,6 +496,7 @@ class _Parser:
                 raise self.error("expected a triple pattern, GRAPH, MINUS, or '{'", tok)
         if not elements:
             raise self.error("empty group pattern")
+        self.depth -= 1
         return elements[0] if len(elements) == 1 else Join(tuple(elements))
 
     def parse_group_body(self):

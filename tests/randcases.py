@@ -12,7 +12,7 @@ import io
 from collections import Counter
 
 from converg.engine import (
-    VersionedRows,
+    Rows,
     _aggregates_with_aliases,
     _CondensedEvaluator,
     eval_oracle,
@@ -407,10 +407,22 @@ def rows_counter(columns, rows) -> Counter:
 
 
 def folds(store, query) -> bool:
-    """Whether the engine answers `query` by folding versioned rows: the
-    query is grouped and its pattern stays condensed."""
-    rows = _CondensedEvaluator(store).eval_rows(query.pattern, None)
-    return isinstance(rows, VersionedRows) and bool(_aggregates_with_aliases(query) or query.group_by)
+    """Whether the engine answers `query` by folding condensed rows: the
+    query is grouped, and no versioned rows are expanded on the way."""
+    flat = Rows.flat
+    expanded = []
+
+    def counting(rows, scope):
+        if rows.vng_var is not None:
+            expanded.append(rows)
+        return flat(rows, scope)
+
+    Rows.flat = counting
+    try:
+        _CondensedEvaluator(store).eval(query.pattern, None)
+    finally:
+        Rows.flat = flat
+    return not expanded and bool(_aggregates_with_aliases(query) or query.group_by)
 
 
 def check_against_oracle(store, query):

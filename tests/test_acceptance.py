@@ -48,7 +48,9 @@ def criterion(name):
 @pytest.fixture(scope="module")
 def scaled(tmp_path_factory):
     """The scaled dataset: 1,000,000 quads over 1000 versioned graphs,
-    generated to disk and loaded file by file like the CLI would."""
+    generated to disk and loaded file by file like the CLI would. Each
+    version then gets a metadata triple `<urn:ex:scenario> "A"` (odd
+    ordinals) or `"B"` (even ones)."""
     base = tmp_path_factory.mktemp("scaled")
     cfg = GenConfig(products=500, graphs=10, versions=100, change_rate=0.1, seed=42)
     timings = {}
@@ -64,6 +66,8 @@ def scaled(tmp_path_factory):
         report = store.ingest_version(doc)
         total_quads += report.quad_count
     timings["load"] = time.monotonic() - start
+    scenario = iri("urn:ex:scenario")
+    store.add_metadata([(v, scenario, literal("AB"[m % 2])) for m, v in enumerate(store.version_iris())])
     return store, cfg, total_quads, timings
 
 
@@ -311,6 +315,46 @@ def test_criterion_7_scaled_throughput(scaled):
         expected = sum((s, o) not in in_v1 for _g, s, o in ratings(100))
         assert len(minus_table.rows) == expected > 0
         assert timings["cross-version-minus"] < 5.0, f"cross-version MINUS {timings['cross-version-minus']:.1f}s"
+
+        # versions whose metadata says A or B, counted per scenario
+        start = time.monotonic()
+        scenario_table = execute_query(
+            store,
+            f"PREFIX vers: <urn:converg:vocab:>\n"
+            f"PREFIX bsbm: <{bsbm}>\n"
+            "SELECT ?scenario (COUNT(?s) AS ?n) WHERE {\n"
+            "  GRAPH ?vng { ?s bsbm:v01/vocabulary/rating2 ?o . }\n"
+            "  ?vng vers:is-in-version ?version .\n"
+            "  ?version <urn:ex:scenario> ?scenario .\n"
+            "} GROUP BY ?scenario",
+        )
+        scenario_tsv = scenario_table.to_tsv()
+        timings["metadata-join"] = time.monotonic() - start
+        half = cfg.products * cfg.graphs * cfg.versions // 2
+        assert scenario_tsv == f'scenario\tn\n"A"\t"{half}"^^<{INTEGER}>\n"B"\t"{half}"^^<{INTEGER}>\n'
+        assert timings["metadata-join"] < 1.0, f"metadata join {timings['metadata-join']:.1f}s"
+
+        # ratings in any version whose (product, rating) is in no graph of
+        # version 1: ?version on the left of the MINUS
+        start = time.monotonic()
+        left_table = execute_query(
+            store,
+            f"PREFIX vers: <urn:converg:vocab:>\n"
+            f"PREFIX bsbm: <{bsbm}>\n"
+            "SELECT ?vng ?s ?o WHERE {\n"
+            "  { GRAPH ?vng { ?s bsbm:v01/vocabulary/rating2 ?o . }\n"
+            "    ?vng vers:is-in-version ?version . }\n"
+            "  MINUS { GRAPH ?w { ?s bsbm:v01/vocabulary/rating2 ?o . }\n"
+            "    ?w vers:is-in-version <urn:converg:version:1> . }\n"
+            "}",
+        )
+        left_tsv = left_table.to_tsv()
+        timings["version-left-minus"] = time.monotonic() - start
+        assert len(left_table.lines) == 405_920
+        in_v100 = {serialize_term(rec.vng_iri) + "\t" for rec in store.vng_records if rec.ordinal == 100}
+        assert sum(line[: line.index("\t") + 1] in in_v100 for line in left_table.lines) == expected
+        assert timings["version-left-minus"] < 2.0, f"version-left MINUS {timings['version-left-minus']:.1f}s"
+        del left_table, left_tsv
 
         # every rating in every version, written as TSV
         start = time.monotonic()

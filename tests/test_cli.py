@@ -8,6 +8,7 @@ import pytest
 
 from conftest import fixture_path, query_path, rewrite_checksums
 from converg.cli import main
+from converg.sparql import MAX_GROUP_DEPTH
 from converg.store import load_snapshot
 
 STATS_LINE = "versions=2 graphs=2 vngs=4 entries=5 flat-quads=6 metadata-triples=8"
@@ -120,6 +121,21 @@ def test_query_lines_end_at_a_bare_carriage_return_from_file_or_stdin(tmp_path, 
     status, out = run(b"# c\rSELECT ?s WHERE {\r\n ?s <urn:p> ] }")
     assert status == 1
     assert out.err == "converg query: line 3, column 13: expected an object\n"
+
+
+def test_query_with_groups_nested_past_the_limit_exits_1(tmp_path, capsys, monkeypatch):
+    store_dir = _setup_buildings(tmp_path)
+    for depth, status in ((MAX_GROUP_DEPTH, 0), (MAX_GROUP_DEPTH + 1, 1), (500, 1)):
+        text = "SELECT ?s WHERE " + "{ " * depth + "?s ?p ?o ." + " }" * depth
+        monkeypatch.setattr("sys.stdin", _stdin(text.encode()))
+        capsys.readouterr()
+        assert main(["query", store_dir, "-"]) == status
+        out = capsys.readouterr()
+        if status == 0:
+            assert out.out.startswith("s\n") and out.err == ""
+        else:
+            where = f"line 1, column {15 + 2 * (MAX_GROUP_DEPTH + 1)}"
+            assert out.err == f"converg query: {where}: groups nested more than {MAX_GROUP_DEPTH} deep\n"
 
 
 def test_query_unsupported_operator_exits_1(tmp_path, capsys):

@@ -19,13 +19,11 @@ from conftest import (
 import converg.engine as engine
 from converg.engine import (
     ResultTable,
-    VersionedRows,
+    Rows,
     _bit_counts,
     _CondensedEvaluator,
     _group,
     _table,
-    eval_join,
-    eval_minus,
     eval_oracle,
     eval_select,
     execute_plan,
@@ -35,7 +33,7 @@ from converg.errors import EvalError, ParseError
 from converg.gen import GenConfig, generate_version
 from converg.model import XSD, blank, iri, literal, version_iri
 from converg.nquads import parse_nquads
-from converg.sparql import Bgp, GraphPat, SelectAgg, TriplePattern, Var, parse_query, validate_and_name
+from converg.sparql import Bgp, GraphPat, SelectAgg, TriplePattern, Var, column_names, parse_query, validate_and_name
 from converg.store import Store, render_bitmap
 from randcases import (
     PREDICATE_POOL,
@@ -69,7 +67,7 @@ def _plan(text):
 
 def _versioned_rows(store, patterns):
     """(binding, graph id, bits) rows of GRAPH ?g { patterns }."""
-    return _CondensedEvaluator(store).versioned(GraphPat(Var("g"), Bgp(tuple(patterns))), None).rows
+    return _CondensedEvaluator(store).eval(GraphPat(Var("g"), Bgp(tuple(patterns))), None).rows
 
 
 # ------------------------------------------------- condensed BGP matching
@@ -170,6 +168,24 @@ def test_graph_unknown_or_plain_iri_is_empty(buildings_store):
 A, B, C = iri("urn:a"), iri("urn:b"), iri("urn:c")
 
 
+def _plain(rows) -> Rows:
+    """(solution, bits) pairs as plain rows."""
+    return Rows(Store(), [(solution, None, bits) for solution, bits in rows])
+
+
+def eval_join(left, right) -> list:
+    """The evaluator's join of plain rows given as (solution, bits) pairs."""
+    joined = _CondensedEvaluator(Store()).join(_plain(left), _plain(right))
+    return [(solution, bits) for solution, _graph_id, bits in joined.rows]
+
+
+def eval_minus(left, right) -> list:
+    """The evaluator's MINUS of plain rows given as (solution, bits) pairs."""
+    names = {name for solution, _bits in left for name in solution}
+    kept = _CondensedEvaluator(Store()).minus(_plain(left), _plain(right), names)
+    return [(solution, bits) for solution, _graph_id, bits in kept.rows]
+
+
 def test_join_with_empty_is_empty():
     assert eval_join([], [({"x": A}, -1)]) == []
     assert eval_join([({"x": A}, -1)], []) == []
@@ -198,8 +214,10 @@ def test_join_ands_two_different_bitmaps():
 
 def test_metadata_join_decorates_with_version(buildings_store):
     plan = _plan(read_query("all_versions.rq"))
-    columns, rows, bits = eval_select(buildings_store, plan)
-    assert bits == [-1] * len(rows)
+    solutions = eval_select(buildings_store, plan).flat(-1).rows
+    rows = [solution for solution, _graph_id, _bits in solutions]
+    assert [bits for _solution, _graph_id, bits in solutions] == [-1] * len(rows)
+    columns = column_names(plan)
     oracle_columns, oracle_rows = eval_oracle(list(buildings_store.export_flat()), plan)
     assert columns == oracle_columns
     assert rows_counter(columns, rows) == rows_counter(columns, oracle_rows)
@@ -302,9 +320,9 @@ def test_count_by_version_matches_row_counts(buildings_store):
 
 
 def _group_solutions(solutions, group_by, aggregates):
-    """`_group` over plain solutions, each entering as a row of bits 1 the
+    """`_group` over plain solutions, each entering as a row of bits -1 the
     way a top-level pattern's solutions do."""
-    rows = VersionedRows(Store(), [(solution, None, 1) for solution in solutions], None)
+    rows = Rows(Store(), [(solution, None, -1) for solution in solutions])
     return [result for result, _ordinal in _group(rows, group_by, aggregates)]
 
 
@@ -396,12 +414,13 @@ def test_fast_path_is_detected_and_used(buildings_store):
     distinct_text = read_query("count_by_version.rq").replace("COUNT(?subj", "COUNT(DISTINCT ?subj")
     assert folds(buildings_store, _plan(distinct_text))
     check_against_oracle(buildings_store, _plan(distinct_text))
-    # and a query whose graph and version variables coincide is no link
+    # and a query whose graph and version variables coincide is no link:
+    # it is matched against the metadata and meets the GRAPH rows as a mask
     degenerate = _plan(
         "SELECT ?vng COUNT(?s) WHERE { GRAPH ?vng { ?s ?p ?o . } "
         "?vng <urn:converg:vocab:is-in-version> ?vng . } GROUP BY ?vng"
     )
-    assert not folds(buildings_store, degenerate)
+    assert folds(buildings_store, degenerate)
     check_against_oracle(buildings_store, degenerate)
 
 
@@ -612,7 +631,7 @@ def test_result_rows_sort_on_the_tuple_of_cell_texts():
     ]
     rows = [cells(o, x) for o, x in expected]
     random.Random(3).shuffle(rows)
-    table = _table(("o", "x"), rows)
+    table = _table(("o", "x"), Rows(Store(), [(row, None, -1) for row in rows]))
     assert table.rows == [(o(), x() if x else None) for o, x in expected]
     assert table.to_tsv() == (
         "o\tx\n"
@@ -662,15 +681,14 @@ def _two_graph_store() -> Store:
 def test_result_table_matches_the_naive_reference_on_any_terms(rows, names, version_count):
     columns = ("a", "b", "c")
     solutions = [{name: t for name, t in zip(columns, row) if t is not None} for row in rows]
-    table = _table(columns, solutions)
+    table = _table(columns, Rows(store := _two_graph_store(), [(s, None, -1) for s in solutions]))
     assert (table.rows, table.to_tsv(), table.to_csv()) == reference_output(columns, solutions)
     # Condensed: ?vng and the version variables take any columns, or none
     # (?y and ?z are not projected); each row stands for a solution per bit.
-    store = _two_graph_store()
     graph_ids = list(store.minted_versions())
     vng_var, version_vars = names[0], names[1 : 1 + version_count]
     per_bit = {vng_var, *version_vars}
-    vrows = VersionedRows(
+    vrows = Rows(
         store,
         [
             ({name: t for name, t in zip(columns, row) if t is not None and name not in per_bit}, graph_ids[g], bits)
@@ -680,7 +698,7 @@ def test_result_table_matches_the_naive_reference_on_any_terms(rows, names, vers
         version_vars,
     )
     table = _table(columns, vrows)
-    expanded = vrows.expand(columns)
+    expanded = [solution for solution, _graph_id, _bits in vrows.flat(-1).rows]
     rows, tsv, csv_text = reference_output(columns, expanded)
     # Rows are decoded from the lines on first read, after the text is out,
     # and kept.
@@ -712,8 +730,8 @@ _LINKED = (
 def test_condensed_output_matches_the_oracle_in_any_column_layout(buildings_store, wide, projection):
     store = random_wide_store(random.Random(64)) if wide else buildings_store
     text = _LINKED % projection
-    rows = _CondensedEvaluator(store).eval_rows(_plan(text).pattern, None)
-    assert isinstance(rows, VersionedRows)
+    rows = _CondensedEvaluator(store).eval(_plan(text).pattern, None)
+    assert rows.vng_var == "vng"
     table = check_output(store, text, eval_oracle(list(store.export_flat()), _plan(text)))
     if "?vng" not in projection and "?graph" not in projection:
         # bldg1 is 10.5 in both graphs in version 2, and the wide store
@@ -722,10 +740,10 @@ def test_condensed_output_matches_the_oracle_in_any_column_layout(buildings_stor
 
 
 def test_ungrouped_versioned_rows_reach_the_output_stage_unexpanded(buildings_store, monkeypatch):
-    def refuse(self, names=None):
+    def refuse(self, scope):
         raise AssertionError("versioned rows expanded before the output stage")
 
-    monkeypatch.setattr(VersionedRows, "expand", refuse)
+    monkeypatch.setattr(Rows, "flat", refuse)
     table = execute_query(buildings_store, read_query("all_versions.rq"))
     for suffix, produced in (("tsv", table.to_tsv()), ("csv", table.to_csv())):
         with open(query_path(f"all_versions.{suffix}"), "r", encoding="utf-8", newline="") as fh:
@@ -760,12 +778,47 @@ def test_no_group_by_expands_versioned_rows(buildings_store, monkeypatch, store_
         "wide": random_wide_store(random.Random(64)),
     }[store_kind]
 
-    def refuse(self, names=None):
+    def refuse(self, scope):
         raise AssertionError("versioned rows expanded for GROUP BY")
 
-    monkeypatch.setattr(VersionedRows, "expand", refuse)
+    monkeypatch.setattr(Rows, "flat", refuse)
     table = check_against_oracle(store, _plan(text))
     assert table.rows
+
+
+_CROSS_VERSION = {
+    "grouped-metadata-join": "SELECT ?sc (COUNT(?s) AS ?n) WHERE { GRAPH ?vng { ?s ?p ?o . } "
+    "?vng vers:is-in-version ?v . ?v ex:scenario ?sc . } GROUP BY ?sc",
+    "ungrouped-metadata-filter": "SELECT ?vng ?s WHERE { GRAPH ?vng { ?s ?p ?o . } "
+    '?vng vers:is-in-version ?v . ?v ex:scenario "A" . }',
+    "version-left-minus": "SELECT ?vng ?s ?o WHERE { { GRAPH ?vng { ?s ?p ?o . } "
+    "?vng vers:is-in-version ?version . } MINUS { GRAPH ?w { ?s ?p ?o . } "
+    "?w vers:is-in-version <urn:converg:version:1> . } }",
+}
+
+
+@pytest.mark.parametrize("store_kind", ["generated", "wide"])
+@pytest.mark.parametrize("shape", list(_CROSS_VERSION))
+def test_cross_version_shapes_stay_condensed(monkeypatch, store_kind, shape):
+    # Versions whose metadata says X, and "in these versions but not in
+    # version 1": masks on the rows' bits, never one row per solution.
+    if store_kind == "wide":
+        store = random_wide_store(random.Random(64))
+    else:
+        store = Store()
+        cfg = GenConfig(products=4, graphs=2, versions=5, change_rate=0.5, seed=7)
+        for ordinal in range(1, cfg.versions + 1):
+            store.ingest_version(generate_version(cfg, ordinal))
+    scenario = iri("urn:ex:scenario")
+    store.add_metadata([(v, scenario, literal("AB"[m % 3 % 2])) for m, v in enumerate(store.version_iris())])
+    text = "PREFIX vers: <urn:converg:vocab:> PREFIX ex: <urn:ex:>\n" + _CROSS_VERSION[shape]
+    expected = eval_oracle(list(store.export_flat()), _plan(text))
+
+    def refuse(self, scope):
+        raise AssertionError("versioned rows expanded")
+
+    monkeypatch.setattr(Rows, "flat", refuse)
+    assert check_output(store, text, expected).rows
 
 
 def test_distinct_version_count_never_exceeds_version_count():

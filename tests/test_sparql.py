@@ -1,12 +1,16 @@
 import random
 import re
+from collections import Counter
 
 import pytest
 
 from conftest import read_query
+from converg.engine import eval_oracle, execute_query
 from converg.errors import ParseError, QueryValidationError, UnsupportedQueryError
 from converg.model import RDF_TYPE, XSD, Term, iri, literal
+from converg.nquads import parse_nquads
 from converg.sparql import (
+    MAX_GROUP_DEPTH,
     Bgp,
     GraphPat,
     Join,
@@ -22,6 +26,7 @@ from converg.sparql import (
     validate_and_name,
     visible_vars,
 )
+from converg.store import Store
 
 LISTING_STYLE_ALL = """
 PREFIX vers: <urn:converg:vocab:>
@@ -95,6 +100,38 @@ def test_unsupported_operators_are_named(keyword, text):
         parse_query(text)
     assert keyword in str(exc.value)
     assert "SELECT, GRAPH" in str(exc.value)
+
+
+def nested_groups(depth: int) -> str:
+    """A query whose WHERE group and groups inside it nest `depth` deep
+    around one triple pattern; group k opens at column 15 + 2k."""
+    return "SELECT ?s WHERE " + "{ " * depth + "?s ?p ?o ." + " }" * depth
+
+
+def test_groups_nest_as_deep_as_the_limit():
+    store = Store()
+    store.ingest_version(parse_nquads("<urn:s> <urn:p> <urn:o> <urn:g> .\n"))
+    store.add_metadata([(iri("urn:d"), iri("urn:note"), literal("x"))])
+    text = nested_groups(MAX_GROUP_DEPTH)
+    table = execute_query(store, text)
+    # the default graph: the two links of the one vng, and the note
+    assert table.rows == [(iri("urn:converg:vng:1"),)] * 2 + [(iri("urn:d"),)]
+    columns, rows = eval_oracle(list(store.export_flat()), parse_query(text))
+    assert Counter(table.rows) == Counter(tuple(row.get(c) for c in columns) for row in rows)
+    # GRAPH and MINUS blocks are groups too
+    graphs = "SELECT ?s WHERE { " + "GRAPH ?g { " * (MAX_GROUP_DEPTH - 1) + "?s ?p ?o ." + " }" * MAX_GROUP_DEPTH
+    assert isinstance(parse_query(graphs).pattern, GraphPat)
+
+
+@pytest.mark.parametrize("depth", [MAX_GROUP_DEPTH + 1, 500])
+def test_groups_nested_past_the_limit_are_a_positioned_parse_error(depth):
+    with pytest.raises(ParseError) as exc:
+        parse_query(nested_groups(depth))
+    assert (exc.value.line, exc.value.column) == (1, 15 + 2 * (MAX_GROUP_DEPTH + 1))
+    assert f"groups nested more than {MAX_GROUP_DEPTH} deep" in str(exc.value)
+    minus = "SELECT ?s WHERE { ?s ?p ?o . " + "MINUS { ?s ?p ?o . " * MAX_GROUP_DEPTH + "}" * (MAX_GROUP_DEPTH + 1)
+    with pytest.raises(ParseError, match="groups nested more than"):
+        parse_query(minus)
 
 
 def test_syntax_error_carries_position():
