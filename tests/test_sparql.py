@@ -11,6 +11,7 @@ from converg.model import RDF_TYPE, XSD, Term, iri, literal
 from converg.nquads import parse_nquads
 from converg.sparql import (
     MAX_GROUP_DEPTH,
+    SUPPORTED_SUBSET,
     Bgp,
     GraphPat,
     Join,
@@ -356,6 +357,39 @@ def test_malformed_query_terms_are_positioned_parse_errors(text, line, column, m
         parse_query(text)
     assert (exc.value.line, exc.value.column) == (line, column)
     assert message in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "text,error,message,line,column",
+    [
+        ("SELECT ?s WHERE { ?s <urn:p ?o . }", ParseError, "unterminated IRI", 1, 22),
+        ("SELECT ?s WHERE { ?s <urn:p x> ?o . }", ParseError, "IRI may not contain whitespace or '<'", 1, 22),
+        ("SELECT ?s WHERE { ?s <urn:<p> ?o . }", ParseError, "IRI may not contain whitespace or '<'", 1, 22),
+        ("SELECT ? WHERE { ?s ?p ?o . }", ParseError, "variable name expected after '?'", 1, 8),
+        ("SELECT ?1a WHERE { ?s ?p ?o . }", ParseError, "variable name expected after '?'", 1, 8),
+        ('SELECT ?s WHERE { ?s ?p "x"@ . }', ParseError, "language tag expected after '@'", 1, 28),
+        ('SELECT ?s WHERE { ?s ?p "a\\q" . }', ParseError, "unsupported escape \\q", 1, 25),
+        ('SELECT ?s WHERE { ?s ?p "a\\u12" . }', ParseError, "malformed \\u escape", 1, 25),
+        ('SELECT ?s WHERE { ?s ?p "a\\', ParseError, "dangling escape", 1, 25),
+        ('SELECT ?s WHERE { ?s ?p "abc', ParseError, "unterminated string", 1, 25),
+        # CRLF ends one line, and a tab is one column
+        ("SELECT ?s WHERE {\r\n\t?s ?p $o . }", ParseError, "unexpected word 'o'", 2, 9),
+        # a bare CR ends a line too
+        (
+            "SELECT ?s WHERE {\r ?s ?p ?o . } LIMIT 3",
+            UnsupportedQueryError,
+            f"unsupported operator LIMIT; this engine covers {SUPPORTED_SUBSET}",
+            2,
+            15,
+        ),
+        ("SELECT ?s WHERE { ?s ?p ?o . } foo", ParseError, "unexpected word 'foo'", 1, 32),
+    ],
+)
+def test_every_lexer_error_is_pinned_with_its_position(text, error, message, line, column):
+    with pytest.raises(ParseError) as exc:
+        parse_query(text)
+    assert type(exc.value) is error
+    assert (exc.value.message, exc.value.line, exc.value.column) == (message, line, column)
 
 
 def test_literals_resolve_to_terms():
