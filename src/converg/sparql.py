@@ -14,7 +14,9 @@ predicate written as IRIs joined by ``/`` becomes a chain through fresh
 ``_pathN`` variables, numbered past every variable name the query spells.
 A term the ``Term`` constructors reject (an empty IRI, a malformed language
 tag) is a ``ParseError`` at its token's line and column. LF, CR and CRLF
-each end a line and a ``#`` comment.
+each end a line and a ``#`` comment. The lexer takes each token with one
+match of one compiled pattern. A column counts code points from the start
+of its line, so a tab is one column.
 
 A prefixed name's local part may contain ``/`` (as benchmark vocabularies
 sometimes do: ``bsbm:v01/vocabulary/rating2`` is one IRI). It ends before a
@@ -25,6 +27,7 @@ sometimes do: ``bsbm:v01/vocabulary/rating2`` is one IRI). It ends before a
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -82,13 +85,9 @@ _UNSUPPORTED = {
     "EXCEPT",
 }
 
-_WORD_CHARS = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-"
-)
 # A prefixed name's local part: word characters and any of ./#%: , ending
 # before a "/" that starts the next step of a path (`<`, `:` or `name:`).
-_LOCAL_PART = re.compile(r"[\w\-.#%:]*(?:/(?![\w\-]*:|<)[\w\-.#%:]*)*", re.ASCII)
-_DIGITS = frozenset("0123456789")
+_LOCAL_PART = re.compile(r"[\w\-.#%:]*(?:/(?![\w\-]*:|<)[\w\-.#%:]*)*", re.ASCII).match
 
 
 # ---------------------------------------------------------------------- AST
@@ -156,163 +155,114 @@ class Query:
 # -------------------------------------------------------------------- lexer
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    value: object
-    line: int
-    col: int
+_Token = namedtuple("_Token", "kind value line col")
+
+# One match per token: the blanks and the comment before it, then the token,
+# whose kind is the name of the group that matched. A `<` or `"` that starts
+# no well-formed IRIREF or plain STRING matches BADIRI or QUOTE instead, and
+# `_lex` checks after the match what the pattern cannot say. Any other
+# character is an OTHER token: the parser classifies it, so that an
+# unsupported keyword earlier in the text wins over a stray character after it.
+_TOKEN = re.compile(
+    r"""[ \t]*(?:\#[^\r\n]*)?        # blanks, then a comment up to its line break
+    (?:
+      (?P<NEWLINE>\r\n?|\n)          # LF, CR and CRLF each end one line
+    | (?P<EOF>\Z)
+    | (?P<IRIREF><[^>\s<]*>)
+    | (?P<BADIRI><)                  # unterminated, or holds whitespace or '<'
+    | (?P<VAR>\?\w*)
+    | (?P<STRING>"[^"\\\r\n]*")      # STRING_LITERAL2 holds no raw line break
+    | (?P<QUOTE>")                   # a string with an escape, or unterminated
+    | (?P<LANGTAG>@(?:[^\W_]|-)*)
+    | (?P<NUMBER>[0-9]+(?:\.[0-9]+)?)
+    | (?P<WORD>[^\W\d][\w-]*|(?=:))  # a prefixed name's prefix may be empty
+    | (?P<HATHAT>\^\^)
+    | (?P<LBRACE>\{) | (?P<RBRACE>\}) | (?P<LPAREN>\() | (?P<RPAREN>\))
+    | (?P<DOT>\.) | (?P<SEMI>;) | (?P<COMMA>,) | (?P<SLASH>/) | (?P<STAR>\*)
+    | (?P<OTHER>.)
+    )""",
+    re.VERBOSE | re.DOTALL,
+).match
+# The characters of a string literal up to its next `"`, `\\` or line break.
+_STRING_RUN = re.compile(r'[^"\\\r\n]*').match
 
 
 def _lex(text: str) -> list[_Token]:
+    """The tokens of `text`, ending with EOF."""
     tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def err(message, l=None, c=None):
-        return ParseError(message, line=l or line, column=c or col)
-
-    def emit(kind, value=None, l=None, c=None):
-        tokens.append(_Token(kind, value, l or line, c or col))
-
-    while i < n:
-        ch = text[i]
-        if ch in "\n\r":  # LF, CR and CRLF each end one line
-            i += 2 if text.startswith("\r\n", i) else 1
-            line, col = line + 1, 1
-            continue
-        if ch in " \t":
-            i, col = i + 1, col + 1
-            continue
-        if ch == "#":  # a comment runs to the next LF or CR
-            while i < n and text[i] not in "\n\r":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch == "<":
-            end = text.find(">", i + 1)
-            if end < 0:
-                raise err("unterminated IRI")
-            value = text[i + 1 : end]
-            if any(c.isspace() for c in value) or "<" in value:
-                raise err("IRI may not contain whitespace or '<'")
-            emit("IRIREF", value, start_line, start_col)
-            col += end + 1 - i
-            i = end + 1
-            continue
-        if ch == "?":
-            j = i + 1
-            if j >= n or not (text[j].isalpha() or text[j] == "_"):
-                raise err("variable name expected after '?'")
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            emit("VAR", text[i + 1 : j], start_line, start_col)
-            col += j - i
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            out = []
-            while True:
-                if j >= n or text[j] in "\r\n":  # STRING_LITERAL2 holds no raw line break
-                    raise err("unterminated string", start_line, start_col)
-                c = text[j]
-                if c == '"':
-                    j += 1
-                    break
-                if c == "\\":
-                    try:
-                        c, j = read_escape(text, j)
-                    except ValueError as exc:
-                        raise err(str(exc), start_line, start_col) from None
-                    out.append(c)
-                    continue
-                out.append(c)
-                j += 1
-            emit("STRING", "".join(out), start_line, start_col)
-            col += j - i
-            i = j
-            continue
-        if ch == "@":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "-"):
-                j += 1
-            if j == i + 1:
-                raise err("language tag expected after '@'")
-            emit("LANGTAG", text[i + 1 : j], start_line, start_col)
-            col += j - i
-            i = j
-            continue
-        if text.startswith("^^", i):
-            emit("HATHAT")
-            i, col = i + 2, col + 2
-            continue
-        punct = {
-            "{": "LBRACE",
-            "}": "RBRACE",
-            "(": "LPAREN",
-            ")": "RPAREN",
-            ".": "DOT",
-            ";": "SEMI",
-            ",": "COMMA",
-            "/": "SLASH",
-            "*": "STAR",
-        }.get(ch)
-        if punct:
-            emit(punct)
-            i, col = i + 1, col + 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            if j + 1 < n and text[j] == "." and text[j + 1] in _DIGITS:
-                j += 1
-                while j < n and text[j] in _DIGITS:
-                    j += 1
-            emit("NUMBER", text[i:j], start_line, start_col)
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_" or ch == ":":
-            j = i
-            while j < n and (text[j] in _WORD_CHARS or text[j].isalnum()):
-                j += 1
-            word = text[i:j]
+    append = tokens.append
+    pos, line, line_start = 0, 1, 0
+    while True:
+        m = _TOKEN(text, pos)
+        kind = m.lastgroup
+        start, pos = m.start(kind), m.end()
+        col = start - line_start + 1
+        if kind == "NEWLINE":
+            line, line_start = line + 1, pos
+        elif kind == "VAR":
+            name = text[start + 1 : pos]
+            if not (name[:1].isalpha() or name[:1] == "_"):
+                raise ParseError("variable name expected after '?'", line, col)
+            append(_Token(kind, name, line, col))
+        elif kind == "IRIREF" or kind == "STRING":
+            append(_Token(kind, text[start + 1 : pos - 1], line, col))
+        elif kind == "WORD":
+            word = text[start:pos]
             if not word.isascii():  # keywords and prefixes are ASCII only
-                raise err(f"unexpected word {word!r}", start_line, start_col)
-            if j < n and text[j] == ":":
-                j += 1
-                local_start = j
-                j = _LOCAL_PART.match(text, j).end()
-                local = text[local_start:j]
-                while local.endswith("."):
-                    local = local[:-1]
-                    j -= 1
-                while local.endswith("/"):
-                    local = local[:-1]
-                    j -= 1
-                emit("PNAME", (word, local), start_line, start_col)
-                col += j - i
-                i = j
-                continue
-            if word == "a":
-                emit("A", None, start_line, start_col)
+                if word[0].isalpha() or word[0] == "_":
+                    raise ParseError(f"unexpected word {word!r}", line, col)
+                append(_Token("OTHER", word[0], line, col))  # '²' and the like start no word
+                pos = start + 1
+            elif text.startswith(":", pos):
+                local_start = pos + 1
+                local = text[local_start : _LOCAL_PART(text, local_start).end()]
+                local = local.rstrip(".").rstrip("/")
+                append(_Token("PNAME", (word, local), line, col))
+                pos = local_start + len(local)
+            elif word == "a":
+                append(_Token("A", None, line, col))
             else:
                 upper = word.upper()
-                if upper in _KEYWORDS or upper in _UNSUPPORTED:
-                    emit("KEYWORD", upper, start_line, start_col)
-                else:
-                    raise err(f"unexpected word {word!r}", start_line, start_col)
-            col += j - i
-            i = j
-            continue
-        # Leave classification to the parser so that an unsupported keyword
-        # earlier in the text wins over a stray character after it.
-        emit("OTHER", ch)
-        i, col = i + 1, col + 1
-    tokens.append(_Token("EOF", None, line, col))
-    return tokens
+                if upper not in _KEYWORDS and upper not in _UNSUPPORTED:
+                    raise ParseError(f"unexpected word {word!r}", line, col)
+                append(_Token("KEYWORD", upper, line, col))
+        elif kind == "QUOTE":
+            try:
+                value, pos = _read_string(text, pos)
+            except ValueError as exc:
+                raise ParseError(str(exc), line, col) from None
+            append(_Token("STRING", value, line, col))
+        elif kind == "LANGTAG":
+            if pos == start + 1:
+                raise ParseError("language tag expected after '@'", line, col)
+            append(_Token(kind, text[start + 1 : pos], line, col))
+        elif kind == "NUMBER" or kind == "OTHER":
+            append(_Token(kind, text[start:pos], line, col))
+        elif kind == "BADIRI":
+            if text.find(">", pos) < 0:
+                raise ParseError("unterminated IRI", line, col)
+            raise ParseError("IRI may not contain whitespace or '<'", line, col)
+        elif kind == "EOF":
+            append(_Token(kind, None, line, col))
+            return tokens
+        else:  # punctuation
+            append(_Token(kind, None, line, col))
+
+
+def _read_string(text: str, pos: int) -> tuple[str, int]:
+    """The value of the string literal whose body starts at `pos`, and the
+    index after its closing `"`; a ValueError says what is malformed."""
+    parts = []
+    end = _STRING_RUN(text, pos).end()
+    while text.startswith("\\", end):
+        parts.append(text[pos:end])
+        char, pos = read_escape(text, end)
+        parts.append(char)
+        end = _STRING_RUN(text, pos).end()
+    if not text.startswith('"', end):
+        raise ValueError("unterminated string")
+    parts.append(text[pos:end])
+    return "".join(parts), end + 1
 
 
 # ------------------------------------------------------------------- parser
