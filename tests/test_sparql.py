@@ -324,34 +324,35 @@ def test_benchmark_style_aggregate_texts_parse():
 
 
 
-@pytest.mark.parametrize(
-    "text,line,column,message",
-    [
-        ('SELECT ?s WHERE { ?s <urn:p> "x"@123 . }', 1, 33, "malformed language tag: '123'"),
-        ('SELECT ?s WHERE {\n  ?s <urn:p> "x"@en- . }', 2, 17, "malformed language tag: 'en-'"),
-        ('SELECT ?s WHERE { ?s <urn:p> "x"@abcdefghij . }', 1, 33, "malformed language tag"),
-        ("SELECT ?s WHERE { ?s <> ?o . }", 1, 22, "IRI must be non-empty"),
-        ('SELECT ?s WHERE { ?s <urn:p> "x"^^<> . }', 1, 35, "IRI must be non-empty"),
-        ("PREFIX e: <>\nSELECT ?s WHERE { ?s e: ?o . }", 2, 22, "IRI must be non-empty"),
-        ("SELECT ?s WHERE { GRAPH <> { ?s ?p ?o . } }", 1, 25, "IRI must be non-empty"),
-        ('SELECT ?s WHERE { ?s <urn:p> "\\U00110000" . }', 1, 30, "escape beyond the Unicode range"),
-        ('SELECT ?s WHERE {\n  ?s <urn:p> "a\\uD800" . }', 2, 14, "escape names a surrogate code point"),
-        # numbers are ASCII digits only: other Unicode digits are no term
-        ("SELECT ?s WHERE { ?s <urn:p> \u00b2 . }", 1, 30, "expected an object"),
-        ("SELECT ?s WHERE { ?s <urn:p> \u0663 . }", 1, 30, "expected an object"),
-        ("SELECT ?s WHERE { ?s <urn:p> 1\u00b2 . }", 1, 31, "expected a triple pattern"),
-        # a word that holds a non-ASCII letter is quoted whole
-        ("SELECT ?s WHERE { ?s <urn:p> \u00e9 . }", 1, 30, "unexpected word '\u00e9'"),
-        ("PREFIX \u00e9: <urn:x:>\nSELECT ?s WHERE { ?s ?p ?o . }", 1, 8, "unexpected word '\u00e9'"),
-        ("SELECT ?s WHERE { ?s <urn:p> a\u00e9 . }", 1, 30, "unexpected word 'a\u00e9'"),
-        # a path of prefixed names is no subject or object
-        ("PREFIX ex: <urn:ex:>\nSELECT ?s WHERE { ex:a/ex:b <urn:p> ?o . }", 2, 23, "expected a predicate"),
-        ("PREFIX ex: <urn:ex:>\nSELECT ?s WHERE { ?s <urn:p> ex:a/ex:b . }", 2, 34, "expected a triple pattern"),
-        # STRING_LITERAL2 excludes a raw line feed and a raw carriage return
-        ('SELECT ?s WHERE { ?s ?p "a\nb" . }', 1, 25, "unterminated string"),
-        ('SELECT ?s WHERE { ?s ?p "a\rb" . }', 1, 25, "unterminated string"),
-    ],
-)
+# Query terms the lexer cuts but the parser or a Term constructor rejects.
+MALFORMED_TERMS = [
+    ('SELECT ?s WHERE { ?s <urn:p> "x"@123 . }', 1, 33, "malformed language tag: '123'"),
+    ('SELECT ?s WHERE {\n  ?s <urn:p> "x"@en- . }', 2, 17, "malformed language tag: 'en-'"),
+    ('SELECT ?s WHERE { ?s <urn:p> "x"@abcdefghij . }', 1, 33, "malformed language tag"),
+    ("SELECT ?s WHERE { ?s <> ?o . }", 1, 22, "IRI must be non-empty"),
+    ('SELECT ?s WHERE { ?s <urn:p> "x"^^<> . }', 1, 35, "IRI must be non-empty"),
+    ("PREFIX e: <>\nSELECT ?s WHERE { ?s e: ?o . }", 2, 22, "IRI must be non-empty"),
+    ("SELECT ?s WHERE { GRAPH <> { ?s ?p ?o . } }", 1, 25, "IRI must be non-empty"),
+    ('SELECT ?s WHERE { ?s <urn:p> "\\U00110000" . }', 1, 30, "escape beyond the Unicode range"),
+    ('SELECT ?s WHERE {\n  ?s <urn:p> "a\\uD800" . }', 2, 14, "escape names a surrogate code point"),
+    # numbers are ASCII digits only: other Unicode digits are no term
+    ("SELECT ?s WHERE { ?s <urn:p> \u00b2 . }", 1, 30, "expected an object"),
+    ("SELECT ?s WHERE { ?s <urn:p> \u0663 . }", 1, 30, "expected an object"),
+    ("SELECT ?s WHERE { ?s <urn:p> 1\u00b2 . }", 1, 31, "expected a triple pattern"),
+    # a word that holds a non-ASCII letter is quoted whole
+    ("SELECT ?s WHERE { ?s <urn:p> \u00e9 . }", 1, 30, "unexpected word '\u00e9'"),
+    ("PREFIX \u00e9: <urn:x:>\nSELECT ?s WHERE { ?s ?p ?o . }", 1, 8, "unexpected word '\u00e9'"),
+    ("SELECT ?s WHERE { ?s <urn:p> a\u00e9 . }", 1, 30, "unexpected word 'a\u00e9'"),
+    # a path of prefixed names is no subject or object
+    ("PREFIX ex: <urn:ex:>\nSELECT ?s WHERE { ex:a/ex:b <urn:p> ?o . }", 2, 23, "expected a predicate"),
+    ("PREFIX ex: <urn:ex:>\nSELECT ?s WHERE { ?s <urn:p> ex:a/ex:b . }", 2, 34, "expected a triple pattern"),
+    # STRING_LITERAL2 excludes a raw line feed and a raw carriage return
+    ('SELECT ?s WHERE { ?s ?p "a\nb" . }', 1, 25, "unterminated string"),
+    ('SELECT ?s WHERE { ?s ?p "a\rb" . }', 1, 25, "unterminated string"),
+]
+
+
+@pytest.mark.parametrize("text,line,column,message", MALFORMED_TERMS)
 def test_malformed_query_terms_are_positioned_parse_errors(text, line, column, message):
     with pytest.raises(ParseError) as exc:
         parse_query(text)
@@ -359,37 +360,52 @@ def test_malformed_query_terms_are_positioned_parse_errors(text, line, column, m
     assert message in str(exc.value)
 
 
-@pytest.mark.parametrize(
-    "text,error,message,line,column",
-    [
-        ("SELECT ?s WHERE { ?s <urn:p ?o . }", ParseError, "unterminated IRI", 1, 22),
-        ("SELECT ?s WHERE { ?s <urn:p x> ?o . }", ParseError, "IRI may not contain whitespace or '<'", 1, 22),
-        ("SELECT ?s WHERE { ?s <urn:<p> ?o . }", ParseError, "IRI may not contain whitespace or '<'", 1, 22),
-        ("SELECT ? WHERE { ?s ?p ?o . }", ParseError, "variable name expected after '?'", 1, 8),
-        ("SELECT ?1a WHERE { ?s ?p ?o . }", ParseError, "variable name expected after '?'", 1, 8),
-        ('SELECT ?s WHERE { ?s ?p "x"@ . }', ParseError, "language tag expected after '@'", 1, 28),
-        ('SELECT ?s WHERE { ?s ?p "a\\q" . }', ParseError, "unsupported escape \\q", 1, 25),
-        ('SELECT ?s WHERE { ?s ?p "a\\u12" . }', ParseError, "malformed \\u escape", 1, 25),
-        ('SELECT ?s WHERE { ?s ?p "a\\', ParseError, "dangling escape", 1, 25),
-        ('SELECT ?s WHERE { ?s ?p "abc', ParseError, "unterminated string", 1, 25),
-        # CRLF ends one line, and a tab is one column
-        ("SELECT ?s WHERE {\r\n\t?s ?p $o . }", ParseError, "unexpected word 'o'", 2, 9),
-        # a bare CR ends a line too
-        (
-            "SELECT ?s WHERE {\r ?s ?p ?o . } LIMIT 3",
-            UnsupportedQueryError,
-            f"unsupported operator LIMIT; this engine covers {SUPPORTED_SUBSET}",
-            2,
-            15,
-        ),
-        ("SELECT ?s WHERE { ?s ?p ?o . } foo", ParseError, "unexpected word 'foo'", 1, 32),
-    ],
-)
+# Every error the lexer raises, with its message and position.
+LEXER_ERRORS = [
+    ("SELECT ?s WHERE { ?s <urn:p ?o . }", ParseError, "unterminated IRI", 1, 22),
+    ("SELECT ?s WHERE { ?s <urn:p x> ?o . }", ParseError, "IRI may not contain whitespace or '<'", 1, 22),
+    ("SELECT ?s WHERE { ?s <urn:<p> ?o . }", ParseError, "IRI may not contain whitespace or '<'", 1, 22),
+    ("SELECT ? WHERE { ?s ?p ?o . }", ParseError, "variable name expected after '?'", 1, 8),
+    ("SELECT ?1a WHERE { ?s ?p ?o . }", ParseError, "variable name expected after '?'", 1, 8),
+    ('SELECT ?s WHERE { ?s ?p "x"@ . }', ParseError, "language tag expected after '@'", 1, 28),
+    ('SELECT ?s WHERE { ?s ?p "a\\q" . }', ParseError, "unsupported escape \\q", 1, 25),
+    ('SELECT ?s WHERE { ?s ?p "a\\u12" . }', ParseError, "malformed \\u escape", 1, 25),
+    ('SELECT ?s WHERE { ?s ?p "a\\', ParseError, "dangling escape", 1, 25),
+    ('SELECT ?s WHERE { ?s ?p "abc', ParseError, "unterminated string", 1, 25),
+    # CRLF ends one line, and a tab is one column
+    ("SELECT ?s WHERE {\r\n\t?s ?p $o . }", ParseError, "unexpected word 'o'", 2, 9),
+    # a bare CR ends a line too
+    (
+        "SELECT ?s WHERE {\r ?s ?p ?o . } LIMIT 3",
+        UnsupportedQueryError,
+        f"unsupported operator LIMIT; this engine covers {SUPPORTED_SUBSET}",
+        2,
+        15,
+    ),
+    ("SELECT ?s WHERE { ?s ?p ?o . } foo", ParseError, "unexpected word 'foo'", 1, 32),
+]
+
+
+@pytest.mark.parametrize("text,error,message,line,column", LEXER_ERRORS)
 def test_every_lexer_error_is_pinned_with_its_position(text, error, message, line, column):
     with pytest.raises(ParseError) as exc:
         parse_query(text)
     assert type(exc.value) is error
     assert (exc.value.message, exc.value.line, exc.value.column) == (message, line, column)
+
+
+@pytest.mark.parametrize(
+    "text,line,column",
+    [
+        ("SELECT ?s WHERE { ?s ?p ?o . # no closing brace", 1, 48),
+        ("SELECT ?s WHERE {\r\n  ?s ?p ?o . # still open", 2, 26),
+        ("SELECT ?s WHERE { ?s ?p ?o .\t ", 1, 31),
+    ],
+)
+def test_an_error_at_the_end_of_the_text_points_past_its_last_character(text, line, column):
+    with pytest.raises(ParseError) as exc:
+        parse_query(text)
+    assert (exc.value.message, exc.value.line, exc.value.column) == ("expected '}'", line, column)
 
 
 def test_literals_resolve_to_terms():
