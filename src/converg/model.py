@@ -19,7 +19,6 @@ BLANK = "blank"
 XSD = "http://www.w3.org/2001/XMLSchema#"
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDF_TYPE_IRI = RDF_NS + "type"
-RDF_LANG_STRING_IRI = RDF_NS + "langString"
 
 # Vocabulary for linking a versioned named graph to its graph and version.
 VOCAB_NS = "urn:converg:vocab:"

@@ -293,17 +293,6 @@ def serialize_term(term: Term) -> str:
     return body
 
 
-def serialize_quad(quad: Quad) -> str:
-    parts = [
-        serialize_term(quad.subject),
-        serialize_term(quad.predicate),
-        serialize_term(quad.object),
-    ]
-    if quad.graph is not None:
-        parts.append(serialize_term(quad.graph))
-    return " ".join(parts) + " ."
-
-
 class _TermText(dict):
     """`serialize_term` of each distinct term, computed on first lookup."""
 
@@ -315,8 +304,9 @@ class _TermText(dict):
 def serialize_nquads(quads) -> str:
     """Canonical form: one quad per line, ``\\n`` endings, minimal escaping.
 
-    Equal to joining ``serialize_quad(q) + "\\n"``; each distinct term is
-    serialized once per call."""
+    A line is the quad's terms in ``serialize_term`` form, the graph last
+    if any, joined by single spaces and ended by `` .``; each distinct term
+    is serialized once per call."""
     text = _TermText()
     return "".join(
         f"{text[q.subject]} {text[q.predicate]} {text[q.object]} {text[q.graph]} .\n"

@@ -12,11 +12,23 @@ from converg.nquads import (
     parse_nquads,
     parse_term,
     serialize_nquads,
-    serialize_quad,
     serialize_term,
 )
 
 DECIMAL = XSD + "decimal"
+
+
+def serialize_quad(quad: Quad) -> str:
+    """One quad term by term, without its line end: the reference that
+    `serialize_nquads` is compared against."""
+    parts = [
+        serialize_term(quad.subject),
+        serialize_term(quad.predicate),
+        serialize_term(quad.object),
+    ]
+    if quad.graph is not None:
+        parts.append(serialize_term(quad.graph))
+    return " ".join(parts) + " ."
 
 
 def test_single_quad_line():
