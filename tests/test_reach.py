@@ -16,6 +16,7 @@ import.
 
 import inspect
 import logging
+import os
 import random
 import sys
 import types
@@ -90,7 +91,7 @@ def _unrun(module, first: int, end: int, run, allowed=()) -> list[str]:
     path = module.__file__
     lines = _source_lines(path)
     missed = _executable(path, lines, first, end) - _run_traced(path, first, end, run)
-    name = path.rsplit("/", 1)[-1]
+    name = os.path.basename(path)
     return [f"{name}:{n}: {lines[n - 1].strip()}" for n in sorted(missed) if lines[n - 1].strip() not in allowed]
 
 

@@ -324,7 +324,7 @@ def test_benchmark_style_aggregate_texts_parse():
 
 
 
-# Query terms the lexer cuts but the parser or a Term constructor rejects.
+# Malformed query terms, with the line, column and message of their error.
 MALFORMED_TERMS = [
     ('SELECT ?s WHERE { ?s <urn:p> "x"@123 . }', 1, 33, "malformed language tag: '123'"),
     ('SELECT ?s WHERE {\n  ?s <urn:p> "x"@en- . }', 2, 17, "malformed language tag: 'en-'"),
