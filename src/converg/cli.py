@@ -7,7 +7,10 @@ query, a query or version file that is malformed or not UTF-8, an unknown
 versioned graph, bad arguments), 2 a corrupt snapshot or an I/O error.
 
 Each command imports only what it runs: `load` and the other store
-commands never load the query engine, the parser or the generator.
+commands never load the query engine, the parser or the generator. No
+converg module uses `@dataclass`, whose module would pull in `inspect`, and
+the store commands do not import `decimal`, which only a query's numeric
+comparisons and sums need.
 """
 
 from __future__ import annotations

@@ -23,9 +23,8 @@ which is what the differential tests exercise.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from decimal import Decimal
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import EvalError, UnknownVngError
 from .model import (
@@ -75,7 +74,6 @@ def _version_bit(store: Store, term: Term) -> int:
     return 0
 
 
-@dataclass
 class Rows:
     """A pattern's solutions, condensed into (binding, graph id, bits) rows.
 
@@ -89,10 +87,13 @@ class Rows:
     never holds a per-bit variable.
     """
 
-    store: Store
-    rows: list
-    vng_var: str | None = None
-    version_vars: tuple = ()
+    __slots__ = ("store", "rows", "vng_var", "version_vars")
+
+    def __init__(self, store: Store, rows: list, vng_var: str | None = None, version_vars: tuple = ()):
+        self.store = store
+        self.rows = rows
+        self.vng_var = vng_var
+        self.version_vars = version_vars
 
     @property
     def per_bit(self) -> set[str]:
@@ -269,14 +270,16 @@ def _match_bgp_in_graph(store: Store, patterns, graph_id: int, mask: int) -> lis
 # ------------------------------------------------------ pattern evaluation
 
 
-@dataclass
 class _CondensedEvaluator:
     """Evaluates parsed patterns against a store, each to `Rows`, under a
     context: None for the default graph (metadata), or (graph id, bits of
     the versions in scope) inside GRAPH. Rows never carry 0, and versioned
     rows occur only in the default graph: inside GRAPH they are flat."""
 
-    store: Store
+    __slots__ = ("store",)
+
+    def __init__(self, store: Store):
+        self.store = store
 
     def eval(self, node, ctx) -> Rows:
         if isinstance(node, Bgp):
@@ -680,21 +683,26 @@ def eval_select(store: Store, query: Query, ctx=None) -> Rows:
 # ------------------------------------------------------------ result table
 
 
-@dataclass
 class ResultTable:
     """A query's answer, sorted. TSV and CSV are written from `lines` alone.
     `rows` is decoded from them on first read, each cell text looked up in
     `terms`: exact, since `serialize_term` is injective (the snapshot's DICT
     section relies on that too) and no cell text holds a tab."""
 
-    columns: tuple
-    lines: list  # each row's N-Triples cell texts ("" for unbound), joined by tabs
-    terms: dict  # every cell text in `lines` -> its Term, "" -> None
+    __slots__ = ("columns", "lines", "terms", "_rows")
 
-    @cached_property
+    def __init__(self, columns: tuple, lines: list, terms: dict):
+        self.columns = columns
+        self.lines = lines  # each row's N-Triples cell texts ("" for unbound), joined by tabs
+        self.terms = terms  # every cell text in `lines` -> its Term, "" -> None
+        self._rows = None
+
+    @property
     def rows(self) -> list:
         """Each line as a tuple of Term-or-None; kept after the first read."""
-        return [tuple(map(self.terms.__getitem__, line.split("\t"))) for line in self.lines]
+        if self._rows is None:
+            self._rows = [tuple(map(self.terms.__getitem__, line.split("\t"))) for line in self.lines]
+        return self._rows
 
     def to_tsv(self) -> str:
         return "\n".join(["\t".join(self.columns), *self.lines]) + "\n"

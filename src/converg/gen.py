@@ -17,9 +17,8 @@ anyone's guess; the graphs/products split here is simply a parameter.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
-from .model import RDF_TYPE, XSD, Quad, Term, iri, literal
+from .model import RDF_TYPE, XSD, Frozen, Quad, Term, iri, literal
 from .nquads import ParsedDocument, serialize_nquads
 
 BSBM_NS = "http://www4.wiwiss.fu-berlin.de/bizer/bsbm/"
@@ -31,23 +30,26 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-@dataclass(frozen=True)
-class GenConfig:
-    products: int
-    graphs: int
-    versions: int
-    change_rate: float
-    rating_range: tuple[int, int] = (1, 100)
-    seed: int = 1
+class GenConfig(Frozen):
+    __slots__ = _fields = ("products", "graphs", "versions", "change_rate", "rating_range", "seed")
 
-    def __post_init__(self):
-        if self.products < 1 or self.graphs < 1 or self.versions < 1:
+    def __init__(
+        self,
+        products: int,
+        graphs: int,
+        versions: int,
+        change_rate: float,
+        rating_range: tuple[int, int] = (1, 100),
+        seed: int = 1,
+    ):
+        if products < 1 or graphs < 1 or versions < 1:
             raise ValueError("products, graphs, and versions must be positive")
-        if not 0.0 <= self.change_rate <= 1.0:
+        if not 0.0 <= change_rate <= 1.0:
             raise ValueError("change_rate must be within [0, 1]")
-        lo, hi = self.rating_range
+        lo, hi = rating_range
         if lo > hi:
             raise ValueError("rating_range low bound exceeds high bound")
+        super().__init__(products, graphs, versions, change_rate, rating_range, seed)
 
 
 def _mix(x: int) -> int:

@@ -23,7 +23,6 @@ accepts is one the scanner accepts, with an equal `Quad`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .errors import ParseError
 from .model import Quad, Term, blank, iri, literal
@@ -65,11 +64,13 @@ _FAST_LINE = re.compile(
 ).fullmatch
 
 
-@dataclass
 class ParsedDocument:
     """Quads in file line order."""
 
-    quads: list[Quad] = field(default_factory=list)
+    __slots__ = ("quads",)
+
+    def __init__(self, quads: list[Quad] | None = None):
+        self.quads = [] if quads is None else quads
 
 
 class _LineScanner:

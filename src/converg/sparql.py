@@ -28,11 +28,9 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass
-from typing import Optional
 
 from .errors import ParseError, QueryValidationError, UnsupportedQueryError
-from .model import RDF_TYPE, XSD, Term, iri, literal
+from .model import RDF_TYPE, XSD, Frozen, Term, iri, literal
 from .nquads import read_escape
 
 # Groups (`{ ... }` of WHERE, GRAPH, MINUS and plain nesting) may nest this
@@ -85,71 +83,59 @@ _UNSUPPORTED = {
     "EXCEPT",
 }
 
-# A prefixed name's local part: word characters and any of ./#%: , ending
-# before a "/" that starts the next step of a path (`<`, `:` or `name:`).
-_LOCAL_PART = re.compile(r"[\w\-.#%:]*(?:/(?![\w\-]*:|<)[\w\-.#%:]*)*", re.ASCII).match
+# A prefixed name's local part: word characters (non-ASCII letters too) and
+# any of ./#%: , ending before a "/" that starts the next step of a path
+# (`<`, `:` or `name:`).
+_LOCAL_PART = re.compile(r"[\w\-.#%:]*(?:/(?![\w\-]*:|<)[\w\-.#%:]*)*").match
 
 
 # ---------------------------------------------------------------------- AST
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+# Each node is a `Frozen` value: built from its fields in order, immutable,
+# and equal only to a node of the same type with equal fields.
 
 
-@dataclass(frozen=True)
-class TriplePattern:
-    subject: object
-    predicate: object
-    object: object
+class Var(Frozen):
+    __slots__ = _fields = ("name",)
 
 
-@dataclass(frozen=True)
-class Bgp:
-    patterns: tuple
+class TriplePattern(Frozen):
+    __slots__ = _fields = ("subject", "predicate", "object")
 
 
-@dataclass(frozen=True)
-class GraphPat:
-    target: object
-    inner: object
+class Bgp(Frozen):
+    __slots__ = _fields = ("patterns",)
 
 
-@dataclass(frozen=True)
-class Join:
-    parts: tuple
+class GraphPat(Frozen):
+    __slots__ = _fields = ("target", "inner")
 
 
-@dataclass(frozen=True)
-class Minus:
-    left: object
-    right: object
+class Join(Frozen):
+    __slots__ = _fields = ("parts",)
 
 
-@dataclass(frozen=True)
-class SubSelect:
-    query: "Query"
+class Minus(Frozen):
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class SelectVar:
-    var: Var
+class SubSelect(Frozen):
+    __slots__ = _fields = ("query",)
 
 
-@dataclass(frozen=True)
-class SelectAgg:
-    func: str
-    distinct: bool
-    arg: Var
-    alias: Optional[str] = None
+class SelectVar(Frozen):
+    __slots__ = _fields = ("var",)
 
 
-@dataclass(frozen=True)
-class Query:
-    projection: tuple
-    pattern: object
-    group_by: Optional[tuple] = None
+class SelectAgg(Frozen):
+    __slots__ = _fields = ("func", "distinct", "arg", "alias")
+    _optional = 1  # alias
+
+
+class Query(Frozen):
+    __slots__ = _fields = ("projection", "pattern", "group_by")
+    _optional = 1  # group_by
 
 
 # -------------------------------------------------------------------- lexer

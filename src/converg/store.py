@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import os
 import re
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 from .dictionary import TermDictionary
@@ -29,6 +28,7 @@ from .model import (
     IS_IN_VERSION,
     IS_VERSION_OF,
     VNG_NS,
+    Frozen,
     Quad,
     Term,
     VngRecord,
@@ -72,29 +72,24 @@ def parse_bitmap(text: str) -> int:
     return int(text[::-1], 2) if text else 0
 
 
-@dataclass
-class IngestReport:
-    ordinal: int
-    minted_vngs: list[VngRecord]
-    quad_count: int
-    new_entry_count: int
-    duplicate_count: int
+class IngestReport(Frozen):
+    __slots__ = _fields = ("ordinal", "minted_vngs", "quad_count", "new_entry_count", "duplicate_count")
 
 
-@dataclass
-class StoreStats:
-    version_count: int
-    graph_count: int
-    vng_count: int
-    entry_count: int
-    flat_quad_count: int
-    metadata_triple_count: int
+class StoreStats(Frozen):
+    __slots__ = _fields = (
+        "version_count",
+        "graph_count",
+        "vng_count",
+        "entry_count",
+        "flat_quad_count",
+        "metadata_triple_count",
+    )
 
 
 EntryKey = tuple[int, int, int, int]  # (graph id, subject id, predicate id, object id)
 
 
-@dataclass
 class Store:
     """Entries, dictionary, vng records and metadata of every version.
 
@@ -103,15 +98,42 @@ class Store:
     insertion order.
     """
 
-    dictionary: TermDictionary = field(default_factory=TermDictionary)
-    entries: dict[EntryKey, int] = field(default_factory=dict)
-    vng_records: list[VngRecord] = field(default_factory=list)
-    version_count: int = 0
-    vng_counter: int = 0
-    version_labels: dict[int, str] = field(default_factory=dict)
-    user_metadata: list[tuple[Term, Term, Term]] = field(default_factory=list)
+    __slots__ = (
+        "dictionary",
+        "entries",
+        "vng_records",
+        "version_count",
+        "vng_counter",
+        "version_labels",
+        "user_metadata",
+        "_by_graph",
+        "_by_graph_pred",
+        "_by_subject",
+        "_vng_by_iri",
+        "_vng_by_pair",
+        "_minted",
+        "_user_metadata_set",
+        "_metadata",
+        "_version_iris",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        dictionary: Optional[TermDictionary] = None,
+        entries: Optional[dict[EntryKey, int]] = None,
+        vng_records: Optional[list[VngRecord]] = None,
+        version_count: int = 0,
+        vng_counter: int = 0,
+        version_labels: Optional[dict[int, str]] = None,
+        user_metadata: Optional[list[tuple[Term, Term, Term]]] = None,
+    ):
+        self.dictionary = TermDictionary() if dictionary is None else dictionary
+        self.entries = {} if entries is None else entries
+        self.vng_records = [] if vng_records is None else vng_records
+        self.version_count = version_count
+        self.vng_counter = vng_counter
+        self.version_labels = {} if version_labels is None else version_labels
+        self.user_metadata = [] if user_metadata is None else user_metadata
         self._by_graph: dict[int, list[EntryKey]] = {}
         self._by_graph_pred: dict[tuple[int, int], list[EntryKey]] = {}
         self._by_subject: dict[int, list[EntryKey]] = {}
@@ -227,8 +249,8 @@ class Store:
                 s, p, o = triple
                 if not (isinstance(s, Term) and isinstance(p, Term) and isinstance(o, Term)):
                     raise TypeError("every position must be a Term")
-                for term in (s, p, o):
-                    term.__post_init__()  # re-check: a Term made by object.__new__ never ran it
+                # Rebuilt, so the checks run again: a Term made by object.__new__ never ran them.
+                s, p, o = [Term(t.kind, t.lexical, t.datatype, t.language) for t in (s, p, o)]
                 Quad(s, p, o)
             except (TypeError, ValueError) as exc:
                 raise IngestError(f"metadata triple {triple!r} rejected: {exc}")
@@ -360,12 +382,12 @@ class Store:
 
     def stats(self) -> StoreStats:
         return StoreStats(
-            version_count=self.version_count,
-            graph_count=len(self._by_graph),
-            vng_count=len(self.vng_records),
-            entry_count=len(self.entries),
-            flat_quad_count=sum(bits.bit_count() for bits in self.entries.values()),
-            metadata_triple_count=2 * len(self.vng_records) + len(self.user_metadata),
+            self.version_count,
+            len(self._by_graph),
+            len(self.vng_records),
+            len(self.entries),
+            sum(bits.bit_count() for bits in self.entries.values()),  # flat quads
+            2 * len(self.vng_records) + len(self.user_metadata),  # metadata triples
         )
 
     def __eq__(self, other) -> bool:

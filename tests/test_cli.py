@@ -150,12 +150,13 @@ def test_query_unsupported_operator_exits_1(tmp_path, capsys):
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 _ENTRY = "from converg.cli import script_entry; script_entry()"
-# The same entry, then the converg modules the command imported, and
-# `logging` and `csv` if it imported them, on stderr.
+# The same entry, then the converg modules the command imported, and those
+# of `logging`, `csv`, `dataclasses`, `inspect` and `decimal` it imported,
+# on stderr.
 _ENTRY_LISTING_MODULES = (
     "import atexit, sys\n"
-    "atexit.register(lambda: print(*sorted(m for m in sys.modules"
-    " if m.startswith('converg.') or m in ('logging', 'csv')), file=sys.stderr))\n"
+    "atexit.register(lambda: print(*sorted(m for m in sys.modules if m.startswith('converg.')"
+    " or m in ('logging', 'csv', 'dataclasses', 'inspect', 'decimal')), file=sys.stderr))\n"
     + _ENTRY
 )
 
@@ -244,6 +245,9 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         loaded = set(done.stderr.decode().split())
         assert "converg.store" in loaded
         assert loaded.isdisjoint({"converg.engine", "converg.sparql", "converg.gen"}), args
+        # Nor the slow standard modules: no converg module uses dataclasses,
+        # and only comparing numbers in a query needs decimal.
+        assert loaded.isdisjoint({"dataclasses", "inspect", "decimal"}), args
     done = _script(
         ["query", store_dir, "-"],
         input=b"SELECT ?version WHERE { ?vng <urn:converg:vocab:is-in-version> ?version . }",
@@ -255,7 +259,7 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     # A TSV answer with nothing to warn about needs neither logging nor csv.
     loaded = set(done.stderr.decode().split())
     assert "converg.engine" in loaded
-    assert loaded.isdisjoint({"logging", "csv"}), loaded
+    assert loaded.isdisjoint({"logging", "csv", "dataclasses", "inspect"}), loaded
 
 
 def _refuse_rows(table):

@@ -26,6 +26,20 @@ def test_config_validation():
         GenConfig(products=1, graphs=1, versions=1, change_rate=0.5, rating_range=(9, 3))
 
 
+def test_config_is_immutable_and_keeps_its_defaults():
+    cfg = GenConfig(products=2, graphs=1, versions=2, change_rate=0.0)
+    assert (cfg.rating_range, cfg.seed) == ((1, 100), 1)
+    assert cfg == GenConfig(2, 1, 2, 0.0, (1, 100), 1) != GenConfig(2, 1, 2, 0.0, seed=2)
+    with pytest.raises(AttributeError):
+        cfg.seed = 2
+    with pytest.raises(AttributeError):
+        del cfg.products
+    assert cfg.seed == 1
+    assert repr(cfg) == (
+        "GenConfig(products=2, graphs=1, versions=2, change_rate=0.0, rating_range=(1, 100), seed=1)"
+    )
+
+
 def test_zero_change_rate_repeats_version_one():
     cfg = GenConfig(products=2, graphs=1, versions=2, change_rate=0.0, seed=11)
     v1 = serialize_nquads(generate_version(cfg, 1).quads)

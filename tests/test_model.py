@@ -11,6 +11,7 @@ from converg.model import (
     XSD,
     Quad,
     Term,
+    VngRecord,
     blank,
     iri,
     literal,
@@ -73,6 +74,68 @@ def test_quad_validation():
         Quad(iri("urn:s"), literal("p"), iri("urn:o"))
     with pytest.raises(ValueError):
         Quad(iri("urn:s"), iri("urn:p"), iri("urn:o"), graph=literal("g"))
+
+
+def _assignments(value, field):
+    """Assigning, adding and deleting an attribute of `value`, each of
+    which must raise AttributeError."""
+
+    def assign():
+        setattr(value, field, getattr(value, field))
+
+    def add():
+        value.extra = 1
+
+    def delete():
+        delattr(value, field)
+
+    return assign, add, delete
+
+
+@pytest.mark.parametrize(
+    "value, field",
+    [
+        (iri("urn:x"), "lexical"),
+        (literal("chat", language="fr"), "_hash"),
+        (Quad(iri("urn:s"), iri("urn:p"), literal("o")), "graph"),
+        (VngRecord(iri("urn:converg:vng:1"), iri("urn:g"), 1), "ordinal"),
+    ],
+    ids=["term", "term-hash", "quad", "vng-record"],
+)
+def test_values_are_immutable(value, field):
+    before = repr(value)
+    for change in _assignments(value, field):
+        with pytest.raises(AttributeError):
+            change()
+    assert repr(value) == before
+
+
+def test_reprs_list_the_fields_as_keywords():
+    # Store.add_metadata puts these reprs in its IngestError message.
+    assert repr(literal("10.5", datatype=DECIMAL)) == (
+        "Term(kind='literal', lexical='10.5', datatype='http://www.w3.org/2001/XMLSchema#decimal', language=None)"
+    )
+    assert repr(Quad(blank("b0"), iri("urn:p"), literal("chat", language="fr"))) == (
+        "Quad(subject=Term(kind='blank', lexical='b0', datatype=None, language=None), "
+        "predicate=Term(kind='iri', lexical='urn:p', datatype=None, language=None), "
+        "object=Term(kind='literal', lexical='chat', datatype=None, language='fr'), graph=None)"
+    )
+    assert repr(VngRecord(iri("urn:converg:vng:1"), iri("urn:g"), 2)) == (
+        "VngRecord(vng_iri=Term(kind='iri', lexical='urn:converg:vng:1', datatype=None, language=None), "
+        "graph=Term(kind='iri', lexical='urn:g', datatype=None, language=None), ordinal=2)"
+    )
+
+
+def test_quads_and_vng_records_compare_by_type_and_fields_and_copy_through_the_constructor():
+    s, p, o, g = iri("urn:s"), iri("urn:p"), literal("o"), iri("urn:g")
+    quad = Quad(s, p, o, g)
+    record = VngRecord(iri("urn:converg:vng:1"), g, 1)
+    assert quad == Quad(s, p, o, g) and hash(quad) == hash(Quad(s, p, o, g))
+    assert quad != Quad(s, p, o) and quad != (s, p, o, g)
+    assert record != (record.vng_iri, record.graph, record.ordinal)
+    for value in (quad, record):
+        for again in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert again == value and hash(again) == hash(value)
 
 
 # ----------------------------------------------------------------- minting

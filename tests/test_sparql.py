@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 from collections import Counter
@@ -243,6 +245,13 @@ def test_a_prefixed_name_ends_before_the_next_path_step(step):
     ]
 
 
+def test_a_prefixed_names_local_part_takes_non_ascii_letters():
+    q = parse_query("PREFIX ex: <urn:x:> SELECT ?s WHERE { ?s ex:caf\u00e9 ?o . }")
+    assert q.pattern.patterns == (TriplePattern(Var("s"), iri("urn:x:caf\u00e9"), Var("o")),)
+    q = parse_query("PREFIX ex: <urn:x:> SELECT ?s WHERE { ?s ex:\u00e9t\u00e9/ex:th\u00e9 ?o . }")
+    assert [p.predicate for p in q.pattern.patterns] == [iri("urn:x:\u00e9t\u00e9"), iri("urn:x:th\u00e9")]
+
+
 def test_iri_path_desugars_with_fresh_variable():
     q = parse_query("SELECT ?s ?o WHERE { ?s <urn:p1>/<urn:p2> ?o . }")
     pats = q.pattern.patterns
@@ -251,6 +260,37 @@ def test_iri_path_desugars_with_fresh_variable():
     assert isinstance(hop, Var) and hop.name.startswith("_path")
     assert pats[0] == TriplePattern(Var("s"), iri("urn:p1"), hop)
     assert pats[1] == TriplePattern(hop, iri("urn:p2"), Var("o"))
+
+
+def test_query_nodes_compare_and_hash_by_type_and_fields():
+    def bgp():
+        return Bgp((TriplePattern(Var("s"), iri("urn:p"), Var("o")),))
+
+    pairs = [
+        (Bgp((bgp(),)), Join((bgp(),))),
+        (Minus(bgp(), Bgp(())), GraphPat(bgp(), Bgp(()))),
+        (Var("s"), SelectVar("s")),
+    ]
+    for a, b in pairs:
+        assert a != b and hash(a) != hash(b)
+    assert Join((bgp(),)) == Join((bgp(),)) and hash(Join((bgp(),))) == hash(Join((bgp(),)))
+    assert Var("s") != ("s",)
+    assert SelectAgg("COUNT", False, Var("s")) == SelectAgg("COUNT", False, Var("s"), None)
+    assert Query((), bgp()) == Query((), bgp(), None)
+    with pytest.raises(TypeError):
+        Minus(bgp())
+
+
+def test_query_nodes_are_immutable_and_copy_equal():
+    query = parse_query(LISTING_STYLE_DISTINCT)
+    with pytest.raises(AttributeError):
+        query.pattern = None
+    with pytest.raises(AttributeError):
+        query.pattern.parts[0].target = Var("other")
+    with pytest.raises(AttributeError):
+        del query.projection
+    assert copy.deepcopy(query) == query == pickle.loads(pickle.dumps(query))
+    assert repr(Var("s")) == "Var(name='s')"
 
 
 def test_validate_is_idempotent():
