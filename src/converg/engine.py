@@ -23,7 +23,6 @@ which is what the differential tests exercise.
 from __future__ import annotations
 
 from collections import Counter
-from decimal import Decimal
 from functools import lru_cache
 
 from .errors import EvalError, UnknownVngError
@@ -485,6 +484,8 @@ def _numeric_or_fail(term: Term, group_desc: str) -> Decimal:
 
 
 def _sum_literal(values: Counter, group_desc: str) -> Term:
+    from decimal import Decimal  # only a SUM needs it, so only a SUM loads it
+
     total = Decimal(0)
     integral = True
     for term, multiplicity in values.items():
@@ -902,6 +903,8 @@ class _OracleEvaluator:
                     elif spec.func == "MIN":
                         result[alias] = sorted(values, key=term_order_key)[0]
                     elif spec.func == "SUM":
+                        from decimal import Decimal
+
                         total = Decimal(0)
                         integral = True
                         for term in values:

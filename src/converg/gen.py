@@ -85,15 +85,15 @@ def generate_version(cfg: GenConfig, ordinal: int) -> ParsedDocument:
     roll, draw = (_mix(_mix(cfg.seed & _MASK64) ^ kind) for kind in (1, 2))
     products = [iri(f"{BSBM_NS}v01/instances/Product{p}") for p in range(1, cfg.products + 1)]
     literals: dict[int, Term] = {}
-    doc = ParsedDocument()
+    quads: list[Quad] = []
     for g in range(1, cfg.graphs + 1):
         graph = iri(f"{GRAPH_NS}{g}")
         for product, rating in zip(products, _ratings(cfg, ordinal, g, roll, draw)):
             if rating not in literals:
                 literals[rating] = literal(str(rating), datatype=XSD + "integer")
-            doc.quads.append(Quad(product, RDF_TYPE, PRODUCT_CLASS, graph))
-            doc.quads.append(Quad(product, RATING_PREDICATE, literals[rating], graph))
-    return doc
+            quads.append(Quad(product, RDF_TYPE, PRODUCT_CLASS, graph))
+            quads.append(Quad(product, RATING_PREDICATE, literals[rating], graph))
+    return ParsedDocument(quads)
 
 
 def write_version_files(cfg: GenConfig, out_dir) -> list[str]:

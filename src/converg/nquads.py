@@ -5,19 +5,29 @@ export: IRIs in angle brackets, literals with ``^^`` datatype or ``@lang``,
 blank nodes, and an optional fourth graph term. Lines whose first non-blank
 byte is ``#`` are comments. UTF-8 only.
 
-`parse_nquads` reads the common statement shape with one compiled regex:
-terms separated by spaces or tabs, each an ``<iri>``, a ``_:label`` or a
-literal without escapes (optionally ``@tag`` or ``^^<iri>``), an optional
-graph IRI, then ``.`` and trailing spaces or tabs. Each distinct token is
-turned into a `Term` once per process, by the same constructors the
-scanner uses: a memo of at most 65536 tokens (emptied when full) maps
-token text to its `Term`, so equal tokens in any two documents give the
-same object, which the store's dictionary then finds by identity. A token
-a constructor rejects is not remembered. Every other line (escapes,
-comments, blank lines, CR endings, a token a constructor rejects,
-malformed input) goes to the character scanner, so a `ParseError`
-carries the scanner's message, line and column. A line the fast path
-accepts is one the scanner accepts, with an equal `Quad`.
+`parse_nquads` turns each statement into a row, a ``(subject, predicate,
+object, graph)`` tuple of `Term`s, in three tiers:
+
+1. Known tokens. A line that ``split(" ")`` cuts into four tokens the
+   token memo already holds, then ``.``, becomes a row of the memo's
+   terms once the subject is an IRI or blank node and the predicate and
+   graph are IRIs. This is the usual line of a version file whose terms
+   an earlier line or document has seen.
+2. One compiled regex for the common statement shape: terms separated by
+   spaces or tabs, each an ``<iri>``, a ``_:label`` or a literal without
+   escapes (optionally ``@tag`` or ``^^<iri>``), an optional graph IRI,
+   then ``.`` and trailing spaces or tabs. Each distinct token is turned
+   into a `Term` by the constructors the scanner uses, and remembered: a
+   memo of at most 65536 tokens (emptied when full) maps token text to its
+   `Term`, so equal tokens in any two documents give the same object,
+   which the store's dictionary then finds by identity. A token a
+   constructor rejects is not remembered.
+3. The character scanner takes every other line (escapes, comments, blank
+   lines, CR endings, a token a constructor rejects, malformed input), so
+   a `ParseError` carries the scanner's message, line and column.
+
+A line an earlier tier accepts is one the scanner accepts, with an equal
+row.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
-from .model import Quad, Term, blank, iri, literal
+from .model import IRI, LITERAL, Quad, Term, blank, iri, literal
 
 _ESCAPES = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "\\": "\\"}
 _UNESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
@@ -65,12 +75,33 @@ _FAST_LINE = re.compile(
 
 
 class ParsedDocument:
-    """Quads in file line order."""
+    """The statements of one document, in file line order.
 
-    __slots__ = ("quads",)
+    `rows` holds each statement as a ``(subject, predicate, object, graph)``
+    tuple of `Term`s, graph None for the default graph, checked as `Quad`
+    checks its fields; it is what `Store.ingest_version` reads. `quads` is
+    the same statements as `Quad`s. A document is made from either list and
+    builds the other on first read, then keeps it, so neither list may be
+    changed once the document is made.
+    """
 
-    def __init__(self, quads: list[Quad] | None = None):
-        self.quads = [] if quads is None else quads
+    __slots__ = ("_rows", "_quads")
+
+    def __init__(self, quads: list[Quad] | None = None, *, rows: list[tuple] | None = None):
+        self._quads = quads
+        self._rows = [] if quads is None and rows is None else rows
+
+    @property
+    def rows(self) -> list[tuple]:
+        if self._rows is None:
+            self._rows = [(q.subject, q.predicate, q.object, q.graph) for q in self._quads]
+        return self._rows
+
+    @property
+    def quads(self) -> list[Quad]:
+        if self._quads is None:
+            self._quads = [Quad(*row) for row in self._rows]
+        return self._quads
 
 
 class _LineScanner:
@@ -186,7 +217,8 @@ class _LineScanner:
         raise self.fail(f"unexpected character {c!r}")
 
 
-def _parse_line(text: str, lineno: int, require_graph: bool) -> Quad | None:
+def _parse_line(text: str, lineno: int, require_graph: bool) -> tuple | None:
+    """The row of one line, or None for a blank or comment line."""
     scanner = _LineScanner(text, lineno)
     if scanner.at_end():
         return None
@@ -209,9 +241,10 @@ def _parse_line(text: str, lineno: int, require_graph: bool) -> Quad | None:
     if require_graph and graph is None:
         raise scanner.fail("version data must name a graph; default-graph quads are reserved for metadata")
     try:
-        return Quad(terms[0], terms[1], terms[2], graph)
+        Quad(terms[0], terms[1], terms[2], graph)  # the checks a row must pass
     except ValueError as exc:
         raise scanner.fail(str(exc))
+    return (terms[0], terms[1], terms[2], graph)
 
 
 def parse_nquads(data, require_graph: bool = False) -> ParsedDocument:
@@ -224,28 +257,42 @@ def parse_nquads(data, require_graph: bool = False) -> ParsedDocument:
             data = bytes(data).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not UTF-8: {exc}")
-    doc = ParsedDocument()
-    append = doc.quads.append
-    terms = _TERMS
+    rows: list[tuple] = []
+    append = rows.append
+    known = _TERMS.get
     for lineno, line in enumerate(data.split("\n"), start=1):
+        tokens = line.split(" ")
+        if len(tokens) == 5 and tokens[4] == ".":
+            s, p, o, g = known(tokens[0]), known(tokens[1]), known(tokens[2]), known(tokens[3])
+            if (
+                s is not None
+                and p is not None
+                and o is not None
+                and g is not None
+                and s.kind != LITERAL
+                and p.kind == IRI
+                and g.kind == IRI
+            ):
+                append((s, p, o, g))
+                continue
         match = _FAST_LINE(line)
         if match is not None:
             s, p, o, g = match.groups()
             if g is not None or not require_graph:
                 try:
-                    subject = terms.get(s) or _token_term(s)
-                    predicate = terms.get(p) or _token_term(p)
-                    obj = terms.get(o) or _token_term(o)
-                    graph = None if g is None else terms.get(g) or _token_term(g)
+                    subject = known(s) or _token_term(s)
+                    predicate = known(p) or _token_term(p)
+                    obj = known(o) or _token_term(o)
+                    graph = None if g is None else known(g) or _token_term(g)
                 except ValueError:
                     pass  # a token the scanner rejects too, and it says where
                 else:
-                    append(Quad(subject, predicate, obj, graph))
+                    append((subject, predicate, obj, graph))
                     continue
-        quad = _parse_line(line.rstrip("\r"), lineno, require_graph)
-        if quad is not None:
-            append(quad)
-    return doc
+        row = _parse_line(line.rstrip("\r"), lineno, require_graph)
+        if row is not None:
+            append(row)
+    return ParsedDocument(rows=rows)
 
 
 # Token text -> Term, shared by every document the process parses (Terms

@@ -153,17 +153,21 @@ class Store:
     def ingest_version(self, doc, label: Optional[str] = None) -> IngestReport:
         """Load one version document as the next ordinal.
 
-        Every quad must carry a named graph; blank node labels are rescoped
+        `doc` is a `ParsedDocument`, whose `rows` are read, or an iterable
+        of `Quad`s; no `Quad` is built for a parsed document. Every quad must carry a named graph; blank node labels are rescoped
         per document so separate loads never share blank nodes; duplicate
         quads within the document collapse silently. Validation happens
         up front and the mutation phase cannot fail, so a raised error
         leaves the store untouched.
         """
-        quads = doc.quads if hasattr(doc, "quads") else list(doc)
+        if hasattr(doc, "rows"):
+            rows = doc.rows
+        else:
+            rows = [(q.subject, q.predicate, q.object, q.graph) for q in doc]
         if label is not None and ("\n" in label or "\r" in label):
             raise IngestError("version label must be a single line")
-        for quad in quads:
-            if quad.graph is None:
+        for row in rows:
+            if row[3] is None:
                 raise IngestError(
                     "version documents may not touch the default graph; "
                     "it is reserved for metadata"
@@ -177,7 +181,10 @@ class Store:
         if label is not None:
             self.version_labels[ordinal] = label
         encode = self.dictionary.encode
-        ids: dict[Term, int] = {}  # each distinct term of the document -> its id
+        # id() of each term object of the document -> its id. `rows` keeps
+        # the objects alive, so no two share an id(); equal terms held by
+        # distinct objects each get an entry, and `encode` gives them one id.
+        ids: dict[int, int] = {}
         blank_names: dict[str, Term] = {}
 
         def term_id(term: Term) -> int:
@@ -188,9 +195,9 @@ class Store:
                 if scoped is None:
                     scoped = blank(f"v{ordinal}b{len(blank_names)}")
                     blank_names[term.lexical] = scoped
-                ids[term] = tid = encode(scoped)
+                ids[id(term)] = tid = encode(scoped)
             else:
-                ids[term] = tid = encode(term)
+                ids[id(term)] = tid = encode(term)
             return tid
 
         mask = bit_for(ordinal)
@@ -198,18 +205,17 @@ class Store:
         graph_order: dict[int, Term] = {}  # graph id -> graph, first-appearance order
         new_entries = 0
         duplicates = 0
-        for quad in quads:
-            s, p, o, g = quad.subject, quad.predicate, quad.object, quad.graph
-            sid = ids.get(s)
+        for s, p, o, g in rows:
+            sid = ids.get(id(s))
             if sid is None:
                 sid = term_id(s)
-            pid = ids.get(p)
+            pid = ids.get(id(p))
             if pid is None:
                 pid = term_id(p)
-            oid = ids.get(o)
+            oid = ids.get(id(o))
             if oid is None:
                 oid = term_id(o)
-            gid = ids.get(g)
+            gid = ids.get(id(g))
             if gid is None:
                 gid = term_id(g)
             graph_order.setdefault(gid, g)
@@ -232,7 +238,7 @@ class Store:
             minted.append(rec)
         if __debug__:
             self.dictionary.check_bijection()
-        return IngestReport(ordinal, minted, len(quads) - duplicates, new_entries, duplicates)
+        return IngestReport(ordinal, minted, len(rows) - duplicates, new_entries, duplicates)
 
     def add_metadata(self, triples: Iterable[tuple[Term, Term, Term]]) -> int:
         """Extra default-graph metadata (creation date, authorship, ...).
@@ -622,15 +628,14 @@ def _rebuild(raw: dict[str, str]) -> Store:
             doc = parse_nquads(line + "\n")
         except Exception as exc:
             raise SnapshotError(f"META line {lineno + 1} malformed: {exc}")
-        for quad in doc.quads:
-            if quad.graph is not None:
+        for s, p, o, g in doc.rows:
+            if g is not None:
                 raise SnapshotError(f"META line {lineno + 1} must be a default-graph triple")
-            if quad.predicate in _LINK_PREDICATES:
+            if p in _LINK_PREDICATES:
                 raise SnapshotError(
-                    f"META line {lineno + 1} uses the reserved predicate "
-                    f"{serialize_term(quad.predicate)}"
+                    f"META line {lineno + 1} uses the reserved predicate {serialize_term(p)}"
                 )
-            triple = quad.triple()
+            triple = (s, p, o)
             if triple in seen_meta:
                 raise SnapshotError(f"META line {lineno + 1} duplicates a metadata triple")
             seen_meta.add(triple)

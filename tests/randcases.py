@@ -47,9 +47,9 @@ def random_object(rng, numeric_only=False):
 
 
 def random_version_doc(rng, graphs, numeric_only=False) -> ParsedDocument:
-    doc = ParsedDocument()
+    quads = []
     for _ in range(rng.randint(0, 50)):
-        doc.quads.append(
+        quads.append(
             Quad(
                 rng.choice(SUBJECT_POOL),
                 rng.choice(PREDICATE_POOL),
@@ -57,7 +57,7 @@ def random_version_doc(rng, graphs, numeric_only=False) -> ParsedDocument:
                 rng.choice(graphs),
             )
         )
-    return doc
+    return ParsedDocument(quads)
 
 
 def random_store(rng, numeric_only=False, max_versions=4):

@@ -256,10 +256,11 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.decode().splitlines()[0] == "version"
     assert len(done.stdout.splitlines()) == 1 + 4  # two graphs in each of two versions
-    # A TSV answer with nothing to warn about needs neither logging nor csv.
+    # A TSV answer with nothing to warn about needs neither logging nor csv,
+    # and one that neither sums nor compares numbers needs no decimal.
     loaded = set(done.stderr.decode().split())
     assert "converg.engine" in loaded
-    assert loaded.isdisjoint({"logging", "csv", "dataclasses", "inspect"}), loaded
+    assert loaded.isdisjoint({"logging", "csv", "dataclasses", "inspect", "decimal"}), loaded
 
 
 def _refuse_rows(table):

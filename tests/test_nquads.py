@@ -215,25 +215,37 @@ def test_arbitrary_bytes_parse_or_raise_parse_error(data, require_graph):
 # ------------------------------------------- fast path against the scanner
 
 
-def _outcome(parse):
-    """("quads", list) or ("error", message, line, column) of one parse."""
+def _scanned(data, require_graph):
+    """("quads", list) or ("error", message, line, column) of reading `data`
+    with the scanner alone, line by line."""
     try:
-        return ("quads", parse())
+        if isinstance(data, bytes):
+            try:
+                data = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"input is not UTF-8: {exc}")
+        lines = enumerate(data.split("\n"), start=1)
+        rows = [_parse_line(line.rstrip("\r"), n, require_graph) for n, line in lines]
     except ParseError as exc:
         return ("error", exc.message, exc.line, exc.column)
+    return ("quads", [Quad(*row) for row in rows if row is not None])
+
+
+def _parsed(data, require_graph):
+    """`_scanned`'s outcome for `parse_nquads`, whose rows must be its
+    quads' fields."""
+    try:
+        doc = parse_nquads(data, require_graph=require_graph)
+    except ParseError as exc:
+        return ("error", exc.message, exc.line, exc.column)
+    assert doc.rows == [(q.subject, q.predicate, q.object, q.graph) for q in doc.quads]
+    return ("quads", doc.quads)
 
 
 def _assert_same_as_scanner(line, require_graph):
-    def scanner():
-        quad = _parse_line(line.rstrip("\r"), 1, require_graph)
-        return [] if quad is None else [quad]
-
-    def document():
-        return parse_nquads(line, require_graph=require_graph).quads
-
     # The second parse finds the line's tokens in the process-wide memo.
-    assert _outcome(document) == _outcome(scanner), repr(line)
-    assert _outcome(document) == _outcome(scanner), repr(line)
+    assert _parsed(line, require_graph) == _scanned(line, require_graph), repr(line)
+    assert _parsed(line, require_graph) == _scanned(line, require_graph), repr(line)
 
 
 EDGE_LINES = [
@@ -386,3 +398,107 @@ def _lines(draw):
 @settings(max_examples=1500)
 def test_fast_path_agrees_with_the_scanner_on_generated_lines(line, require_graph):
     _assert_same_as_scanner(line, require_graph)
+
+
+# ------------------------------------------ documents against the scanner
+
+# Token pools small enough that a document repeats its tokens, so later
+# lines find them in the memo, with fresh tokens drawn alongside.
+_POOL_IRIS = ["<urn:s>", "<urn:p>", "<urn:o>", "<urn:g>", "<urn:h>", "<http://x.example/a#b>"]
+_POOL_BLANKS = ["_:a", "_:b1", "_:x-y.z"]
+_POOL_LITERALS = [
+    '"x"',
+    '""',
+    '"a b"',
+    '"x"@en',
+    '"x"@en-GB',
+    '"1"^^<urn:dt>',
+    '"a\\tb"',
+    '"caf\\u00e9"@fr',
+    '"say \\"hi\\""',
+]
+# Tokens a constructor or the scanner refuses, some in the regex's shapes.
+_POOL_BAD = ["<urn:a b>", "<>", "_:a.", '"\\q"', '"x"@1en', '"x"@', "_:", "<urn:s", '"open']
+_fresh_iris = st.builds(lambda s: f"<urn:n:{s}>", st.text("ab01é", min_size=1, max_size=3))
+_fresh_blanks = st.builds(lambda s: f"_:n{s}", st.text("ab01", max_size=3))
+_fresh_literals = st.builds(lambda s: f'"{s}"', st.text("ab é", max_size=3))
+_doc_iris = st.one_of(st.sampled_from(_POOL_IRIS), _fresh_iris)
+_doc_subjects = st.one_of(_doc_iris, st.sampled_from(_POOL_BLANKS), _fresh_blanks)
+_doc_objects = st.one_of(_doc_subjects, st.sampled_from(_POOL_LITERALS), _fresh_literals)
+_doc_odd = st.one_of(st.sampled_from(_POOL_BAD), st.sampled_from(_POOL_LITERALS), st.sampled_from(_POOL_BLANKS))
+_doc_separators = st.sampled_from([" "] * 6 + ["  ", "\t", " \t"])
+_doc_ends = st.sampled_from([" ."] * 8 + [".", "\t.", " .\r", " . # comment", ". "])
+_doc_bad_ends = st.sampled_from(["", " . .", " .. ", " _:a. ."])
+_doc_other_lines = st.sampled_from(["", "# a comment", "  # indented", " \t ", "\r"])
+
+
+@st.composite
+def _statement_lines(draw, faulty):
+    tokens = [draw(_doc_subjects), draw(_doc_iris), draw(_doc_objects)]
+    if draw(st.integers(0, 7)):
+        tokens.append(draw(_doc_iris))  # mostly a named graph
+    if faulty and not draw(st.integers(0, 3)):
+        # A literal subject or graph, a blank predicate or graph, or a
+        # token the parser refuses.
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_doc_odd)
+    lead = draw(st.sampled_from([""] * 8 + [" ", "\t"]))
+    text = lead + tokens[0]
+    for token in tokens[1:]:
+        text += draw(_doc_separators) + token
+    return text + draw(st.one_of(_doc_ends, _doc_bad_ends) if faulty else _doc_ends)
+
+
+@st.composite
+def nquads_documents(draw):
+    """An N-Quads document as text, or as bytes that may not be UTF-8. One
+    in three documents may hold lines the parser refuses."""
+    faulty = not draw(st.integers(0, 2))
+    lines = _statement_lines(faulty)
+    text = "\n".join(draw(st.lists(st.one_of(lines, lines, lines, _doc_other_lines), max_size=25)))
+    text += draw(st.sampled_from(["\n", ""]))
+    if draw(st.booleans()):
+        return text
+    data = text.encode("utf-8")
+    if faulty and draw(st.booleans()):
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
+
+
+# Token memo bounds: the real one, and ones small enough that a document
+# crosses a clear.
+MEMO_BOUNDS = st.sampled_from([1 << 16, 1 << 16, 1, 2, 5])
+
+
+def check_document_against_the_scanner(data, require_graph, bound):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nquads, "_TERMS_BOUND", bound)
+        patch.setattr(nquads, "_TERMS", {})
+        expected = _scanned(data, require_graph)
+        # First every token is new to the memo; then the document's tokens
+        # that the bound let stay are known.
+        assert _parsed(data, require_graph) == expected, data
+        assert _parsed(data, require_graph) == expected, data
+        assert len(nquads._TERMS) <= bound
+
+
+@given(nquads_documents(), st.booleans(), MEMO_BOUNDS)
+@settings(max_examples=600, deadline=None)
+def test_every_parser_tier_agrees_with_the_scanner_on_generated_documents(data, require_graph, bound):
+    check_document_against_the_scanner(data, require_graph, bound)
+
+
+def test_known_tokens_make_rows_without_the_regex(monkeypatch):
+    line = "<urn:s> <urn:p> _:b1 <urn:g> ."
+    first = parse_nquads(line).rows
+    monkeypatch.setattr(nquads, "_FAST_LINE", None)  # any regex call now fails
+    again = parse_nquads(f"{line}\n{line}").rows
+    assert again == first * 2 and all(a is b for a, b in zip(again[0], first[0]))
+    monkeypatch.undo()
+    # A known literal is still no subject, and a known blank node no graph.
+    parse_nquads('<urn:s> <urn:p> "x" <urn:g> .')
+    with pytest.raises(ParseError, match="subject must be an IRI") as exc:
+        parse_nquads('"x" <urn:p> <urn:o> <urn:g> .')
+    assert (exc.value.line, exc.value.column) == (1, 30)
+    with pytest.raises(ParseError, match="graph term must be an IRI"):
+        parse_nquads("<urn:s> <urn:p> <urn:o> _:b1 .")

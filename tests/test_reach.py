@@ -7,6 +7,9 @@ cases, so that the cases check each of its paths.
 - The query lexer, `sparql.py`'s lexer section (`_lex` and its string
   helper), runs in the pinned lexer errors, the malformed query terms and
   the generated query texts, so that each branch is pinned by a case.
+- The N-Quads fast paths, `parse_nquads` and the token memo's
+  `_token_term` in `nquads.py`, run in a fixed set of the generated
+  documents that the scanner checks, so that each tier is checked.
 
 Executable lines are read from the code objects' `co_lines()` in the
 running interpreter, and the lines that run are recorded with
@@ -21,10 +24,14 @@ import random
 import sys
 import types
 
+from hypothesis import Phase, given, settings, strategies as st
+
 import converg.engine as engine
+import converg.nquads as nquads
 import converg.sparql as sparql
 from converg.errors import ParseError
 from randcases import run_differential_case
+from test_nquads import MEMO_BOUNDS, check_document_against_the_scanner, nquads_documents
 from test_sparql import LEXER_ERRORS, MALFORMED_TERMS, generated_cases
 
 # Seeds of the slice, each run for CASES_PER_SEED cases. The stores are
@@ -131,3 +138,27 @@ def test_every_line_of_the_query_lexer_runs_in_the_parser_cases():
     lines = _source_lines(sparql.__file__)
     unrun = _unrun(sparql, _section(lines, "lexer"), _section(lines, "parser"), _lexer_cases)
     assert not unrun, "lines no parser case ran:\n" + "\n".join(unrun)
+
+
+# Generated documents the N-Quads gate runs: a fixed draw of the
+# differential test's strategy.
+NQUADS_DOCUMENTS = 300
+
+
+def _nquads_cases():
+    run = settings(
+        max_examples=NQUADS_DOCUMENTS,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        phases=(Phase.generate,),
+    )(given(nquads_documents(), st.booleans(), MEMO_BOUNDS)(check_document_against_the_scanner))
+    run()
+
+
+def test_every_line_of_the_nquads_fast_paths_runs_in_generated_documents():
+    first = nquads.parse_nquads.__code__.co_firstlineno
+    end = 1 + max(line for *_, line in nquads._token_term.__code__.co_lines() if line is not None)
+    assert first < nquads._token_term.__code__.co_firstlineno  # the span holds both functions
+    unrun = _unrun(nquads, first, end, _nquads_cases)
+    assert not unrun, "lines no generated document ran:\n" + "\n".join(unrun)

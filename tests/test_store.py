@@ -181,6 +181,45 @@ def test_a_blank_term_shared_by_two_documents_is_rescoped_per_load():
     assert store.stats().entry_count == 4
 
 
+GRAPH_AS_TERM_DOCUMENTS = [
+    # The graph is also the subject of its own quad.
+    "<urn:g> <urn:p> <urn:o> <urn:g> .\n",
+    # The graph is an object in an earlier quad of another graph.
+    "<urn:s> <urn:p> <urn:g> <urn:h> .\n<urn:s> <urn:p> <urn:o> <urn:g> .\n",
+]
+
+
+@pytest.mark.parametrize("parsed", [True, False], ids=["parsed", "quads"])
+@pytest.mark.parametrize("text", GRAPH_AS_TERM_DOCUMENTS)
+def test_a_graph_that_is_also_a_subject_or_object_mints_its_vng(tmp_path, text, parsed):
+    # A parsed document hands over one Term object for `<urn:g>` in every
+    # position, so the graph is no new term by the time its own position is
+    # read; the quads below hold equal but distinct objects instead.
+    quads = parse_nquads(text).quads
+    if parsed:
+        doc = parse_nquads(text)
+    else:
+        doc = [Quad(*[Term(t.kind, t.lexical) for t in (q.subject, q.predicate, q.object, q.graph)]) for q in quads]
+    store = Store()
+    report = store.ingest_version(doc)
+    graphs = list(dict.fromkeys(q.graph for q in quads))
+    assert [(r.vng_iri, r.graph) for r in report.minted_vngs] == [
+        (iri(f"urn:converg:vng:{n}"), g) for n, g in enumerate(graphs, 1)
+    ]
+    graph_of = {r.vng_iri: r.graph for r in report.minted_vngs}
+    flat = list(store.export_flat())
+    assert sorted(
+        serialize_nquads([Quad(q.subject, q.predicate, q.object, graph_of[q.graph])])
+        for q in flat
+        if q.graph is not None
+    ) == sorted(serialize_nquads([q]) for q in quads)
+    assert {(q.subject, q.object) for q in flat if q.predicate == IS_VERSION_OF} == set(graph_of.items())
+    save_snapshot(store, tmp_path)
+    reopened = load_snapshot(tmp_path)
+    assert reopened == store
+    assert list(reopened.export_flat()) == flat
+
+
 def test_version_labels():
     store = Store()
     store.ingest_version(ParsedDocument(), label="first drop")
