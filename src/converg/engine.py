@@ -10,9 +10,13 @@ left row shares with them; a value on one side of a variable per-bit on
 the other masks the row's bits, so metadata joins and MINUS on ?version
 stay condensed. Only `Rows.flat` expands, where two bit dimensions meet.
 GROUP BY folds over rows, by whole row or per bit (COUNT per version is
-bit-sliced addition of bitmaps), and the output stage builds only text:
-per set bit, only the ?vng and version cells change. `ResultTable.rows` is
-decoded from the sorted lines on first read.
+bit-sliced addition of bitmaps). The output stage writes the sorted TSV
+text straight from the rows: they sort once, on their cells other than the
+first ?vng or version cell, and each value of that cell writes one block,
+its lines picked from the rows' bitmaps by `compress`; only a block with a
+later ?vng cell, which varies with each row's graph, sorts its own lines.
+`ResultTable.lines` and `.rows` are split and decoded from the text on
+first read.
 
 `eval_oracle` is the deliberately naive reference: it evaluates the same
 query over the flat quad list with nested loops, no dictionary, no indexes,
@@ -23,7 +27,9 @@ which is what the differential tests exercise.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import compress, groupby, repeat
+from operator import itemgetter, or_
 
 from .errors import EvalError, UnknownVngError
 from .model import (
@@ -685,28 +691,38 @@ def eval_select(store: Store, query: Query, ctx=None) -> Rows:
 
 
 class ResultTable:
-    """A query's answer, sorted. TSV and CSV are written from `lines` alone.
-    `rows` is decoded from them on first read, each cell text looked up in
-    `terms`: exact, since `serialize_term` is injective (the snapshot's DICT
-    section relies on that too) and no cell text holds a tab."""
+    """A query's answer as TSV text: the header line, then one line per
+    solution, sorted, each ended by a newline. `to_tsv` returns that text
+    as built; `lines` is split from it and `rows` decoded from the lines,
+    each on first read and then kept. A row's cells are looked up in
+    `terms`: exact, since `serialize_term` is injective (the snapshot's
+    DICT section relies on that too) and no cell text holds a tab or a
+    newline."""
 
-    __slots__ = ("columns", "lines", "terms", "_rows")
+    __slots__ = ("columns", "text", "terms", "_lines", "_rows")
 
-    def __init__(self, columns: tuple, lines: list, terms: dict):
+    def __init__(self, columns: tuple, text: str, terms: dict):
         self.columns = columns
-        self.lines = lines  # each row's N-Triples cell texts ("" for unbound), joined by tabs
-        self.terms = terms  # every cell text in `lines` -> its Term, "" -> None
-        self._rows = None
+        self.text = text  # the header, then each line's N-Triples cell texts ("" for unbound) joined by tabs
+        self.terms = terms  # every cell text in `text` -> its Term, "" -> None
+        self._lines = self._rows = None
+
+    @property
+    def lines(self) -> list:
+        """The lines of `text` after the header."""
+        if self._lines is None:
+            self._lines = self.text.split("\n")[1:-1]
+        return self._lines
 
     @property
     def rows(self) -> list:
-        """Each line as a tuple of Term-or-None; kept after the first read."""
+        """Each line as a tuple of Term-or-None."""
         if self._rows is None:
             self._rows = [tuple(map(self.terms.__getitem__, line.split("\t"))) for line in self.lines]
         return self._rows
 
     def to_tsv(self) -> str:
-        return "\n".join(["\t".join(self.columns), *self.lines]) + "\n"
+        return self.text
 
     def to_csv(self) -> str:
         import csv
@@ -719,55 +735,112 @@ class ResultTable:
         return buffer.getvalue()
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bit_bytes(bitmaps: list, spec: str) -> bytes:
+    """`bitmaps` formatted by `spec` ("0{width}b") and concatenated, as bytes
+    of 0 and 1: bit i of the k-th bitmap is byte (k + 1) * width - 1 - i."""
+    return "".join(map(format, bitmaps, repeat(spec))).encode().translate(_BIT_BYTES)
+
 
 def _table(columns, rows: Rows) -> ResultTable:
-    """The sorted result table of `rows`. Only text is built: a row's cells
-    are serialized once, and per set bit only the ?vng and version cells
-    change. A row without either column is one line per solution: per set
-    bit, or once for a plain row, whose -1 sets one bit by `bit_count`.
+    """The result table of `rows`, its text written in order by
+    construction: Python work is per condensed row and per cell value, and
+    work per solution happens only inside `compress` and `str.join`.
+
+    Lines sort on the tuple of their cell texts, "" for unbound: the order
+    of the lines as strings, since no cell text holds a tab or a newline and
+    a text that is a proper prefix of another ("a" of "a"@en, _:a of _:ab,
+    "" of any) is continued there by a character above both. So the rows
+    sort once, on their line with the first per-bit cell (?vng or a
+    version) left empty; the cells before it, the prefix, group them. In a
+    group the first per-bit cell's values are walked in text order
+    (<urn:converg:version:10> before <urn:converg:version:2>; a ?vng's are
+    per graph and version), and each value writes one block: its head, the
+    prefix and the value, joined to the tails of the rows that hold its bit,
+    which `compress` picks in their sorted order from the rows' bitmaps as
+    bytes. A later version cell is the block's version: tails hold it as
+    "\\r" until the block is written. A later ?vng cell, held as "\\n",
+    varies with the row's graph: only such a block sorts its lines. A row
+    without per-bit cells is its line once per solution (per set bit; once
+    for a plain row, whose -1 sets one bit by `bit_count`), after the sort.
+
     Each term object is serialized once and its text mapped back to it for
     `rows`; the memo is keyed by id(), sound because the rows and the store
     keep every term alive for the call (a Term key would hash and compare
     in Python).
-
-    Rows sort on the tuple of their cell texts, "" for unbound: the order of
-    the lines as strings, since no cell text holds a tab and a text that is
-    a proper prefix of another ("a" of "a"@en, _:a of _:ab, "" of any) is
-    continued there by a character above the tab.
     """
-    vng_at, version_at = None, []
+    store, width = rows.store, rows.store.version_count
     texts, terms_of = {id(None): ""}, {"": None}
-    if rows.vng_var in columns:
-        vng_at = columns.index(rows.vng_var)
-        vng_iri_for = rows.store.vng_iri_for
-    version_at = [i for i, name in enumerate(columns) if name in rows.version_vars]
-    if version_at:
-        versions = rows.store.version_iris()
-        version_texts = [serialize_term(v) for v in versions]
-        terms_of.update(zip(version_texts, versions))
-    lines = []
+
+    def text_of(term) -> str:
+        texts[id(term)] = text = serialize_term(term)
+        terms_of[text] = term
+        return text
+
+    def vng_text(graph_id, ordinal: int) -> str:
+        vng = store.vng_iri_for(graph_id, ordinal)
+        return texts.get(id(vng)) or text_of(vng)
+
+    per_bit = [i for i, name in enumerate(columns) if name == rows.vng_var or name in rows.version_vars]
+    cut = per_bit[0] if per_bit else None
+    marks = {i: "\n" if columns[i] == rows.vng_var else "\r" for i in per_bit[1:]}
+    vng_first = cut is not None and columns[cut] == rows.vng_var
+    vng_later, version_later = "\n" in marks.values(), "\r" in marks.values()
+    version_texts = list(map(text_of, store.version_iris())) if set(columns) & set(rows.version_vars) else []
+    plain = []  # without per-bit cells: the row's line once per solution
+    keyed = []  # with: (prefix, line with the first per-bit cell empty, graph id, bits)
     for binding, graph_id, bits in rows.rows:
         terms = list(map(binding.get, columns))
         for term in terms:
             if id(term) not in texts:
-                texts[id(term)] = text = serialize_term(term)
-                terms_of[text] = term
+                text_of(term)
         cells = list(map(texts.__getitem__, map(id, terms)))
-        if vng_at is None and not version_at:
-            lines += ["\t".join(cells)] * bits.bit_count()
+        if cut is None:
+            plain.append(("\n" + "\t".join(cells)) * bits.bit_count())
             continue
-        for ordinal in bitmap_ordinals(bits):
-            if vng_at is not None:
-                vng = vng_iri_for(graph_id, ordinal)
-                if id(vng) not in texts:
-                    texts[id(vng)] = text = serialize_term(vng)
-                    terms_of[text] = vng
-                cells[vng_at] = texts[id(vng)]
-            for i in version_at:
-                cells[i] = version_texts[ordinal - 1]
-            lines.append("\t".join(cells))
-    lines.sort()
-    return ResultTable(tuple(columns), lines, terms_of)
+        for i, mark in marks.items():
+            cells[i] = mark
+        cells[cut] = ""
+        keyed.append(("\t".join(cells[:cut]), "\t".join(cells), graph_id, bits))
+    plain.sort()
+    out = ["\t".join(columns), *plain]  # each line starts with its newline
+    keyed.sort(key=itemgetter(1))
+    spec = f"0{width}b"
+    by_text = sorted(zip(version_texts, range(width)))  # (version text, bit), in text order
+    at = [width - 1 - i for _text, i in by_text]  # each one's byte in `_bit_bytes`
+    for prefix, members in groupby(keyed, itemgetter(0)):
+        lead = prefix + "\t" if cut else ""
+        tail_at = itemgetter(slice(len(lead), None))
+        parts: dict = {None: list(members)}  # graph id where ?vng comes first, else None -> rows
+        if vng_first:
+            for row in parts.pop(None):
+                parts.setdefault(row[2], []).append(row)
+        values = []  # ((value text, bit), (tails, graph ids, bitmaps as bytes))
+        for part, run in parts.items():
+            bitmaps = list(map(itemgetter(3), run))
+            present = reduce(or_, bitmaps)
+            if vng_first:
+                pairs = [(vng_text(part, m), m - 1) for m in bitmap_ordinals(present)]
+            else:
+                pairs = compress(by_text, map(_bit_bytes([present], spec).__getitem__, at))
+            rest = list(map(tail_at, map(itemgetter(1), run))), list(map(itemgetter(2), run)), _bit_bytes(bitmaps, spec)
+            values += zip(pairs, repeat(rest))
+        if vng_first:
+            values.sort(key=itemgetter(0))
+        for (text, i), (tails, graphs, column) in values:
+            held = column[width - 1 - i :: width]
+            chosen = list(compress(tails, held))
+            if vng_later:  # each row's ?vng in this version
+                graphs = list(compress(graphs, held))
+                vng_at = {g: vng_text(g, i + 1) for g in set(graphs)}
+                chosen = sorted(map(str.replace, chosen, repeat("\n"), map(vng_at.__getitem__, graphs)))
+            head = "\n" + lead + text
+            body = head.join(chosen)
+            out += head, body.replace("\r", version_texts[i]) if version_later else body
+    out.append("\n")
+    return ResultTable(tuple(columns), "".join(out), terms_of)
 
 
 def execute_plan(store: Store, query: Query) -> ResultTable:

@@ -223,6 +223,7 @@ def _parse_line(text: str, lineno: int, require_graph: bool) -> tuple | None:
     if scanner.at_end():
         return None
     terms: list[Term] = []
+    starts: list[int] = []  # each term's position, where an error about its kind points
     while True:
         scanner.skip_ws()
         if scanner.peek() == ".":
@@ -230,6 +231,7 @@ def _parse_line(text: str, lineno: int, require_graph: bool) -> tuple | None:
             break
         if len(terms) == 4:
             raise scanner.fail("expected '.' after four terms")
+        starts.append(scanner.pos)
         terms.append(scanner.read_term())
     if not scanner.at_end():
         raise scanner.fail("trailing content after '.'")
@@ -237,12 +239,14 @@ def _parse_line(text: str, lineno: int, require_graph: bool) -> tuple | None:
         raise scanner.fail("statement needs at least subject, predicate, object")
     graph = terms[3] if len(terms) == 4 else None
     if graph is not None and not graph.is_iri:
+        scanner.pos = starts[3]
         raise scanner.fail("graph term must be an IRI")
     if require_graph and graph is None:
         raise scanner.fail("version data must name a graph; default-graph quads are reserved for metadata")
     try:
         Quad(terms[0], terms[1], terms[2], graph)  # the checks a row must pass
-    except ValueError as exc:
+    except ValueError as exc:  # the subject's or else the predicate's: the graph passed above
+        scanner.pos = starts[0] if terms[0].kind == LITERAL else starts[1]
         raise scanner.fail(str(exc))
     return (terms[0], terms[1], terms[2], graph)
 

@@ -72,12 +72,13 @@ def random_store(rng, numeric_only=False, max_versions=4):
     return store, docs
 
 
-def random_wide_store(rng):
-    """A store of 65-70 versions; each version keeps most quads of the one
-    before, so entries stay present across more than 64 bit positions."""
+def random_wide_store(rng, versions=None):
+    """A store of 65-70 versions (or of `versions`); each version keeps most
+    quads of the one before, so entries stay present across more than 64
+    bit positions."""
     store = Store()
     quads: list[Quad] = []
-    for _ in range(rng.randint(65, 70)):
+    for _ in range(versions or rng.randint(65, 70)):
         quads = [q for q in quads if rng.random() < 0.85]
         for _ in range(rng.randint(0, 3)):
             quads.append(

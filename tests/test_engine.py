@@ -739,6 +739,43 @@ def test_condensed_output_matches_the_oracle_in_any_column_layout(buildings_stor
         assert len(set(table.lines)) < len(table.lines)
 
 
+_EVERY_VERSION = "GRAPH ?vng { ?s ?p ?o . } ?vng <urn:converg:vocab:is-in-version> ?version ."
+_OUTPUT_LAYOUTS = {
+    "version first": f"SELECT ?version ?s ?o WHERE {{ {_EVERY_VERSION} }}",
+    "version alone": f"SELECT ?version WHERE {{ {_EVERY_VERSION} }}",
+    "version last": f"SELECT ?s ?o ?version WHERE {{ {_EVERY_VERSION} }}",
+    "vng, then version": f"SELECT ?vng ?s ?version WHERE {{ {_EVERY_VERSION} }}",
+    "version, then vng": f"SELECT ?version ?o ?vng WHERE {{ {_EVERY_VERSION} }}",
+    "two versions of one vng": "SELECT ?v2 ?s ?v1 WHERE { GRAPH ?vng { ?s ?p ?o . } "
+    "?vng <urn:converg:vocab:is-in-version> ?v1 . ?vng <urn:converg:vocab:is-in-version> ?v2 . }",
+    "no per-bit column": f"SELECT ?s ?o WHERE {{ {_EVERY_VERSION} }}",
+    "grouped, rows repeat": "SELECT ?n ?version WHERE { { SELECT ?s ?version (COUNT(?o) AS ?n) "
+    f"WHERE {{ {_EVERY_VERSION} }} GROUP BY ?s ?version }} }}",
+    "empty": "SELECT ?version ?s WHERE { GRAPH ?vng { ?s <urn:p:none> ?o . } "
+    "?vng <urn:converg:vocab:is-in-version> ?version . }",
+}
+
+
+@functools.cache
+def _layout_store(versions: int) -> Store:
+    # 13 versions: <urn:converg:version:10> sorts before <urn:converg:version:2>.
+    return random_wide_store(random.Random(versions), versions)
+
+
+@pytest.mark.parametrize("versions", [13, 67])
+@pytest.mark.parametrize("layout", list(_OUTPUT_LAYOUTS))
+def test_every_output_layout_matches_the_naive_reference(layout, versions):
+    store = _layout_store(versions)
+    text = _OUTPUT_LAYOUTS[layout]
+    table = check_output(store, text, eval_oracle(list(store.export_flat()), _plan(text)))
+    if layout == "empty":
+        assert table.lines == []
+    elif layout in ("version alone", "no per-bit column", "grouped, rows repeat"):
+        assert len(set(table.lines)) < len(table.lines)
+    else:
+        assert len(table.lines) > versions
+
+
 def test_ungrouped_versioned_rows_reach_the_output_stage_unexpanded(buildings_store, monkeypatch):
     def refuse(self, scope):
         raise AssertionError("versioned rows expanded before the output stage")

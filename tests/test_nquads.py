@@ -495,10 +495,14 @@ def test_known_tokens_make_rows_without_the_regex(monkeypatch):
     again = parse_nquads(f"{line}\n{line}").rows
     assert again == first * 2 and all(a is b for a, b in zip(again[0], first[0]))
     monkeypatch.undo()
-    # A known literal is still no subject, and a known blank node no graph.
+    # A known literal is still no subject, and a known blank node no
+    # predicate or graph; each error points at the term at fault.
     parse_nquads('<urn:s> <urn:p> "x" <urn:g> .')
-    with pytest.raises(ParseError, match="subject must be an IRI") as exc:
-        parse_nquads('"x" <urn:p> <urn:o> <urn:g> .')
-    assert (exc.value.line, exc.value.column) == (1, 30)
-    with pytest.raises(ParseError, match="graph term must be an IRI"):
-        parse_nquads("<urn:s> <urn:p> <urn:o> _:b1 .")
+    for line, message, column in [
+        ('"x" <urn:p> <urn:o> <urn:g> .', "quad subject must be an IRI or blank node", 1),
+        ("<urn:s> _:b1 <urn:o> <urn:g> .", "quad predicate must be an IRI", 9),
+        ("<urn:s> <urn:p> <urn:o> _:b1 .", "graph term must be an IRI", 25),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse_nquads(line)
+        assert (exc.value.message, exc.value.line, exc.value.column) == (message, 1, column), line
