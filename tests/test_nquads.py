@@ -164,6 +164,82 @@ def test_line_order_is_preserved():
     assert [q.subject.lexical for q in doc.quads] == [f"urn:s:{i}" for i in range(10)]
 
 
+# One row per error the line reader raises: (text, require_graph, message,
+# line, column).
+NQUADS_ERRORS = [
+    # IRIs: a '<' with no '>' after it, and contents the constructor refuses
+    ("<urn:s> <urn:p> <urn:o", False, "unterminated IRI", 1, 17),
+    ("<> <urn:p> <urn:o> .", False, "IRI must be non-empty, without whitespace or angle brackets: ''", 1, 1),
+    ("<urn:s> <urn:p> <urn:a b> .", False, "IRI must be non-empty, without whitespace or angle brackets: 'urn:a b'", 1, 17),
+    ("<urn:s> <urn:p> <urn:<o> .", False, "IRI must be non-empty, without whitespace or angle brackets: 'urn:<o'", 1, 17),
+    # blank node labels
+    ("_: <urn:p> <urn:o> .", False, "malformed blank node label: ''", 1, 1),
+    ("_:abé <urn:p> <urn:o> .", False, "malformed blank node label: 'abé'", 1, 1),
+    # literals: an unclosed one fails at its first bad escape, else past its end
+    ('<urn:s> <urn:p> "abc', False, "unterminated literal", 1, 21),
+    ('<urn:s> <urn:p> "a\\tb', False, "unterminated literal", 1, 22),
+    ('<urn:s> <urn:p> "a\\qb', False, "unsupported escape \\q", 1, 19),
+    ('<urn:s> <urn:p> "a\\', False, "dangling escape", 1, 19),
+    ('<urn:s> <urn:p> "a\\u12" .', False, "malformed \\u escape", 1, 19),
+    ('<urn:s> <urn:p> "a\\U00110000" .', False, "escape beyond the Unicode range", 1, 19),
+    ('<urn:s> <urn:p> "a\\uD800" .', False, "escape names a surrogate code point", 1, 19),
+    ('<urn:s> <urn:p> "a\\qb" .', False, "unsupported escape \\q", 1, 19),
+    # language tags and datatypes
+    ('<urn:s> <urn:p> "x"@ .', False, "malformed language tag: ''", 1, 21),
+    ('<urn:s> <urn:p> "x"@1en .', False, "malformed language tag: '1en'", 1, 21),
+    ('<urn:s> <urn:p> "1"^^urn:dt .', False, "datatype must be an IRI", 1, 22),
+    ('<urn:s> <urn:p> "1"^^<urn:dt', False, "unterminated IRI", 1, 22),
+    ('<urn:s> <urn:p> "1"^^<urn:d t> .', False, "IRI must be non-empty, without whitespace or angle brackets: 'urn:d t'", 1, 22),
+    # where a term should start
+    ("<urn:s> <urn:p>", False, "unexpected end of line", 1, 16),
+    ("<urn:s> <urn:p> x .", False, "unexpected character 'x'", 1, 17),
+    ("<urn:s> <urn:p> # comment", False, "unexpected character '#'", 1, 17),
+    ("<urn:s> <urn:p> <urn:o>\u00a0<urn:g> .", False, "unexpected character '\\xa0'", 1, 24),
+    ("\ufeff<urn:s> <urn:p> <urn:o> .", False, "unexpected character '\\ufeff'", 1, 1),
+    ("<urn:s> <urn:p> <urn:o> <urn:g> .\n<urn:s> <urn:p> oops .", False, "unexpected character 'o'", 2, 17),
+    # the statement's shape
+    ("<urn:s> <urn:p> <urn:o> <urn:g> <urn:h> .", False, "expected '.' after four terms", 1, 33),
+    ("<urn:s> <urn:p> <urn:o> <urn:g> x .", False, "expected '.' after four terms", 1, 33),
+    ("<urn:s> <urn:p> <urn:o> . x", False, "trailing content after '.'", 1, 27),
+    ("<urn:s> <urn:p> _:o. <urn:g> .", False, "trailing content after '.'", 1, 22),
+    ("<urn:s> <urn:p> .", False, "statement needs at least subject, predicate, object", 1, 18),
+    ("<urn:s> <urn:p> . # comment", False, "statement needs at least subject, predicate, object", 1, 19),
+    # the terms' kinds
+    ('<urn:s> <urn:p> <urn:o> "g" .', False, "graph term must be an IRI", 1, 25),
+    ("<urn:s> <urn:p> <urn:o> .", True, "version data must name a graph; default-graph quads are reserved for metadata", 1, 26),
+    ("<urn:s> <urn:p> <urn:o> . # c", True, "version data must name a graph; default-graph quads are reserved for metadata", 1, 27),
+    ('"s" <urn:p> <urn:o> <urn:g> .', False, "quad subject must be an IRI or blank node", 1, 1),
+    ("<urn:s> _:p <urn:o> <urn:g> .", False, "quad predicate must be an IRI", 1, 9),
+]
+
+# `parse_term`'s own errors: (text, message, column).
+TERM_ERRORS = [
+    ("<urn:a> <urn:b>", "trailing content after term", 9),
+    ('"x"^^<urn:dt> .', "trailing content after term", 15),
+    ("", "unexpected end of line", 1),
+    ('"a\\q"', "unsupported escape \\q", 3),
+]
+
+
+@pytest.mark.parametrize("text,require_graph,message,line,column", NQUADS_ERRORS)
+def test_every_nquads_error_is_pinned_with_its_position(text, require_graph, message, line, column):
+    for data in (text, text.replace("\n", "\r\n") + "\r\n", text.encode("utf-8")):
+        with pytest.raises(ParseError) as exc:
+            parse_nquads(data, require_graph=require_graph)
+        assert (exc.value.message, exc.value.line, exc.value.column) == (message, line, column)
+
+
+@pytest.mark.parametrize("text,message,column", TERM_ERRORS)
+def test_every_term_error_is_pinned_with_its_position(text, message, column):
+    with pytest.raises(ParseError) as exc:
+        parse_term(text)
+    assert (exc.value.message, exc.value.line, exc.value.column) == (message, 1, column)
+
+
+def test_parse_term_allows_blanks_around_the_term_and_a_comment_after_it():
+    assert parse_term(" \t<urn:a>\t # note") == iri("urn:a")
+
+
 # ----------------------------------------------------------- property tests
 
 _texts = st.text(min_size=0, max_size=12)
