@@ -16,18 +16,22 @@ object, graph)`` tuple of `Term`s, in three tiers:
 2. One compiled regex for the common statement shape: terms separated by
    spaces or tabs, each an ``<iri>``, a ``_:label`` or a literal without
    escapes (optionally ``@tag`` or ``^^<iri>``), an optional graph IRI,
-   then ``.`` and trailing spaces or tabs. Each distinct token is turned
-   into a `Term` by the constructors the scanner uses, and remembered: a
-   memo of at most 65536 tokens (emptied when full) maps token text to its
-   `Term`, so equal tokens in any two documents give the same object,
-   which the store's dictionary then finds by identity. A token a
-   constructor rejects is not remembered.
-3. The character scanner takes every other line (escapes, comments, blank
-   lines, CR endings, a token a constructor rejects, malformed input), so
-   a `ParseError` carries the scanner's message, line and column.
+   then ``.`` and trailing spaces or tabs.
+3. The scanner, `_parse_line`, takes every other line (escapes, comments, blank
+   lines, a token a constructor rejects, malformed input). One compiled
+   pattern, `_SCAN`, cuts each of its tokens and names its kind, so a
+   `ParseError` carries the message, line and column of the first fault.
 
-A line an earlier tier accepts is one the scanner accepts, with an equal
-row.
+CRLF endings become LF once per document, so such lines take the first
+two tiers too. `_token_term` turns every token of the last two tiers, and
+the term `parse_term` reads, into a `Term`, and remembers it: a memo of at
+most 65536 tokens (emptied when full) maps token text to its `Term`, so
+equal tokens in any two documents, or in a document and a snapshot, give
+the same object, which the store's dictionary then finds by identity. A
+token that names no term is not remembered.
+
+A line an earlier tier accepts is one the scanner accepts, with an
+equal row.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ def read_escape(text: str, pos: int) -> tuple[str, int]:
 
 
 # Token shapes only: each token is cut where the scanner would cut it, and
-# the Term constructors check its contents, as they do for the scanner.
+# `_token_term` checks its contents, as it does for the scanner.
 _IRI_TOKEN = r"<[^>]+>"
 _SUBJECT_TOKEN = rf"{_IRI_TOKEN}|_:[A-Za-z0-9_.-]+"
 _OBJECT_TOKEN = rf'{_SUBJECT_TOKEN}|"[^"\\]*"(?:@[A-Za-z0-9-]+|\^\^{_IRI_TOKEN})?'
@@ -104,151 +108,85 @@ class ParsedDocument:
         return self._quads
 
 
-class _LineScanner:
-    """Cursor over one line; all errors carry 1-based line/column."""
+# Every token the scanner takes, with the blanks before it, named by
+# the group that matched. A TERM is cut where the term ends, and
+# `_token_term` checks its contents; a blank label's trailing dots end the
+# statement. BADIRI is a '<' with no '>' after it, QUOTE a literal that no
+# quote closes, END the end of the line or a '#' (a comment only where a
+# statement may end), and OTHER a character no term starts with. In a str
+# pattern \w is exactly `isalnum()` or '_'.
+_SCAN = re.compile(
+    r"""[ \t]*(?:
+      (?P<END>\#|\Z)
+    | (?P<TERM><[^>]*>
+      | _:[\w-]*(?:\.+[\w-]+)*
+      | "(?:[^"\\]|\\.)*"(?:@(?:[^\W_]|-)*|\^\^(?:<[^>]*>?)?)?)
+    | (?P<BADIRI><)
+    | (?P<QUOTE>")
+    | (?P<DOT>\.)
+    | (?P<OTHER>.)
+    )""",
+    re.VERBOSE | re.DOTALL,
+).match
 
-    def __init__(self, text: str, lineno: int):
-        self.text = text
-        self.pos = 0
-        self.lineno = lineno
 
-    def fail(self, message: str) -> "ParseError":
-        return ParseError(message, line=self.lineno, column=self.pos + 1)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            return True
-        return self.text[self.pos] == "#"
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def read_iri(self) -> Term:
-        start = self.pos
-        self.pos += 1  # consume '<'
-        end = self.text.find(">", self.pos)
-        if end < 0:
-            self.pos = start
-            raise self.fail("unterminated IRI")
-        value = self.text[self.pos : end]
-        self.pos = end + 1
+def _scan_term(text: str, lineno: int, match) -> Term:
+    """The Term of the token `match` cut from `text`; ParseError where the
+    token names no term."""
+    kind = match.lastgroup
+    start = match.start(kind)
+    if kind == "TERM" or kind == "QUOTE":
+        token = match.group(kind) if kind == "TERM" else text[start:]
         try:
-            return iri(value)
-        except ValueError as exc:
-            self.pos = start
-            raise self.fail(str(exc))
-
-    def read_blank(self) -> Term:
-        start = self.pos
-        self.pos += 2  # consume '_:'
-        label_start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] in "_-."
-        ):
-            self.pos += 1
-        label = self.text[label_start : self.pos]
-        # A trailing dot belongs to the statement, not the label.
-        while label.endswith("."):
-            label = label[:-1]
-            self.pos -= 1
-        try:
-            return blank(label)
-        except ValueError as exc:
-            self.pos = start
-            raise self.fail(str(exc))
-
-    def read_literal(self) -> Term:
-        self.pos += 1  # consume opening quote
-        out: list[str] = []
-        while True:
-            if self.pos >= len(self.text):
-                raise self.fail("unterminated literal")
-            c = self.text[self.pos]
-            if c == '"':
-                self.pos += 1
-                break
-            if c == "\\":
-                try:
-                    c, self.pos = read_escape(self.text, self.pos)
-                except ValueError as exc:
-                    raise self.fail(str(exc)) from None
-                out.append(c)
-            else:
-                out.append(c)
-                self.pos += 1
-        lexical = "".join(out)
-        if self.peek() == "@":
-            self.pos += 1
-            tag_start = self.pos
-            while self.pos < len(self.text) and (
-                self.text[self.pos].isalnum() or self.text[self.pos] == "-"
-            ):
-                self.pos += 1
-            tag = self.text[tag_start : self.pos]
-            try:
-                return literal(lexical, language=tag)
-            except ValueError as exc:
-                self.pos = tag_start
-                raise self.fail(str(exc))
-        if self.text.startswith("^^", self.pos):
-            self.pos += 2
-            if self.peek() != "<":
-                raise self.fail("datatype must be an IRI")
-            dt = self.read_iri()
-            return literal(lexical, datatype=dt.lexical)
-        return literal(lexical)
-
-    def read_term(self) -> Term:
-        self.skip_ws()
-        c = self.peek()
-        if c == "<":
-            return self.read_iri()
-        if c == '"':
-            return self.read_literal()
-        if c == "_" and self.text.startswith("_:", self.pos):
-            return self.read_blank()
-        if c == "":
-            raise self.fail("unexpected end of line")
-        raise self.fail(f"unexpected character {c!r}")
+            return _TERMS.get(token) or _token_term(token)
+        except _TermError as exc:
+            raise ParseError(exc.message, lineno, start + exc.offset + 1) from None
+    if kind == "BADIRI":
+        raise ParseError("unterminated IRI", lineno, start + 1)
+    if start == len(text):
+        raise ParseError("unexpected end of line", lineno, start + 1)
+    raise ParseError(f"unexpected character {text[start]!r}", lineno, start + 1)
 
 
 def _parse_line(text: str, lineno: int, require_graph: bool) -> tuple | None:
     """The row of one line, or None for a blank or comment line."""
-    scanner = _LineScanner(text, lineno)
-    if scanner.at_end():
+    match = _SCAN(text)
+    if match.lastgroup == "END":
         return None
     terms: list[Term] = []
     starts: list[int] = []  # each term's position, where an error about its kind points
-    while True:
-        scanner.skip_ws()
-        if scanner.peek() == ".":
-            scanner.pos += 1
-            break
+    while match.lastgroup != "DOT":
         if len(terms) == 4:
-            raise scanner.fail("expected '.' after four terms")
-        starts.append(scanner.pos)
-        terms.append(scanner.read_term())
-    if not scanner.at_end():
-        raise scanner.fail("trailing content after '.'")
+            raise ParseError("expected '.' after four terms", lineno, match.start(match.lastgroup) + 1)
+        starts.append(match.start(match.lastgroup))
+        terms.append(_scan_term(text, lineno, match))
+        match = _SCAN(text, match.end())
+    match = _SCAN(text, match.end())
+    column = match.start(match.lastgroup) + 1  # where the statement's own errors point
+    if match.lastgroup != "END":
+        raise ParseError("trailing content after '.'", lineno, column)
     if len(terms) < 3:
-        raise scanner.fail("statement needs at least subject, predicate, object")
+        raise ParseError("statement needs at least subject, predicate, object", lineno, column)
     graph = terms[3] if len(terms) == 4 else None
     if graph is not None and not graph.is_iri:
-        scanner.pos = starts[3]
-        raise scanner.fail("graph term must be an IRI")
+        raise ParseError("graph term must be an IRI", lineno, starts[3] + 1)
     if require_graph and graph is None:
-        raise scanner.fail("version data must name a graph; default-graph quads are reserved for metadata")
+        raise ParseError("version data must name a graph; default-graph quads are reserved for metadata", lineno, column)
     try:
         Quad(terms[0], terms[1], terms[2], graph)  # the checks a row must pass
     except ValueError as exc:  # the subject's or else the predicate's: the graph passed above
-        scanner.pos = starts[0] if terms[0].kind == LITERAL else starts[1]
-        raise scanner.fail(str(exc))
+        raise ParseError(str(exc), lineno, (starts[0] if terms[0].kind == LITERAL else starts[1]) + 1)
     return (terms[0], terms[1], terms[2], graph)
+
+
+def parse_term(text: str) -> Term:
+    """Parse exactly one N-Triples term (used by snapshot files)."""
+    match = _SCAN(text)
+    term = _scan_term(text, 1, match)
+    match = _SCAN(text, match.end())
+    if match.lastgroup != "END":
+        raise ParseError("trailing content after term", 1, match.start(match.lastgroup) + 1)
+    return term
 
 
 def parse_nquads(data, require_graph: bool = False) -> ParsedDocument:
@@ -261,6 +199,8 @@ def parse_nquads(data, require_graph: bool = False) -> ParsedDocument:
             data = bytes(data).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not UTF-8: {exc}")
+    if "\r" in data:  # CRLF lines take the fast tiers; lines and columns stay
+        data = data.replace("\r\n", "\n")
     rows: list[tuple] = []
     append = rows.append
     known = _TERMS.get
@@ -288,8 +228,8 @@ def parse_nquads(data, require_graph: bool = False) -> ParsedDocument:
                     predicate = known(p) or _token_term(p)
                     obj = known(o) or _token_term(o)
                     graph = None if g is None else known(g) or _token_term(g)
-                except ValueError:
-                    pass  # a token the scanner rejects too, and it says where
+                except _TermError:
+                    pass  # the scanner says where
                 else:
                     append((subject, predicate, obj, graph))
                     continue
@@ -305,26 +245,76 @@ _TERMS: dict[str, Term] = {}
 _TERMS_BOUND = 1 << 16
 
 
+class _TermError(Exception):
+    """A token that names no term: the message, and the offset in the token
+    where the fault lies."""
+
+    def __init__(self, message: str, offset: int):
+        super().__init__(message)
+        self.message = message
+        self.offset = offset
+
+
 def _token_term(token: str) -> Term:
-    """The Term of one token `_FAST_LINE` matched, remembered in `_TERMS`.
-    A token a constructor rejects raises ValueError and is not remembered."""
-    if token[0] == "<":
-        term = iri(token[1:-1])
-    elif token[0] == "_":
-        term = blank(token[2:])
-    else:
-        close = token.index('"', 1)
-        suffix = token[close + 1 :]
-        if not suffix:
-            term = literal(token[1:close])
-        elif suffix[0] == "@":
-            term = literal(token[1:close], language=suffix[1:])
+    """The Term of one token `_FAST_LINE` or `_SCAN` cut, remembered in
+    `_TERMS`. A token that names no term raises _TermError and is not
+    remembered."""
+    offset = 0  # where a constructor's error points: the token, or a literal's tag or datatype
+    try:
+        if token[0] == "<":
+            term = iri(token[1:-1])
+        elif token[0] == "_":
+            term = blank(token[2:])
         else:
-            term = literal(token[1:close], datatype=suffix[3:-1])
+            close = token.find('"', 1)
+            if close < 0 or "\\" in token:
+                lexical, close = _unescape(token)
+            else:
+                lexical = token[1:close]
+            suffix = token[close + 1 :]
+            if not suffix:
+                term = literal(lexical)
+            elif suffix[0] == "@":
+                offset = close + 2
+                term = literal(lexical, language=suffix[1:])
+            else:
+                offset = close + 3
+                if suffix == "^^":
+                    raise _TermError("datatype must be an IRI", offset)
+                if suffix[-1] != ">":
+                    raise _TermError("unterminated IRI", offset)
+                try:
+                    term = literal(lexical, datatype=suffix[3:-1])
+                except ValueError:
+                    iri(suffix[3:-1])  # raises the message an IRI token gets
+    except ValueError as exc:
+        raise _TermError(str(exc), offset) from None
     if len(_TERMS) >= _TERMS_BOUND:
         _TERMS.clear()
     _TERMS[token] = term
     return term
+
+
+def _unescape(token: str) -> tuple[str, int]:
+    """The lexical form of the literal `token` starts with, and the index of
+    the quote that closes it. _TermError at its first bad escape, else past
+    its end if no quote closes it."""
+    parts = []
+    pos = 1
+    while True:
+        close = token.find('"', pos)
+        escape = token.find("\\", pos)
+        if escape < 0 or 0 <= close < escape:
+            if close < 0:
+                raise _TermError("unterminated literal", len(token))
+            parts.append(token[pos:close])
+            return "".join(parts), close
+        parts.append(token[pos:escape])
+        try:
+            char, pos = read_escape(token, escape)
+        except ValueError as exc:
+            raise _TermError(str(exc), escape) from None
+        parts.append(char)
 
 
 def escape_literal(lexical: str) -> str:
@@ -366,12 +356,3 @@ def serialize_nquads(quads) -> str:
         else f"{text[q.subject]} {text[q.predicate]} {text[q.object]} .\n"
         for q in quads
     )
-
-
-def parse_term(text: str) -> Term:
-    """Parse exactly one N-Triples term (used by snapshot files)."""
-    scanner = _LineScanner(text, 1)
-    term = scanner.read_term()
-    if not scanner.at_end():
-        raise scanner.fail("trailing content after term")
-    return term

@@ -582,3 +582,13 @@ def test_known_tokens_make_rows_without_the_regex(monkeypatch):
         with pytest.raises(ParseError) as exc:
             parse_nquads(line)
         assert (exc.value.message, exc.value.line, exc.value.column) == (message, 1, column), line
+
+
+def test_crlf_lines_take_the_fast_tiers(monkeypatch):
+    lines = ["<urn:s> <urn:p> <urn:o> <urn:g> .", '<urn:s>\t<urn:p> "a b" <urn:g> .', "<urn:s> <urn:p> <urn:o> <urn:g> ."]
+    expected = parse_nquads("\n".join(lines)).rows
+    monkeypatch.setattr(nquads, "_TERMS", {})
+    monkeypatch.setattr(nquads, "_parse_line", None)  # any scanner call now fails
+    # The first line's tokens are new to the memo, and known on the third.
+    assert parse_nquads("\r\n".join(lines)).rows == expected
+    assert parse_nquads("\r\n".join(lines).encode("utf-8")).rows == expected

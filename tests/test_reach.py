@@ -7,9 +7,11 @@ cases, so that the cases check each of its paths.
 - The query lexer, `sparql.py`'s lexer section (`_lex` and its string
   helper), runs in the pinned lexer errors, the malformed query terms and
   the generated query texts, so that each branch is pinned by a case.
-- The N-Quads fast paths, `parse_nquads` and the token memo's
-  `_token_term` in `nquads.py`, run in a fixed set of the generated
-  documents that the scanner checks, so that each tier is checked.
+- The N-Quads reader in `nquads.py`, from the scanner's `_scan_term`
+  through `parse_term`, `parse_nquads` and the term builder `_token_term`
+  to its `_unescape`, runs in the pinned N-Quads and term errors, the edge
+  lines and a fixed set of the generated documents that the scanner
+  checks, so that each tier and each error is checked.
 
 Executable lines are read from the code objects' `co_lines()` in the
 running interpreter, and the lines that run are recorded with
@@ -31,7 +33,14 @@ import converg.nquads as nquads
 import converg.sparql as sparql
 from converg.errors import ParseError
 from randcases import run_differential_case
-from test_nquads import MEMO_BOUNDS, check_document_against_the_scanner, nquads_documents
+from test_nquads import (
+    EDGE_LINES,
+    MEMO_BOUNDS,
+    NQUADS_ERRORS,
+    TERM_ERRORS,
+    check_document_against_the_scanner,
+    nquads_documents,
+)
 from test_sparql import LEXER_ERRORS, MALFORMED_TERMS, generated_cases
 
 # Seeds of the slice, each run for CASES_PER_SEED cases. The stores are
@@ -146,6 +155,24 @@ NQUADS_DOCUMENTS = 300
 
 
 def _nquads_cases():
+    for text, require_graph, *_ in NQUADS_ERRORS:
+        try:
+            nquads.parse_nquads(text, require_graph=require_graph)
+        except ParseError:
+            pass
+    terms = [text for text, *_ in TERM_ERRORS]
+    for line in EDGE_LINES:
+        terms += line.split()
+        for require_graph in (False, True):
+            try:
+                nquads.parse_nquads(line, require_graph=require_graph)
+            except ParseError:
+                pass
+    for text in terms:
+        try:
+            nquads.parse_term(text)
+        except ParseError:
+            pass
     run = settings(
         max_examples=NQUADS_DOCUMENTS,
         derandomize=True,
@@ -156,9 +183,10 @@ def _nquads_cases():
     run()
 
 
-def test_every_line_of_the_nquads_fast_paths_runs_in_generated_documents():
-    first = nquads.parse_nquads.__code__.co_firstlineno
-    end = 1 + max(line for *_, line in nquads._token_term.__code__.co_lines() if line is not None)
-    assert first < nquads._token_term.__code__.co_firstlineno  # the span holds both functions
+def test_every_line_of_the_nquads_reader_runs_in_the_pinned_and_generated_cases():
+    first = nquads._scan_term.__code__.co_firstlineno
+    end = 1 + max(line for *_, line in nquads._unescape.__code__.co_lines() if line is not None)
+    for function in (nquads._parse_line, nquads.parse_term, nquads.parse_nquads, nquads._token_term):
+        assert first < function.__code__.co_firstlineno < end  # the span holds the whole reader
     unrun = _unrun(nquads, first, end, _nquads_cases)
-    assert not unrun, "lines no generated document ran:\n" + "\n".join(unrun)
+    assert not unrun, "lines no N-Quads case ran:\n" + "\n".join(unrun)
