@@ -281,10 +281,13 @@ class _CondensedEvaluator:
     the versions in scope) inside GRAPH. Rows never carry 0, and versioned
     rows occur only in the default graph: inside GRAPH they are flat."""
 
-    __slots__ = ("store",)
+    __slots__ = ("store", "graph_rows")
 
     def __init__(self, store: Store):
         self.store = store
+        # id() of each GRAPH ?vng node -> its rows, which no outer context
+        # changes: a nested block runs once per query, not once per outer graph.
+        self.graph_rows: dict[int, Rows] = {}
 
     def eval(self, node, ctx) -> Rows:
         if isinstance(node, Bgp):
@@ -422,16 +425,18 @@ class _CondensedEvaluator:
         store = self.store
         scope = -1 if ctx is None else ctx[1]  # the bits of rows that hold throughout ctx
         if isinstance(node.target, Var):
-            out = Rows(store, [], node.target.name)
-            vng_var, append = out.vng_var, out.rows.append
-            for graph_id, minted in store.minted_versions().items():
-                for binding, _g, bits in self.eval(node.inner, (graph_id, minted)).rows:
-                    if vng_var in binding:
-                        binding = dict(binding)
-                        pinned_graph, pinned_bits = out.pin(vng_var, binding.pop(vng_var))
-                        bits &= pinned_bits if pinned_graph == graph_id else 0
-                    if bits:
-                        append((binding, graph_id, bits))
+            out = self.graph_rows.get(id(node))
+            if out is None:
+                out = self.graph_rows[id(node)] = Rows(store, [], node.target.name)
+                vng_var, append = out.vng_var, out.rows.append
+                for graph_id, minted in store.minted_versions().items():
+                    for binding, _g, bits in self.eval(node.inner, (graph_id, minted)).rows:
+                        if vng_var in binding:
+                            binding = dict(binding)
+                            pinned_graph, pinned_bits = out.pin(vng_var, binding.pop(vng_var))
+                            bits &= pinned_bits if pinned_graph == graph_id else 0
+                        if bits:
+                            append((binding, graph_id, bits))
             return out if ctx is None else out.flat(scope)
         try:
             graph_id, ordinal = store.resolve_vng(node.target)

@@ -136,7 +136,7 @@ class Store:
         self.user_metadata = [] if user_metadata is None else user_metadata
         self._by_graph: dict[int, list[EntryKey]] = {}
         self._by_graph_pred: dict[tuple[int, int], list[EntryKey]] = {}
-        self._by_subject: dict[int, list[EntryKey]] = {}
+        self._by_subject: dict[tuple[int, int], list[EntryKey]] = {}
         self._vng_by_iri: dict[Term, tuple[int, int]] = {}
         self._vng_by_pair: dict[tuple[int, int], Term] = {}
         self._minted: dict[int, int] = {}  # graph id -> bits of its vngs' versions
@@ -154,8 +154,9 @@ class Store:
         """Load one version document as the next ordinal.
 
         `doc` is a `ParsedDocument`, whose `rows` are read, or an iterable
-        of `Quad`s; no `Quad` is built for a parsed document. Every quad must carry a named graph; blank node labels are rescoped
-        per document so separate loads never share blank nodes; duplicate
+        of `Quad`s; no `Quad` is built for a parsed document. Every quad
+        must carry a named graph; blank node labels are rescoped per
+        document so separate loads never share blank nodes; duplicate
         quads within the document collapse silently. Validation happens
         up front and the mutation phase cannot fail, so a raised error
         leaves the store untouched.
@@ -316,12 +317,10 @@ class Store:
         if predicate is not None:
             candidates = self._by_graph_pred.get((graph, predicate), ())
         elif subject is not None:
-            candidates = self._by_subject.get(subject, ())
+            candidates = self._by_subject.get((graph, subject), ())
         else:
             candidates = self._by_graph.get(graph, ())
-        for key in candidates:  # each already matches the predicate, if bound
-            if key[0] != graph:  # the subject index spans every graph
-                continue
+        for key in candidates:  # each is of `graph` and matches the predicate, if bound
             if subject is not None and key[1] != subject:
                 continue
             if object is not None and key[3] != object:
@@ -415,7 +414,7 @@ class Store:
         graph_id, sid, pid, _ = key
         self._by_graph.setdefault(graph_id, []).append(key)
         self._by_graph_pred.setdefault((graph_id, pid), []).append(key)
-        self._by_subject.setdefault(sid, []).append(key)
+        self._by_subject.setdefault((graph_id, sid), []).append(key)
 
     def _index_vng(self, rec: VngRecord):
         graph_id = self.dictionary.encode(rec.graph)

@@ -1005,3 +1005,34 @@ def test_cross_version_minus_is_keyed_and_matches_the_oracle(monkeypatch):
                 table = check_output(store, text, expected)
                 outcomes["rows" if table.rows else "empty"] += 1
     assert outcomes["rows"] > 20, outcomes
+
+
+@functools.cache
+def _nesting_store() -> Store:
+    """5 products in 2 graphs over 2 versions."""
+    cfg = GenConfig(products=5, graphs=2, versions=2, change_rate=0.5, seed=3)
+    store = Store()
+    for ordinal in (1, 2):
+        store.ingest_version(generate_version(cfg, ordinal))
+    return store
+
+
+def _nested_graph_query(depth: int) -> str:
+    return "SELECT ?s WHERE { " + "GRAPH ?g { " * depth + "?s ?p ?o . " + "} " * depth + "}"
+
+
+def test_a_nested_graph_block_runs_once_per_query(monkeypatch):
+    store = _nesting_store()
+    expected = execute_query(store, _nested_graph_query(1)).to_tsv()
+    calls = []
+    match = engine._match_bgp_in_graph
+    monkeypatch.setattr(engine, "_match_bgp_in_graph", lambda *args: calls.append(args[2]) or match(*args))
+    assert execute_query(store, _nested_graph_query(127)).to_tsv() == expected
+    assert sorted(calls) == sorted(store.minted_versions())  # once per graph id
+
+
+@pytest.mark.parametrize("depth", [2, 3, 6])
+def test_nested_graph_blocks_match_the_oracle(depth):
+    store = _nesting_store()
+    text = _nested_graph_query(depth)
+    check_output(store, text, eval_oracle(list(store.export_flat()), _plan(text)))

@@ -261,6 +261,25 @@ def test_lookup_preserves_insertion_order(buildings_store):
         assert positions == [key for key in store.entries if key[0] == gid]
 
 
+def test_a_subject_lookup_yields_the_graphs_own_keys_in_insertion_order():
+    store = Store()
+    store.ingest_version(
+        parse_nquads(
+            "<urn:s> <urn:p> <urn:o1> <urn:g1> .\n"
+            "<urn:s> <urn:p> <urn:o1> <urn:g2> .\n"
+            "<urn:s> <urn:q> <urn:o2> <urn:g2> .\n"
+            "<urn:s> <urn:q> <urn:o2> <urn:g1> .\n"
+            "<urn:t> <urn:p> <urn:o1> <urn:g1> .\n"
+        )
+    )
+    store.ingest_version(parse_nquads("<urn:s> <urn:r> <urn:o3> <urn:g1> .\n<urn:s> <urn:r> <urn:o3> <urn:g2> .\n"))
+    ids = store.dictionary.lookup
+    s, g1 = ids(iri("urn:s")), ids(iri("urn:g1"))
+    found = list(store.lookup_pattern(g1, subject=s))
+    assert [key for key, _bits in found] == [key for key in store.entries if key[:2] == (g1, s)]
+    assert [bits for _key, bits in found] == [1, 1, 2]
+
+
 # -------------------------------------------------------------- vng lookup
 
 
