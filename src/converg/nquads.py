@@ -108,21 +108,18 @@ class ParsedDocument:
         return self._quads
 
 
-# Every token the scanner takes, with the blanks before it, named by
-# the group that matched. A TERM is cut where the term ends, and
-# `_token_term` checks its contents; a blank label's trailing dots end the
-# statement. BADIRI is a '<' with no '>' after it, QUOTE a literal that no
-# quote closes, END the end of the line or a '#' (a comment only where a
-# statement may end), and OTHER a character no term starts with. In a str
+# Every token the scanner takes, with the blanks before it, named by the
+# group that matched. A TERM is cut where its term ends, and `_token_term`
+# checks its contents; OTHER is a character no term starts with. In a str
 # pattern \w is exactly `isalnum()` or '_'.
 _SCAN = re.compile(
     r"""[ \t]*(?:
-      (?P<END>\#|\Z)
+      (?P<END>\#|\Z)                  # a comment only where a statement may end
     | (?P<TERM><[^>]*>
-      | _:[\w-]*(?:\.+[\w-]+)*
+      | _:[\w-]*(?:\.+[\w-]+)*         # a label's trailing dots end the statement
       | "(?:[^"\\]|\\.)*"(?:@(?:[^\W_]|-)*|\^\^(?:<[^>]*>?)?)?)
-    | (?P<BADIRI><)
-    | (?P<QUOTE>")
+    | (?P<BADIRI><)                   # no '>' after it
+    | (?P<QUOTE>")                    # no quote closes the literal
     | (?P<DOT>\.)
     | (?P<OTHER>.)
     )""",
@@ -156,9 +153,10 @@ def _parse_line(text: str, lineno: int, require_graph: bool) -> tuple | None:
     terms: list[Term] = []
     starts: list[int] = []  # each term's position, where an error about its kind points
     while match.lastgroup != "DOT":
+        start = match.start(match.lastgroup)
         if len(terms) == 4:
-            raise ParseError("expected '.' after four terms", lineno, match.start(match.lastgroup) + 1)
-        starts.append(match.start(match.lastgroup))
+            raise ParseError("expected '.' after four terms", lineno, start + 1)
+        starts.append(start)
         terms.append(_scan_term(text, lineno, match))
         match = _SCAN(text, match.end())
     match = _SCAN(text, match.end())
