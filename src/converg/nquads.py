@@ -137,7 +137,7 @@ def _scan_term(text: str, lineno: int, match) -> Term:
         try:
             return _TERMS.get(token) or _token_term(token)
         except _TermError as exc:
-            raise ParseError(exc.message, lineno, start + exc.offset + 1) from None
+            raise ParseError(str(exc), lineno, start + exc.offset + 1) from None
     if kind == "BADIRI":
         raise ParseError("unterminated IRI", lineno, start + 1)
     if start == len(text):
@@ -249,7 +249,6 @@ class _TermError(Exception):
 
     def __init__(self, message: str, offset: int):
         super().__init__(message)
-        self.message = message
         self.offset = offset
 
 
