@@ -753,13 +753,19 @@ _OUTPUT_LAYOUTS = {
     f"WHERE {{ {_EVERY_VERSION} }} GROUP BY ?s ?version }} }}",
     "empty": "SELECT ?version ?s WHERE { GRAPH ?vng { ?s <urn:p:none> ?o . } "
     "?vng <urn:converg:vocab:is-in-version> ?version . }",
+    "every cell unbound": "SELECT (MAX(?o) AS ?m) WHERE { GRAPH ?vng { ?s <urn:p:none> ?o . } }",
+    "only per-bit columns": f"SELECT ?vng ?version WHERE {{ {_EVERY_VERSION} }}",
+    "one term, many objects": f"SELECT ?s ?version ?o WHERE {{ {_EVERY_VERSION} ?x <urn:p:about> ?s . }}",
 }
 
 
 @functools.cache
 def _layout_store(versions: int) -> Store:
     # 13 versions: <urn:converg:version:10> sorts before <urn:converg:version:2>.
-    return random_wide_store(random.Random(versions), versions)
+    store = random_wide_store(random.Random(versions), versions)
+    # Each metadata triple holds its own copy of its subject IRI, two per IRI.
+    store.add_metadata([(iri(f"urn:x:{i}"), iri("urn:p:about"), SUBJECT_POOL[i % 6]) for i in range(12)])
+    return store
 
 
 @pytest.mark.parametrize("versions", [13, 67])
@@ -770,10 +776,17 @@ def test_every_output_layout_matches_the_naive_reference(layout, versions):
     table = check_output(store, text, eval_oracle(list(store.export_flat()), _plan(text)))
     if layout == "empty":
         assert table.lines == []
-    elif layout in ("version alone", "no per-bit column", "grouped, rows repeat"):
+    elif layout == "every cell unbound":
+        assert table.to_tsv() == "m\n\n" and table.rows == [(None,)]
+    elif layout in ("version alone", "no per-bit column", "grouped, rows repeat", "only per-bit columns"):
         assert len(set(table.lines)) < len(table.lines)
     else:
         assert len(table.lines) > versions
+    if layout == "one term, many objects":
+        # The column's equal terms are distinct objects, and the rows hold them.
+        rows = _CondensedEvaluator(store).eval(_plan(text).pattern, None)
+        subjects = [binding["s"] for binding, _graph_id, _bits in rows.rows]
+        assert len(set(map(id, subjects))) > len(set(subjects)) > 1
 
 
 def test_ungrouped_versioned_rows_reach_the_output_stage_unexpanded(buildings_store, monkeypatch):
