@@ -31,7 +31,7 @@ from .errors import (
 )
 from .model import iri
 from .nquads import parse_nquads, serialize_nquads, serialize_term
-from .store import Store, load_snapshot, save_snapshot
+from .store import Store, load_snapshot, require_snapshot, save_snapshot
 
 STORE_ENV = "CONVERG_STORE"
 
@@ -70,18 +70,23 @@ def _resolve_positionals(values: list, names: list[str]) -> list:
 
 
 class _StoreLock:
-    """Advisory lock on <store>/.lock: shared for readers, exclusive for load."""
+    """Advisory lock on <store>/.lock: shared for readers, exclusive for load
+    and init. Only init locks a directory that holds no snapshot yet."""
 
-    def __init__(self, directory: str, exclusive: bool):
+    def __init__(self, directory: str, exclusive: bool, new: bool = False):
+        self.directory = directory
         self.path = os.path.join(directory, ".lock")
         self.exclusive = exclusive
+        self.new = new
         self.fh = None
 
     def __enter__(self):
+        if not self.new and os.path.isdir(self.directory):
+            require_snapshot(self.directory)  # before opening the lock file creates it
         try:
             self.fh = open(self.path, "a+")
         except FileNotFoundError:
-            raise SnapshotError(f"no store directory at {os.path.dirname(self.path)}")
+            raise SnapshotError(f"no store directory at {self.directory}")
         fcntl.flock(self.fh.fileno(), fcntl.LOCK_EX if self.exclusive else fcntl.LOCK_SH)
         return self
 
@@ -136,7 +141,7 @@ def _cmd_init(args) -> int:
     if os.path.exists(os.path.join(store_dir, "CHECKSUM")):
         raise _UsageError(f"{store_dir} already holds a store")
     os.makedirs(store_dir, exist_ok=True)
-    with _StoreLock(store_dir, exclusive=True):
+    with _StoreLock(store_dir, exclusive=True, new=True):
         save_snapshot(Store(), store_dir)
     print(f"initialized empty store at {store_dir}")
     return 0

@@ -11,10 +11,12 @@ the other masks the row's bits, so metadata joins and MINUS on ?version
 stay condensed. Only `Rows.flat` expands, where two bit dimensions meet.
 GROUP BY folds over rows, by whole row or per bit (COUNT per version is
 bit-sliced addition of bitmaps). The output stage writes the sorted TSV
-text straight from the rows: they sort once, on their cells other than the
-first ?vng or version cell, and each value of that cell writes one block,
-its lines picked from the rows' bitmaps by `compress`; only a block with a
-later ?vng cell, which varies with each row's graph, sorts its own lines.
+text straight from the rows, a column at a time: each distinct term of a
+column is serialized once, and `map`, `zip` and `str.join` build every
+row's line. The rows sort once, on their cells other than the first ?vng
+or version cell, and each value of that cell writes one block, its lines
+picked from the rows' bitmaps by `compress`; only a block with a later ?vng
+cell, which varies with each row's graph, sorts its own lines.
 `ResultTable.lines` and `.rows` are split and decoded from the text on
 first read.
 
@@ -751,8 +753,10 @@ def _bit_bytes(bitmaps: list, spec: str) -> bytes:
 
 def _table(columns, rows: Rows) -> ResultTable:
     """The result table of `rows`, its text written in order by
-    construction: Python work is per condensed row and per cell value, and
-    work per solution happens only inside `compress` and `str.join`.
+    construction: Python work is per column, per distinct term and per cell
+    value; work per condensed row happens only inside `map`, `zip`, `sort`
+    and `str.join`, and work per solution only inside `compress` and
+    `str.join`.
 
     Lines sort on the tuple of their cell texts, "" for unbound: the order
     of the lines as strings, since no cell text holds a tab or a newline and
@@ -771,10 +775,13 @@ def _table(columns, rows: Rows) -> ResultTable:
     without per-bit cells is its line once per solution (per set bit; once
     for a plain row, whose -1 sets one bit by `bit_count`), after the sort.
 
-    Each term object is serialized once and its text mapped back to it for
-    `rows`; the memo is keyed by id(), sound because the rows and the store
-    keep every term alive for the call (a Term key would hash and compare
-    in Python).
+    Each column is read from the bindings once, and each term object in it
+    is serialized once and its text mapped back to it for `rows`; the memo
+    is keyed by id(), sound because the rows and the store keep every term
+    alive for the call (a Term key would hash and compare in Python). Equal
+    terms held by distinct objects give one text, mapped back to one of
+    them. Per-bit columns are `repeat`s of "" or of their mark, bounded by
+    the row count so that a zip of them alone ends.
     """
     store, width = rows.store, rows.store.version_count
     texts, terms_of = {id(None): ""}, {"": None}
@@ -794,22 +801,25 @@ def _table(columns, rows: Rows) -> ResultTable:
     vng_first = cut is not None and columns[cut] == rows.vng_var
     vng_later, version_later = "\n" in marks.values(), "\r" in marks.values()
     version_texts = list(map(text_of, store.version_iris())) if set(columns) & set(rows.version_vars) else []
-    plain = []  # without per-bit cells: the row's line once per solution
-    keyed = []  # with: (prefix, line with the first per-bit cell empty, graph id, bits)
-    for binding, graph_id, bits in rows.rows:
-        terms = list(map(binding.get, columns))
-        for term in terms:
-            if id(term) not in texts:
-                text_of(term)
-        cells = list(map(texts.__getitem__, map(id, terms)))
-        if cut is None:
-            plain.append(("\n" + "\t".join(cells)) * bits.bit_count())
+    count = len(rows.rows)
+    bindings = list(map(itemgetter(0), rows.rows))
+    cells = []  # per column, its text in each row
+    for i, name in enumerate(columns):
+        if i == cut or i in marks:  # no binding holds a per-bit variable
+            cells.append(repeat(marks.get(i, ""), count))
             continue
-        for i, mark in marks.items():
-            cells[i] = mark
-        cells[cut] = ""
-        keyed.append(("\t".join(cells[:cut]), "\t".join(cells), graph_id, bits))
-    plain.sort()
+        terms = list(map(dict.get, bindings, repeat(name)))
+        distinct = dict(zip(map(id, terms), terms))
+        for key in distinct.keys() - texts.keys():
+            text_of(distinct[key])
+        cells.append(list(map(texts.__getitem__, map(id, terms))))
+    lines = map("\t".join, zip(*cells))
+    graph_ids, bits = map(itemgetter(1), rows.rows), map(itemgetter(2), rows.rows)
+    if cut is None:  # each row's line once per solution
+        plain, keyed = sorted(map(str.__mul__, map("\n".__add__, lines), map(int.bit_count, bits))), []
+    else:  # (prefix, line with the first per-bit cell empty, graph id, bits)
+        prefixes = map("\t".join, zip(*cells[:cut])) if cut else repeat("", count)
+        plain, keyed = [], list(zip(prefixes, lines, graph_ids, bits))
     out = ["\t".join(columns), *plain]  # each line starts with its newline
     keyed.sort(key=itemgetter(1))
     spec = f"0{width}b"

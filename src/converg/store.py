@@ -435,9 +435,10 @@ def save_snapshot(store: Store, directory) -> None:
 
     CHECKSUM carries one SHA-256 digest per file. Two phases: every file
     is first written and fsynced under a temporary name, then all six are
-    renamed into place (CHECKSUM last). A crash during the write phase
-    leaves the previous snapshot untouched; only the brief rename burst is
-    not a single atomic step.
+    renamed into place (CHECKSUM last) and the directory is fsynced, so the
+    new snapshot is durable when the call returns. A crash during the write
+    phase leaves the previous snapshot untouched; only the brief rename
+    burst is not a single atomic step.
     """
     directory = os.fspath(directory)
     os.makedirs(directory, exist_ok=True)
@@ -492,18 +493,30 @@ def save_snapshot(store: Store, directory) -> None:
         raise
     for tmp, final in staged:
         os.replace(tmp, final)
+    # The renames are entries of the directory: durable once it is fsynced.
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _joined(lines: list[str]) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def load_snapshot(directory) -> Store:
+def require_snapshot(directory) -> str:
+    """The path of `directory`'s CHECKSUM; SnapshotError if it has none."""
     directory = os.fspath(directory)
     checksum_path = os.path.join(directory, "CHECKSUM")
     if not os.path.isfile(checksum_path):
         raise SnapshotError(f"no snapshot at {directory} (missing CHECKSUM)")
-    with open(checksum_path, "rb") as fh:
+    return checksum_path
+
+
+def load_snapshot(directory) -> Store:
+    directory = os.fspath(directory)
+    with open(require_snapshot(directory), "rb") as fh:
         checksum_text = _decoded("CHECKSUM", fh.read())
     expected: dict[str, str] = {}
     for line in checksum_text.splitlines():

@@ -342,6 +342,24 @@ def test_stats_on_missing_store_exits_2(tmp_path, capsys):
     assert "no store directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, operands",
+    [
+        ("stats", []),
+        ("query", [query_path("all_versions.rq")]),
+        ("diff", ["urn:converg:vng:1", "urn:converg:vng:2"]),
+        ("export-flat", []),
+        ("load", [fixture_path("buildings_v1.nq")]),
+    ],
+)
+def test_a_store_command_on_a_directory_without_a_store_exits_2_and_leaves_it_empty(tmp_path, capsys, command, operands):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main([command, str(empty), *operands]) == 2
+    assert f"no snapshot at {empty} (missing CHECKSUM)" in capsys.readouterr().err
+    assert os.listdir(empty) == []
+
+
 def test_corrupt_snapshot_exits_2(tmp_path, capsys):
     store_dir = _setup_buildings(tmp_path)
     entries = os.path.join(store_dir, "ENTRIES")

@@ -1,6 +1,7 @@
 import gc
 import os
 import random
+import stat
 
 import pytest
 
@@ -482,6 +483,30 @@ def test_snapshot_files_present(tmp_path, buildings_store):
     save_snapshot(buildings_store, tmp_path)
     names = sorted(os.listdir(tmp_path))
     assert names == ["CHECKSUM", "DICT", "ENTRIES", "MANIFEST", "META", "VNG"]
+
+
+def test_save_fsyncs_the_directory_after_every_rename(tmp_path, buildings_store, monkeypatch):
+    calls = []  # ("fsync", fd is a directory) or ("replace", None), in call order
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        calls.append(("fsync", stat.S_ISDIR(os.fstat(fd).st_mode)))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append(("replace", None))
+        real_replace(src, dst)
+
+    monkeypatch.setattr("converg.store.os.fsync", fsync)
+    monkeypatch.setattr("converg.store.os.replace", replace)
+    save_snapshot(buildings_store, tmp_path)
+    save_snapshot(buildings_store, tmp_path)  # over an existing snapshot too
+    monkeypatch.undo()
+    for save in (calls[: len(calls) // 2], calls[len(calls) // 2 :]):
+        assert save.count(("replace", None)) == 6
+        assert save[-1] == ("fsync", True)
+        assert save.count(("fsync", False)) == 6
+    assert load_snapshot(tmp_path) == buildings_store
 
 
 def test_entries_file_matches_golden(tmp_path, buildings_store):
