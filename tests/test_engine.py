@@ -541,6 +541,61 @@ def test_an_error_in_a_part_after_an_empty_one_is_raised(text):
         execute_plan(store, plan)
 
 
+@functools.cache
+def _integer_store() -> Store:
+    """Two versions of <urn:p> and <urn:q> integers in <urn:g> and <urn:h>;
+    the metadata holds "2" and "5" on <urn:m>, and the data holds "2" only."""
+    one, two = f'"1"^^<{INTEGER}>', f'"2"^^<{INTEGER}>'
+    store = Store()
+    store.ingest_version(
+        parse_nquads(
+            f"<urn:a> <urn:p> {one} <urn:g> .\n<urn:b> <urn:p> {one} <urn:h> .\n<urn:c> <urn:p> {one} <urn:h> .\n"
+            f"<urn:s> <urn:q> {two} <urn:g> .\n<urn:t> <urn:q> {one} <urn:h> .\n"
+        )
+    )
+    store.ingest_version(
+        parse_nquads(
+            f"<urn:a> <urn:p> {one} <urn:g> .\n<urn:b> <urn:p> {one} <urn:g> .\n"
+            f"<urn:s> <urn:q> {two} <urn:g> .\n<urn:t> <urn:q> {one} <urn:h> .\n"
+        )
+    )
+    store.add_metadata([(iri("urn:m"), iri("urn:q"), literal(n, datatype=INTEGER)) for n in ("2", "5")])
+    return store
+
+
+_SUM_OF_VNG_2 = "{ SELECT (SUM(?o) AS ?n) WHERE { GRAPH <urn:converg:vng:2> { ?x <urn:p> ?o . } } }"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"SELECT ?s ?n WHERE {{ {_SUM_OF_VNG_2} GRAPH ?g {{ ?s <urn:q> ?n . }} }}",
+        "SELECT ?s ?n WHERE { { SELECT (COUNT(?x) AS ?n) WHERE { GRAPH <urn:converg:vng:2> { ?x <urn:p> ?o . } } } "
+        "GRAPH ?g { ?s <urn:q> ?n . } }",
+        "SELECT ?g ?s ?n WHERE { GRAPH ?g { { SELECT (COUNT(?x) AS ?n) WHERE { ?x <urn:p> ?o . } } ?s <urn:q> ?n . } }",
+        "SELECT ?g ?s ?n WHERE { GRAPH ?g { { SELECT (SUM(?o) AS ?n) WHERE { ?x <urn:p> ?o . } } ?s <urn:q> ?n . } }",
+        "SELECT ?version ?s WHERE { { SELECT ?version (COUNT(?x) AS ?n) WHERE { GRAPH ?vng { ?x <urn:p> ?o . } "
+        "?vng <urn:converg:vocab:is-in-version> ?version . } GROUP BY ?version } GRAPH ?g { ?s <urn:q> ?n . } }",
+        f"SELECT ?m ?n WHERE {{ {_SUM_OF_VNG_2} ?m <urn:q> ?n . }}",
+        "SELECT ?m ?n WHERE { { SELECT (COUNT(?x) AS ?n) WHERE { GRAPH ?g { ?x <urn:p> ?o . } } } ?m <urn:q> ?n . }",
+    ],
+    ids=[
+        "sum-meets-graph",
+        "count-meets-graph",
+        "count-per-graph-version",
+        "sum-per-graph-version",
+        "count-per-version",
+        "sum-meets-metadata",
+        "count-the-data-lacks-meets-metadata",
+    ],
+)
+def test_an_aggregate_meets_the_stored_literal_it_equals(text):
+    # SUM and COUNT over vng:2 and the COUNT of version 2 are 2, a "2" the
+    # data holds; the COUNT over every graph, 5, only the metadata holds.
+    store = _integer_store()
+    assert check_output(store, text, eval_oracle(list(store.export_flat()), _plan(text))).lines
+
+
 # ------------------------------------------------------------ executeQuery
 
 
