@@ -1,22 +1,25 @@
 """Query evaluation over the condensed store.
 
 Every pattern evaluates to `Rows`: (binding, graph id, bits) rows, plain
-or versioned (see `Rows`). Inside GRAPH a basic graph pattern is matched
-once per named graph while the version dimension stays a bitmap. In the
-default graph a link pattern (`?vng is-in-version X`, `?vng is-version-of
-X`) is read off the minted versions, one row per graph id, and meets GRAPH
-in an ordinary join. Join and MINUS key the right rows on the variables a
-left row shares with them; a value on one side of a variable per-bit on
-the other masks the row's bits, so metadata joins and MINUS on ?version
-stay condensed. Only `Rows.flat` expands, where two bit dimensions meet.
-GROUP BY folds over rows, by whole row or per bit (COUNT per version is
-bit-sliced addition of bitmaps). The output stage writes the sorted TSV
-text straight from the rows, a column at a time: each distinct term of a
-column is serialized once, and `map`, `zip` and `str.join` build every
-row's line. The rows sort once, on their cells other than the first ?vng
-or version cell, and each value of that cell writes one block, its lines
-picked from the rows' bitmaps by `compress`; only a block with a later ?vng
-cell, which varies with each row's graph, sorts its own lines.
+or versioned (see `Rows`). A binding holds each term's dictionary id, or
+the term itself where the dictionary lacks it: joins, MINUS and group keys
+compare ints, and only aggregates and the output stage decode. Inside
+GRAPH a basic graph pattern is matched once per named graph while the
+version dimension stays a bitmap. In the default graph a link pattern
+(`?vng is-in-version X`, `?vng is-version-of X`) is read off the minted
+versions, one row per graph id, and meets GRAPH in an ordinary join. Join
+and MINUS key the right rows on the variables a left row shares with them;
+a value on one side of a variable per-bit on the other masks the row's
+bits, so metadata joins and MINUS on ?version stay condensed. Only
+`Rows.flat` expands, where two bit dimensions meet. GROUP BY folds over
+rows, by whole row or per bit (COUNT per version is bit-sliced addition of
+bitmaps). The output stage writes the sorted TSV text straight from the
+rows, a column at a time: each distinct value of a column is decoded and
+serialized once, and `map`, `zip` and `str.join` build every row's line.
+The rows sort once, on their cells other than the first ?vng or version
+cell, and each value of that cell writes one block, its lines picked from
+the rows' bitmaps by `compress`; only a block with a later ?vng cell,
+which varies with each row's graph, sorts its own lines.
 `ResultTable.lines` and `.rows` are split and decoded from the text on
 first read.
 
@@ -61,13 +64,24 @@ from .sparql import (
 )
 from .store import Store, bit_for, bitmap_ordinals, render_bitmap
 
-Solution = dict  # variable name -> Term
+Solution = dict  # variable name -> its value (see `_value`); the oracle's hold Terms
 
 _XSD_INTEGER = XSD + "integer"
 _XSD_DECIMAL = XSD + "decimal"
 
 
 # -------------------------------------------------------------------- rows
+
+
+def _value(store: Store, term: Term):
+    """The value bound for `term`: its dictionary id, or itself where the dictionary lacks it."""
+    tid = store.dictionary.lookup(term)
+    return term if tid is None else tid
+
+
+def _term(store: Store, value) -> Term:
+    """The term a binding's `value` stands for."""
+    return store.dictionary.terms[value] if value.__class__ is int else value
 
 
 def _version_bit(store: Store, term: Term) -> int:
@@ -90,8 +104,9 @@ class Rows:
     row stands for one solution per set bit m, each holding throughout its
     context: the binding, plus `vng_var` bound to the versioned graph
     (graph id, m) and each of `version_vars` bound to version m. Bits lie
-    within the versions that minted a vng for the graph id, and a binding
-    never holds a per-bit variable.
+    within the versions that minted a vng for the graph id. A binding maps
+    each other variable to its value, a dictionary id or a term the
+    dictionary lacks (`_value`); it never holds a per-bit variable.
     """
 
     __slots__ = ("store", "rows", "vng_var", "version_vars")
@@ -110,15 +125,16 @@ class Rows:
     def value(self, binding: Solution, graph_id, ordinal: int, name: str):
         """What `name` is bound to at bit `ordinal` of a row; None if unbound."""
         if name == self.vng_var:
-            return self.store.vng_iri_for(graph_id, ordinal)
+            return _value(self.store, self.store.vng_iri_for(graph_id, ordinal))
         if name in self.version_vars:
-            return self.store.version_iris()[ordinal - 1]
+            return _value(self.store, self.store.version_iris()[ordinal - 1])
         return binding.get(name)
 
-    def pin(self, name: str, term: Term) -> tuple:
-        """(graph id, bits) at which the per-bit `name` takes the value
-        `term`: a version IRI is its bit in any graph (graph id None), a vng
-        IRI its bit in its own graph, any other term no bit."""
+    def pin(self, name: str, value) -> tuple:
+        """(graph id, bits) at which the per-bit `name` takes `value`: a
+        version IRI is its bit in any graph (graph id None), a vng IRI its
+        bit in its own graph, any other term no bit."""
+        term = _term(self.store, value)
         if name != self.vng_var:
             return None, _version_bit(self.store, term)
         try:
@@ -166,7 +182,7 @@ def _fold(left: Rows, right: Rows, domain: frozenset, rows, key_vars):
     for binding, graph_id, bits in rows:
         rest = binding
         if pins:
-            rest = {name: term for name, term in binding.items() if name not in pins}
+            rest = {name: value for name, value in binding.items() if name not in pins}
             for name in pins:
                 pinned_graph, pinned_bits = left.pin(name, binding[name])
                 bits &= pinned_bits
@@ -204,7 +220,7 @@ def _meet(left: Rows, right: Rows):
         rest, mask = binding, -1
         pinned = [name for name in right_per_bit if name in binding] if right_per_bit else ()
         if pinned:
-            rest = {name: term for name, term in binding.items() if name not in right_per_bit}
+            rest = {name: value for name, value in binding.items() if name not in right_per_bit}
             for name in pinned:
                 pinned_graph, pinned_bits = right.pin(name, binding[name])
                 mask &= pinned_bits if pinned_graph in (None, graph_id) else 0
@@ -231,21 +247,19 @@ def _match_bgp_in_graph(store: Store, patterns, graph_id: int, mask: int) -> lis
     the versions in scope. Every row binds the variables of the patterns
     before, so a pattern's constant ids and the key positions it binds are
     resolved once. `lookup_pattern` yields (key, bits) pairs, and a bound
-    term is read off the term list by its id in the (graph, s, p, o) key:
-    ingest encodes those ids and `load_snapshot` range-checks them.
+    variable holds its id in the (graph, s, p, o) key, which a later
+    pattern passes back as it is: no term is looked up or decoded per row.
     """
-    lookup = store.dictionary.lookup
-    terms = store.dictionary.terms
     rows = [({}, None, mask)]
     bound: set[str] = set()
     for pattern in patterns:
         ids, joins, binds, repeats = [graph_id, None, None, None], [], {}, []
         for at, atom in enumerate((pattern.subject, pattern.predicate, pattern.object), 1):
             if not isinstance(atom, Var):
-                ids[at] = lookup(atom)
+                ids[at] = store.dictionary.lookup(atom)
                 if ids[at] is None:
                     return []  # a constant absent from the dictionary matches nothing
-            elif atom.name in bound:  # its id is looked up per row
+            elif atom.name in bound:  # its id is read off each row
                 joins.append((at, atom.name))
             elif atom.name in binds:  # bound twice here: both positions hold one id
                 repeats.append((at, binds[atom.name]))
@@ -253,8 +267,8 @@ def _match_bgp_in_graph(store: Store, patterns, graph_id: int, mask: int) -> lis
                 binds[atom.name] = at
         next_rows = []
         for binding, _graph_id, bits in rows:
-            for at, name in joins:  # read off the term list, so its id is found
-                ids[at] = lookup(binding[name])
+            for at, name in joins:
+                ids[at] = binding[name]
             for key, entry_bits in store.lookup_pattern(*ids):
                 joined = bits & entry_bits
                 if not joined:
@@ -265,7 +279,7 @@ def _match_bgp_in_graph(store: Store, patterns, graph_id: int, mask: int) -> lis
                 if binds:
                     extended = binding.copy()
                     for name, at in binds.items():
-                        extended[name] = terms[key[at]]
+                        extended[name] = key[at]
                 next_rows.append((extended, None, joined))
         rows = next_rows
         if not rows:
@@ -329,6 +343,7 @@ class _CondensedEvaluator:
             and p.object != p.subject
         ]
         matched = _match_triples(self.store.metadata_graph(), [p for p in patterns if p not in links])
+        matched = [{name: _value(self.store, term) for name, term in binding.items()} for binding in matched]
         rows = Rows(self.store, [(binding, None, -1) for binding in matched])
         names = set().union(*matched)
         for pattern in links:
@@ -348,12 +363,8 @@ class _CondensedEvaluator:
             mask = -1 if name else _version_bit(store, obj)
             rows = [({}, g, bits & mask) for g, bits in minted.items() if bits & mask]
             return Rows(store, rows, pattern.subject.name, (name,) if name else ())
-        decode = store.dictionary.decode
-        rows = [
-            ({name: decode(g)} if name else {}, g, bits)
-            for g, bits in minted.items()
-            if name or decode(g) == obj
-        ]
+        graph = None if name else _value(store, obj)
+        rows = [({name: g} if name else {}, g, bits) for g, bits in minted.items() if name or g == graph]
         return Rows(store, rows, pattern.subject.name)
 
     def join(self, left: Rows, right: Rows, left_names=None) -> Rows:
@@ -487,22 +498,19 @@ def _match_triples(triples, patterns) -> list[Solution]:
 # ------------------------------------------------------------- aggregation
 
 
-def _numeric_or_fail(term: Term, group_desc: str) -> Decimal:
-    value = numeric_value(term)
-    if value is None:
-        raise EvalError(
-            f"SUM over non-numeric term {serialize_term(term)} in group {group_desc}"
-        )
-    return value
-
-
-def _sum_literal(values: Counter, group_desc: str) -> Term:
+def _sum_literal(store: Store, values: Counter, group_desc: str) -> Term:
     from decimal import Decimal  # only a SUM needs it, so only a SUM loads it
 
     total = Decimal(0)
     integral = True
-    for term, multiplicity in values.items():
-        total += _numeric_or_fail(term, group_desc) * multiplicity
+    for value, multiplicity in values.items():
+        term = _term(store, value)
+        number = numeric_value(term)
+        if number is None:
+            raise EvalError(
+                f"SUM over non-numeric term {serialize_term(term)} in group {group_desc}"
+            )
+        total += number * multiplicity
         if term.datatype != _XSD_INTEGER and not (
             term.datatype is None and term.lexical.lstrip("+-").isdigit()
         ):
@@ -517,27 +525,26 @@ def _count_literal(n: int) -> Term:
     return literal(str(n), datatype=_XSD_INTEGER)
 
 
-def _apply_aggregate(spec: SelectAgg, values: Counter, group_desc: str):
+def _apply_aggregate(store: Store, spec: SelectAgg, values: Counter, group_desc: str):
     """Fold one aggregate over a group's argument values, given as each
     distinct bound value with its multiplicity."""
     if spec.distinct:
         values = Counter(dict.fromkeys(values, 1))
     if spec.func == "COUNT":
-        return _count_literal(sum(values.values()))
+        return _value(store, _count_literal(sum(values.values())))
     if not values:
         return None  # MAX/MIN/SUM over nothing is unbound
-    if spec.func == "MAX":
-        return max(values, key=term_order_key)
-    if spec.func == "MIN":
-        return min(values, key=term_order_key)
-    return _sum_literal(values, group_desc)  # SUM: the parser admits no other aggregate
+    if spec.func == "SUM":  # the parser admits no aggregate but these four
+        return _value(store, _sum_literal(store, values, group_desc))
+    pick = max if spec.func == "MAX" else min
+    return pick(values, key=lambda value: term_order_key(_term(store, value)))
 
 
-def _describe(group_vars, key: Solution) -> str:
+def _describe(store: Store, group_vars, key: Solution) -> str:
     """A group as an aggregate error names it: its key in GROUP BY order."""
     if not group_vars:
         return "(all rows)"
-    return "(" + ", ".join(serialize_term(key[n]) if n in key else "UNBOUND" for n in group_vars) + ")"
+    return "(" + ", ".join(serialize_term(_term(store, key[n])) if n in key else "UNBOUND" for n in group_vars) + ")"
 
 
 def _group(vrows: Rows, group_by, aggregates, scope: int = 0) -> list:
@@ -559,13 +566,13 @@ def _group(vrows: Rows, group_by, aggregates, scope: int = 0) -> list:
             groups.setdefault(key, []).append(row)
     out = []
     for (key, graph_id), members in groups.items():
-        base = {name: term for name, term in zip(row_keys, key) if term is not None}
+        base = {name: value for name, value in zip(row_keys, key) if value is not None}
         if not (scope or bit_keys):
-            desc = _describe(group_vars, base)
+            desc = _describe(vrows.store, group_vars, base)
             for spec, alias in aggregates:
-                term = _fold_rows(vrows, spec, members, desc)
-                if term is not None:
-                    base[alias] = term
+                value = _fold_rows(vrows, spec, members, desc)
+                if value is not None:
+                    base[alias] = value
             out.append((base, None))
             continue
         present = scope
@@ -581,9 +588,9 @@ def _group(vrows: Rows, group_by, aggregates, scope: int = 0) -> list:
         folded = [_fold_positions(vrows, spec, members, keys, group_vars) for spec, _ in aggregates]
         for ordinal, result in keys.items():
             for (_spec, alias), by_position in zip(aggregates, folded):
-                term = by_position[ordinal - 1]
-                if term is not None:
-                    result[alias] = term
+                value = by_position[ordinal - 1]
+                if value is not None:
+                    result[alias] = value
             out.append((result, ordinal))
     return out
 
@@ -595,7 +602,7 @@ def _fold_rows(vrows: Rows, spec: SelectAgg, members, desc: str):
         union = 0
         for _binding, _graph_id, bits in members:
             union |= bits
-        return _count_literal(union.bit_count())
+        return _value(vrows.store, _count_literal(union.bit_count()))
     values: Counter = Counter()
     if name in vrows.per_bit:
         for binding, graph_id, bits in members:
@@ -603,10 +610,10 @@ def _fold_rows(vrows: Rows, spec: SelectAgg, members, desc: str):
                 values[vrows.value(binding, graph_id, ordinal, name)] += 1
     else:
         for binding, _graph_id, bits in members:
-            term = binding.get(name)
-            if term is not None:
-                values[term] += bits.bit_count()
-    return _apply_aggregate(spec, values, desc)
+            value = binding.get(name)
+            if value is not None:
+                values[value] += bits.bit_count()
+    return _apply_aggregate(vrows.store, spec, values, desc)
 
 
 def _fold_positions(vrows: Rows, spec: SelectAgg, members, keys, group_vars) -> list:
@@ -615,27 +622,28 @@ def _fold_positions(vrows: Rows, spec: SelectAgg, members, keys, group_vars) -> 
     per-row variable read the bits each value covers; anything else folds
     the values each position counts."""
     name = spec.arg.name
-    width = vrows.store.version_count
+    store, width = vrows.store, vrows.store.version_count
     per_row = name not in vrows.per_bit
     if spec.func == "COUNT" and not spec.distinct:
         bound = [bits for binding, _graph_id, bits in members if not per_row or name in binding]
-        return _bit_counts(bound, width)
+        return [_value(store, count) for count in _bit_counts(bound, width)]
     if per_row and spec.func != "SUM":
-        coverage: dict[Term, int] = {}
+        coverage: dict = {}  # value -> the bits it is bound in
         for binding, _graph_id, bits in members:
-            term = binding.get(name)
-            if term is not None:
-                coverage[term] = coverage.get(term, 0) | bits
+            value = binding.get(name)
+            if value is not None:
+                coverage[value] = coverage.get(value, 0) | bits
         if spec.func == "COUNT":
-            return _bit_counts(coverage.values(), width)
+            return [_value(store, count) for count in _bit_counts(coverage.values(), width)]
         best: list = [None] * width
         unclaimed = 0
         for bits in coverage.values():
             unclaimed |= bits
-        for term in sorted(coverage, key=term_order_key, reverse=spec.func == "MAX"):
-            claimed = coverage[term] & unclaimed
+        ranked = sorted(coverage, key=lambda value: term_order_key(_term(store, value)))  # no two rank equal
+        for value in reversed(ranked) if spec.func == "MAX" else ranked:
+            claimed = coverage[value] & unclaimed
             for ordinal in bitmap_ordinals(claimed):
-                best[ordinal - 1] = term
+                best[ordinal - 1] = value
             unclaimed ^= claimed
             if not unclaimed:
                 break
@@ -643,12 +651,12 @@ def _fold_positions(vrows: Rows, spec: SelectAgg, members, keys, group_vars) -> 
     counts = {ordinal: Counter() for ordinal in keys}  # the members' bits are among the keys
     for binding, graph_id, bits in members:
         for ordinal in bitmap_ordinals(bits):
-            term = vrows.value(binding, graph_id, ordinal, name)
-            if term is not None:
-                counts[ordinal][term] += 1
+            value = vrows.value(binding, graph_id, ordinal, name)
+            if value is not None:
+                counts[ordinal][value] += 1
     out: list = [None] * width
     for ordinal, key in keys.items():
-        out[ordinal - 1] = _apply_aggregate(spec, counts[ordinal], _describe(group_vars, key))
+        out[ordinal - 1] = _apply_aggregate(store, spec, counts[ordinal], _describe(store, group_vars, key))
     return out
 
 
@@ -775,25 +783,23 @@ def _table(columns, rows: Rows) -> ResultTable:
     without per-bit cells is its line once per solution (per set bit; once
     for a plain row, whose -1 sets one bit by `bit_count`), after the sort.
 
-    Each column is read from the bindings once, and each term object in it
-    is serialized once and its text mapped back to it for `rows`; the memo
-    is keyed by id(), sound because the rows and the store keep every term
-    alive for the call (a Term key would hash and compare in Python). Equal
-    terms held by distinct objects give one text, mapped back to one of
-    them. Per-bit columns are `repeat`s of "" or of their mark, bounded by
-    the row count so that a zip of them alone ends.
+    Each column is read from the bindings once; each distinct value in it,
+    an id or a term the dictionary lacks, is decoded and serialized once,
+    its text mapped back to the term for `rows`. Per-bit columns are
+    `repeat`s of "" or their mark, bounded by the row count to end a zip.
     """
     store, width = rows.store, rows.store.version_count
-    texts, terms_of = {id(None): ""}, {"": None}
+    texts, terms_of = {None: ""}, {"": None}  # value (or vng or version IRI) -> text; text -> term
 
-    def text_of(term) -> str:
-        texts[id(term)] = text = serialize_term(term)
+    def text_of(value) -> str:
+        term = _term(store, value)
+        texts[value] = text = serialize_term(term)
         terms_of[text] = term
         return text
 
     def vng_text(graph_id, ordinal: int) -> str:
         vng = store.vng_iri_for(graph_id, ordinal)
-        return texts.get(id(vng)) or text_of(vng)
+        return texts.get(vng) or text_of(vng)
 
     per_bit = [i for i, name in enumerate(columns) if name == rows.vng_var or name in rows.version_vars]
     cut = per_bit[0] if per_bit else None
@@ -808,11 +814,10 @@ def _table(columns, rows: Rows) -> ResultTable:
         if i == cut or i in marks:  # no binding holds a per-bit variable
             cells.append(repeat(marks.get(i, ""), count))
             continue
-        terms = list(map(dict.get, bindings, repeat(name)))
-        distinct = dict(zip(map(id, terms), terms))
-        for key in distinct.keys() - texts.keys():
-            text_of(distinct[key])
-        cells.append(list(map(texts.__getitem__, map(id, terms))))
+        values = list(map(dict.get, bindings, repeat(name)))
+        for value in set(values) - texts.keys():
+            text_of(value)
+        cells.append(list(map(texts.__getitem__, values)))
     lines = map("\t".join, zip(*cells))
     graph_ids, bits = map(itemgetter(1), rows.rows), map(itemgetter(2), rows.rows)
     if cut is None:  # each row's line once per solution

@@ -151,20 +151,15 @@ class Store:
     # ------------------------------------------------------------------ write
 
     def ingest_version(self, doc, label: Optional[str] = None) -> IngestReport:
-        """Load one version document as the next ordinal.
+        """Load the rows of one version's `ParsedDocument` as the next ordinal.
 
-        `doc` is a `ParsedDocument`, whose `rows` are read, or an iterable
-        of `Quad`s; no `Quad` is built for a parsed document. Every quad
-        must carry a named graph; blank node labels are rescoped per
-        document so separate loads never share blank nodes; duplicate
-        quads within the document collapse silently. Validation happens
-        up front and the mutation phase cannot fail, so a raised error
-        leaves the store untouched.
+        Every quad must carry a named graph; blank node labels are rescoped
+        per document so separate loads never share blank nodes; duplicate
+        quads within the document collapse silently. Validation happens up
+        front and the mutation phase cannot fail, so a raised error leaves
+        the store untouched.
         """
-        if hasattr(doc, "rows"):
-            rows = doc.rows
-        else:
-            rows = [(q.subject, q.predicate, q.object, q.graph) for q in doc]
+        rows = doc.rows
         if label is not None and ("\n" in label or "\r" in label):
             raise IngestError("version label must be a single line")
         for row in rows:

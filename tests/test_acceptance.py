@@ -23,7 +23,7 @@ from conftest import (
 from converg.engine import execute_query
 from converg.gen import GenConfig, generate_version, write_version_files
 from converg.model import XSD, Quad, blank, iri, literal, version_iri
-from converg.nquads import parse_nquads, serialize_nquads, serialize_term
+from converg.nquads import ParsedDocument, parse_nquads, serialize_nquads, serialize_term
 from converg.store import Store, load_snapshot, render_bitmap, save_snapshot
 from randcases import random_store, run_differential_case
 
@@ -225,7 +225,7 @@ def test_criterion_6_round_trips(tmp_path):
                 )
             rebuilt = Store()
             for ordinal in range(1, store.version_count + 1):
-                rebuilt.ingest_version(by_version.get(ordinal, []))
+                rebuilt.ingest_version(ParsedDocument(quads=by_version.get(ordinal, [])))
             a, b = tmp_path / f"flat{i}a", tmp_path / f"flat{i}b"
             save_snapshot(store, a)
             save_snapshot(rebuilt, b)

@@ -29,6 +29,7 @@ from converg.engine import (
     execute_plan,
     execute_query,
 )
+from converg.dictionary import TermDictionary
 from converg.errors import EvalError, ParseError
 from converg.gen import GenConfig, generate_version
 from converg.model import XSD, blank, iri, literal, version_iri
@@ -83,8 +84,10 @@ def test_two_pattern_bgp_ands_bitmaps(buildings_store):
     )
     assert len(rows) == 1
     binding, graph_id, bits = rows[0]
-    assert binding == {"s": iri("urn:ex:bldg1"), "s2": iri("urn:ex:bldg3")}
-    assert buildings_store.dictionary.decode(graph_id) == GR_LYON
+    decode = buildings_store.dictionary.decode  # a binding holds dictionary ids
+    decoded = {name: decode(tid) for name, tid in binding.items()}
+    assert decoded == {"s": iri("urn:ex:bldg1"), "s2": iri("urn:ex:bldg3")}
+    assert decode(graph_id) == GR_LYON
     assert render_bitmap(bits, 2) == "01"
 
 
@@ -126,12 +129,33 @@ def test_bitmap_and_soundness_exhaustive(buildings_store):
                 def instantiate(pattern):
                     out = []
                     for atom in (pattern.subject, pattern.predicate, pattern.object):
-                        out.append(binding[atom.name] if isinstance(atom, Var) else atom)
+                        # a binding holds dictionary ids: decoded through the store
+                        out.append(store.dictionary.decode(binding[atom.name]) if isinstance(atom, Var) else atom)
                     return tuple(out)
 
                 all_match = all(instantiate(p) in triples for p in bgp)
                 bit_set = bool(bits >> (ordinal - 1) & 1)
                 assert bit_set == all_match
+
+
+def test_a_bgp_looks_up_its_constants_once_per_graph_and_no_term_per_row(monkeypatch):
+    # A variable joined across patterns passes its id on: the dictionary is
+    # asked for each constant once per graph id, however many rows match.
+    cfg = GenConfig(products=10, graphs=3, versions=10, change_rate=0.5, seed=7)
+    store = Store()
+    for ordinal in range(1, cfg.versions + 1):
+        store.ingest_version(generate_version(cfg, ordinal))
+    text = (
+        "PREFIX bsbm: <http://www4.wiwiss.fu-berlin.de/bizer/bsbm/>\n"
+        "SELECT ?s ?o ?t WHERE { GRAPH ?g { ?s bsbm:v01/vocabulary/rating2 ?o . ?s a ?t . } }"
+    )
+    looked_up = []
+    lookup = TermDictionary.lookup
+    monkeypatch.setattr(TermDictionary, "lookup", lambda self, term: looked_up.append(term) or lookup(self, term))
+    table = execute_query(store, text)
+    graph_ids = len(store.minted_versions())
+    assert graph_ids == 3 and len(table.lines) == 300
+    assert len(looked_up) == 2 * graph_ids
 
 
 # ------------------------------------------------------------------ GRAPH
@@ -215,7 +239,10 @@ def test_join_ands_two_different_bitmaps():
 def test_metadata_join_decorates_with_version(buildings_store):
     plan = _plan(read_query("all_versions.rq"))
     solutions = eval_select(buildings_store, plan).flat(-1).rows
-    rows = [solution for solution, _graph_id, _bits in solutions]
+    # A binding holds dictionary ids, and the version IRIs the dictionary
+    # lacks: each is decoded through the store.
+    decode = functools.partial(engine._term, buildings_store)
+    rows = [dict(zip(solution, map(decode, solution.values()))) for solution, _graph_id, _bits in solutions]
     assert [bits for _solution, _graph_id, bits in solutions] == [-1] * len(rows)
     columns = column_names(plan)
     oracle_columns, oracle_rows = eval_oracle(list(buildings_store.export_flat()), plan)
@@ -819,7 +846,8 @@ def _layout_store(versions: int) -> Store:
     # 13 versions: <urn:converg:version:10> sorts before <urn:converg:version:2>.
     store = random_wide_store(random.Random(versions), versions)
     # Each metadata triple holds its own copy of its subject IRI, two per IRI.
-    store.add_metadata([(iri(f"urn:x:{i}"), iri("urn:p:about"), SUBJECT_POOL[i % 6]) for i in range(12)])
+    copies = [iri(SUBJECT_POOL[i % 6].lexical) for i in range(12)]
+    store.add_metadata([(iri(f"urn:x:{i}"), iri("urn:p:about"), subject) for i, subject in enumerate(copies)])
     return store
 
 
@@ -838,10 +866,12 @@ def test_every_output_layout_matches_the_naive_reference(layout, versions):
     else:
         assert len(table.lines) > versions
     if layout == "one term, many objects":
-        # The column's equal terms are distinct objects, and the rows hold them.
-        rows = _CondensedEvaluator(store).eval(_plan(text).pattern, None)
-        subjects = [binding["s"] for binding, _graph_id, _bits in rows.rows]
-        assert len(set(map(id, subjects))) > len(set(subjects)) > 1
+        # The metadata's subject IRIs are equal terms held by distinct
+        # objects, none of them the dictionary's.
+        subjects = [o for _s, p, o in store.user_metadata if p == iri("urn:p:about")]
+        held = set(map(id, store.dictionary.terms))
+        assert len(set(map(id, subjects))) == len(subjects) > len(set(subjects)) > 1
+        assert not held.intersection(map(id, subjects))
 
 
 def test_ungrouped_versioned_rows_reach_the_output_stage_unexpanded(buildings_store, monkeypatch):

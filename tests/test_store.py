@@ -200,7 +200,9 @@ def test_a_graph_that_is_also_a_subject_or_object_mints_its_vng(tmp_path, text, 
     if parsed:
         doc = parse_nquads(text)
     else:
-        doc = [Quad(*[Term(t.kind, t.lexical) for t in (q.subject, q.predicate, q.object, q.graph)]) for q in quads]
+        doc = ParsedDocument(
+            quads=[Quad(*[Term(t.kind, t.lexical) for t in (q.subject, q.predicate, q.object, q.graph)]) for q in quads]
+        )
     store = Store()
     report = store.ingest_version(doc)
     graphs = list(dict.fromkeys(q.graph for q in quads))
@@ -726,7 +728,9 @@ def test_add_metadata_rejects_non_terms(buildings_store, triple):
 def test_metadata_graph_two_triples_per_record():
     store = Store()
     store.ingest_version(
-        [Quad(iri("urn:ex:a"), HEIGHT, literal("1"), GR_LYON), Quad(iri("urn:ex:a"), HEIGHT, literal("2"), IGN)]
+        ParsedDocument(
+            quads=[Quad(iri("urn:ex:a"), HEIGHT, literal("1"), GR_LYON), Quad(iri("urn:ex:a"), HEIGHT, literal("2"), IGN)]
+        )
     )
     note = (iri("urn:dataset"), iri("urn:dc:title"), literal("heights"))
     store.add_metadata([note])
