@@ -6,17 +6,12 @@ class ConvergError(Exception):
 
 
 class ParseError(ConvergError):
-    """Syntax error in an N-Quads document or a query, with source position.
+    """Syntax error in an N-Quads document or a query, with source position."""
 
-    `expected` names the tokens that would have been accepted, for callers
-    that read it; the message already says so in words, and `str` shows
-    only the position and the message."""
-
-    def __init__(self, message, line=None, column=None, expected=None):
+    def __init__(self, message, line=None, column=None):
         self.message = message
         self.line = line
         self.column = column
-        self.expected = tuple(expected) if expected else ()
         super().__init__(str(self))
 
     def __str__(self):

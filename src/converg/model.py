@@ -168,10 +168,6 @@ class Term(Frozen):
         return self.kind == IRI
 
     @property
-    def is_literal(self) -> bool:
-        return self.kind == LITERAL
-
-    @property
     def is_blank(self) -> bool:
         return self.kind == BLANK
 

@@ -272,9 +272,9 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def error(self, message, tok=None, expected=None):
+    def error(self, message, tok=None):
         tok = tok or self.peek()
-        return ParseError(message, line=tok.line, column=tok.col, expected=expected)
+        return ParseError(message, line=tok.line, column=tok.col)
 
     def unsupported(self, tok):
         return UnsupportedQueryError(
@@ -286,13 +286,13 @@ class _Parser:
     def expect_keyword(self, word) -> _Token:
         tok = self.next()
         if tok.kind != "KEYWORD" or tok.value != word:
-            raise self.error(f"expected {word}", tok, expected=[word])
+            raise self.error(f"expected {word}", tok)
         return tok
 
     def expect(self, kind, what) -> _Token:
         tok = self.next()
         if tok.kind != kind:
-            raise self.error(f"expected {what}", tok, expected=[what])
+            raise self.error(f"expected {what}", tok)
         return tok
 
     def at_keyword(self, *words) -> bool:

@@ -96,6 +96,10 @@ class Store:
     `entries` maps each entry's id key to its version bitmap. The graph,
     graph-and-predicate and subject indexes hold those same key tuples, in
     insertion order.
+
+    A store starts empty: `Store()` takes no arguments. `ingest_version`
+    and `load_snapshot` fill it the same way, each entry through
+    `_index_entry` and each vng record through `_add_vng`.
     """
 
     __slots__ = (
@@ -117,36 +121,23 @@ class Store:
         "_version_iris",
     )
 
-    def __init__(
-        self,
-        dictionary: Optional[TermDictionary] = None,
-        entries: Optional[dict[EntryKey, int]] = None,
-        vng_records: Optional[list[VngRecord]] = None,
-        version_count: int = 0,
-        vng_counter: int = 0,
-        version_labels: Optional[dict[int, str]] = None,
-        user_metadata: Optional[list[tuple[Term, Term, Term]]] = None,
-    ):
-        self.dictionary = TermDictionary() if dictionary is None else dictionary
-        self.entries = {} if entries is None else entries
-        self.vng_records = [] if vng_records is None else vng_records
-        self.version_count = version_count
-        self.vng_counter = vng_counter
-        self.version_labels = {} if version_labels is None else version_labels
-        self.user_metadata = [] if user_metadata is None else user_metadata
+    def __init__(self):
+        self.dictionary = TermDictionary()
+        self.entries: dict[EntryKey, int] = {}
+        self.vng_records: list[VngRecord] = []
+        self.version_count = 0
+        self.vng_counter = 0
+        self.version_labels: dict[int, str] = {}
+        self.user_metadata: list[tuple[Term, Term, Term]] = []
         self._by_graph: dict[int, list[EntryKey]] = {}
         self._by_graph_pred: dict[tuple[int, int], list[EntryKey]] = {}
         self._by_subject: dict[tuple[int, int], list[EntryKey]] = {}
         self._vng_by_iri: dict[Term, tuple[int, int]] = {}
         self._vng_by_pair: dict[tuple[int, int], Term] = {}
         self._minted: dict[int, int] = {}  # graph id -> bits of its vngs' versions
-        for key in self.entries:
-            self._index_entry(key)
-        self._user_metadata_set = set(self.user_metadata)
+        self._user_metadata_set: set[tuple[Term, Term, Term]] = set()
         self._metadata: Optional[tuple[tuple[Term, Term, Term], ...]] = None  # built on first use
         self._version_iris: Optional[tuple[Term, ...]] = None  # built on first use
-        for rec in self.vng_records:
-            self._index_vng(rec)
 
     # ------------------------------------------------------------------ write
 
@@ -226,11 +217,10 @@ class Store:
             else:
                 entries[key] = old | mask
         minted: list[VngRecord] = []
-        for graph in graph_order.values():
+        for gid, graph in graph_order.items():
             self.vng_counter += 1
             rec = VngRecord(mint_vng_iri(self.vng_counter), graph, ordinal)
-            self.vng_records.append(rec)
-            self._index_vng(rec)
+            self._add_vng(rec, gid)
             minted.append(rec)
         if __debug__:
             self.dictionary.check_bijection()
@@ -411,8 +401,9 @@ class Store:
         self._by_graph_pred.setdefault((graph_id, pid), []).append(key)
         self._by_subject.setdefault((graph_id, sid), []).append(key)
 
-    def _index_vng(self, rec: VngRecord):
-        graph_id = self.dictionary.encode(rec.graph)
+    def _add_vng(self, rec: VngRecord, graph_id: int):
+        """Append `rec`, whose graph has dictionary id `graph_id`, and index it."""
+        self.vng_records.append(rec)
         self._vng_by_iri[rec.vng_iri] = (graph_id, rec.ordinal)
         self._vng_by_pair[(graph_id, rec.ordinal)] = rec.vng_iri
         self._minted[graph_id] = self._minted.get(graph_id, 0) | bit_for(rec.ordinal)
@@ -514,7 +505,7 @@ def load_snapshot(directory) -> Store:
     with open(require_snapshot(directory), "rb") as fh:
         checksum_text = _decoded("CHECKSUM", fh.read())
     expected: dict[str, str] = {}
-    for line in checksum_text.splitlines():
+    for line in _lines(checksum_text):
         try:
             name, digest = line.split(" ", 1)
         except ValueError:
@@ -542,14 +533,25 @@ def _decoded(name: str, data: bytes) -> str:
         raise SnapshotError(f"{name} is not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
+def _lines(text: str) -> list[str]:
+    """The lines of a snapshot file, which end at LF only: a literal or a
+    label may hold another line break, which `str.splitlines` splits at."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def _rebuild(raw: dict[str, str]) -> Store:
+    """A `Store()` filled from the decoded snapshot files, each section
+    checked as it goes into the maps that ingest fills."""
+    store = Store()
     manifest: dict[str, str] = {}
-    labels: dict[int, str] = {}
-    for line in raw["MANIFEST"].splitlines():
+    for line in _lines(raw["MANIFEST"]):
         if line.startswith("label "):
             try:
                 _, ordinal, text = line.split(" ", 2)
-                labels[int(ordinal)] = text
+                store.version_labels[int(ordinal)] = text
             except ValueError:
                 raise SnapshotError(f"malformed MANIFEST label line: {line!r}")
         elif "=" in line:
@@ -567,9 +569,11 @@ def _rebuild(raw: dict[str, str]) -> Store:
         raise SnapshotError(
             f"snapshot format {format_version} not supported (expected {SNAPSHOT_FORMAT_VERSION})"
         )
+    store.version_count = version_count
+    store.vng_counter = vng_counter
 
-    dictionary = TermDictionary()
-    for lineno, line in enumerate(raw["DICT"].splitlines()):
+    dictionary = store.dictionary
+    for lineno, line in enumerate(_lines(raw["DICT"])):
         try:
             tid_text, term_text = line.split("\t", 1)
             tid = int(tid_text)
@@ -580,11 +584,7 @@ def _rebuild(raw: dict[str, str]) -> Store:
             raise SnapshotError(f"DICT ids are not dense at line {lineno + 1}")
     term_count = len(dictionary)
 
-    records: list[VngRecord] = []
-    seen_counters: set[int] = set()
-    seen_pairs: set[tuple[int, int]] = set()
-    minted_bits: dict[int, int] = {}  # graph id -> bits of its minted versions
-    for lineno, line in enumerate(raw["VNG"].splitlines()):
+    for lineno, line in enumerate(_lines(raw["VNG"])):
         try:
             counter_text, graph_id_text, ordinal_text = line.split("\t")
             counter, graph_id, ordinal = int(counter_text), int(graph_id_text), int(ordinal_text)
@@ -592,20 +592,18 @@ def _rebuild(raw: dict[str, str]) -> Store:
             raise SnapshotError(f"VNG line {lineno + 1} malformed")
         if not 1 <= ordinal <= version_count or not 1 <= counter <= vng_counter:
             raise SnapshotError(f"VNG line {lineno + 1} out of range")
-        if counter in seen_counters or (graph_id, ordinal) in seen_pairs:
+        vng_iri = mint_vng_iri(counter)
+        if vng_iri in store._vng_by_iri or (graph_id, ordinal) in store._vng_by_pair:
             raise SnapshotError(f"VNG line {lineno + 1} duplicates a versioned graph")
         if not 0 <= graph_id < term_count:
             raise SnapshotError(f"VNG line {lineno + 1} names a term id outside the dictionary")
-        seen_counters.add(counter)
-        seen_pairs.add((graph_id, ordinal))
         graph = dictionary.decode(graph_id)
         if not graph.is_iri:
             raise SnapshotError(f"VNG line {lineno + 1} names graph id {graph_id}, which is not an IRI")
-        minted_bits[graph_id] = minted_bits.get(graph_id, 0) | bit_for(ordinal)
-        records.append(VngRecord(mint_vng_iri(counter), graph, ordinal))
+        store._add_vng(VngRecord(vng_iri, graph, ordinal), graph_id)
 
-    entries: dict[EntryKey, int] = {}
-    for lineno, line in enumerate(raw["ENTRIES"].splitlines()):
+    entries, minted = store.entries, store._minted
+    for lineno, line in enumerate(_lines(raw["ENTRIES"])):
         try:
             g, s, p, o, bits_text = line.split("\t")
             if len(bits_text) != version_count:
@@ -616,7 +614,7 @@ def _rebuild(raw: dict[str, str]) -> Store:
             raise SnapshotError(f"ENTRIES line {lineno + 1} malformed: {exc}")
         if bits == 0:
             raise SnapshotError(f"ENTRIES line {lineno + 1} has an all-zero bitmap")
-        if bits & ~minted_bits.get(key[0], 0):
+        if bits & ~minted.get(key[0], 0):
             raise SnapshotError(
                 f"ENTRIES line {lineno + 1} sets a version with no versioned graph for its graph"
             )
@@ -625,10 +623,9 @@ def _rebuild(raw: dict[str, str]) -> Store:
         if min(key) < 0 or max(key) >= term_count:
             raise SnapshotError(f"ENTRIES line {lineno + 1} names a term id outside the dictionary")
         entries[key] = bits
+        store._index_entry(key)
 
-    user_metadata: list[tuple[Term, Term, Term]] = []
-    seen_meta: set[tuple[Term, Term, Term]] = set()
-    for lineno, line in enumerate(raw["META"].splitlines()):
+    for lineno, line in enumerate(_lines(raw["META"])):
         if not line.strip():
             continue
         try:
@@ -643,18 +640,8 @@ def _rebuild(raw: dict[str, str]) -> Store:
                     f"META line {lineno + 1} uses the reserved predicate {serialize_term(p)}"
                 )
             triple = (s, p, o)
-            if triple in seen_meta:
+            if triple in store._user_metadata_set:
                 raise SnapshotError(f"META line {lineno + 1} duplicates a metadata triple")
-            seen_meta.add(triple)
-            user_metadata.append(triple)
-
-    store = Store(
-        dictionary=dictionary,
-        entries=entries,
-        vng_records=records,
-        version_count=version_count,
-        vng_counter=vng_counter,
-        version_labels=labels,
-        user_metadata=user_metadata,
-    )
+            store._user_metadata_set.add(triple)
+            store.user_metadata.append(triple)
     return store

@@ -23,7 +23,7 @@ from converg.errors import EvalError
 from converg.model import XSD, Quad, iri, literal
 from converg.nquads import ParsedDocument, serialize_term
 from converg.sparql import parse_query, validate_and_name
-from converg.store import Store
+from converg.store import Store, bitmap_ordinals
 
 GRAPH_POOL = [iri(f"urn:g:{i}") for i in (1, 2, 3)]
 SUBJECT_POOL = [iri(f"urn:s:{i}") for i in range(1, 7)]
@@ -95,19 +95,32 @@ def random_wide_store(rng, versions=None):
 
 def random_metadata(rng, store):
     """User metadata on the versions and vngs of `store`: a tag "A" or "B"
-    on most version IRIs (now and then both) and on some vng IRIs, and a
-    decimal weight on some of each."""
+    on most version IRIs (now and then both) and on some vng IRIs, a tag
+    that is an object of the data in that version or vng on some of each,
+    and a decimal weight on some of each."""
+    objects: dict = {}  # (graph id, ordinal) -> the ids of the objects there
+    for (graph_id, _s, _p, object_id), bits in store.entries.items():
+        for ordinal in bitmap_ordinals(bits):
+            objects.setdefault((graph_id, ordinal), []).append(object_id)
     triples = []
-    for version in store.version_iris():
+
+    def data_tag(subject, chance, ordinal, graph_id=None):
+        held = [o for (g, m), ids in objects.items() if m == ordinal and graph_id in (None, g) for o in ids]
+        if held and rng.random() < chance:
+            triples.append((subject, TAG, store.dictionary.decode(rng.choice(held))))
+
+    for ordinal, version in enumerate(store.version_iris(), start=1):
         if rng.random() < 0.85:
             tags = "AB" if rng.random() < 0.15 else rng.choice("AB")
             triples += [(version, TAG, literal(tag)) for tag in tags]
+        data_tag(version, 0.5, ordinal)
         if rng.random() < 0.4:
             weight = rng.choice(["0.5", "1.25", "2", "3.0"])
             triples.append((version, WEIGHT, literal(weight, datatype=XSD + "decimal")))
     for rec in store.vng_records:
         if rng.random() < 0.25:
             triples.append((rec.vng_iri, TAG, literal(rng.choice("AB"))))
+        data_tag(rec.vng_iri, 0.3, rec.ordinal, store.dictionary.lookup(rec.graph))
         if rng.random() < 0.25:
             triples.append((rec.vng_iri, WEIGHT, literal(rng.choice(["0.5", "2"]), datatype=XSD + "decimal")))
     store.add_metadata(triples)
@@ -249,13 +262,33 @@ def random_query(rng, store) -> str:
         visible.update((key, alias))
         return f"{{ SELECT ?{key} ({aggregate} AS ?{alias}) WHERE {{ {body} }} GROUP BY ?{key} }}"
 
+    def aggregate_join():
+        """A pattern with a variable object, joined with a sub-SELECT whose
+        aggregate binds that variable: a count or sum meets the data's
+        integers."""
+        subject, obj = rng.sample(var_pool, 2)
+        visible.update((subject, obj))
+        if rng.random() < 0.5:
+            predicate = "?p"
+            visible.add("p")
+        else:
+            predicate = f"<{rng.choice(PREDICATE_POOL).lexical}>"
+        body, inner = hidden(lambda: bgp_text(2))
+        func = rng.choice(["COUNT", "COUNT", "COUNT", "SUM"])
+        distinct = "DISTINCT " if func == "COUNT" and rng.random() < 0.3 else ""
+        aggregate = f"{func}({distinct}?{rng.choice(sorted(inner))})"
+        return f"?{subject} {predicate} ?{obj} . {{ SELECT ({aggregate} AS ?{obj}) WHERE {{ {body} }} }}"
+
     def graph_inner(graph_var, nested=False):
-        """The body of a GRAPH block: mostly a BGP, else a join, a MINUS, a
-        sub-SELECT or (one level deep) a nested GRAPH ?h block."""
+        """The body of a GRAPH block: mostly a BGP, else a join (of two
+        groups, or of a BGP and an aggregate), a MINUS, a sub-SELECT or (one
+        level deep) a nested GRAPH ?h block."""
         roll = rng.random()
         if roll < 0.5:
             return bgp_text(3)
         if roll < 0.6:
+            if rng.random() < 0.5:
+                return aggregate_join()
             return f"{{ {bgp_text(2)} }} {{ {bgp_text(2)} }}"
         if roll < 0.72:
             left = bgp_text(2)
@@ -268,11 +301,14 @@ def random_query(rng, store) -> str:
 
     def metadata_pattern(subject):
         """A user-metadata pattern on ?`subject`: its tag or weight, to a
-        variable or to a constant."""
+        variable or to a constant. The tag's variable may be one that a
+        GRAPH block binds, so that a tag the data also holds meets it."""
         roll = rng.random()
         if roll < 0.35:
-            visible.add("tag")
-            return f"?{subject} <{TAG.lexical}> ?tag ."
+            bound = sorted(visible.intersection(var_pool))
+            tag = rng.choice(bound) if bound and rng.random() < 0.5 else "tag"
+            visible.add(tag)
+            return f"?{subject} <{TAG.lexical}> ?{tag} ."
         if roll < 0.7:
             return f'?{subject} <{TAG.lexical}> "{rng.choice("AB")}" .'
         visible.add("wt")
@@ -379,9 +415,12 @@ def random_query(rng, store) -> str:
         linked = [v for v in ("version", "graph", "vng") if v in visible]
         per_bit = [v for v in ("version", "vng") if v in visible]
         func = rng.choice(["COUNT", "COUNT", "MAX", "MIN", "SUM"])
-        if "wt" in visible and rng.random() < 0.5:
+        # A decimal SUM and a COUNT(DISTINCT ?version) over many rows each
+        # take a rare path, which the reach gate's slice must still draw.
+        if "wt" in visible and rng.random() < 0.7:
             func = "SUM"
-        distinct = "DISTINCT " if func == "COUNT" and rng.random() < 0.4 else ""
+        distinct_odds = 0.6 if "version" in visible else 0.4
+        distinct = "DISTINCT " if func == "COUNT" and rng.random() < distinct_odds else ""
         if func == "SUM" and "wt" in visible and rng.random() < 0.8:
             arg_var = "wt"  # decimal weights
         elif distinct and "version" in visible and rng.random() < 0.7:

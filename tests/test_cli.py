@@ -439,6 +439,22 @@ def test_missing_store_argument_without_env(tmp_path, capsys, monkeypatch):
     assert "CONVERG_STORE" in capsys.readouterr().err
 
 
+def test_a_store_whose_literal_and_label_hold_other_line_breaks_reopens(tmp_path, capsys):
+    store_dir = str(tmp_path / "db")
+    version = tmp_path / "u.nq"
+    version.write_text('<urn:s> <urn:p> "a\u2028b" <urn:g> .\n', encoding="utf-8")
+    query = tmp_path / "q.rq"
+    query.write_text("SELECT ?o WHERE { GRAPH ?g { ?s ?p ?o . } }", encoding="utf-8")
+    assert main(["init", store_dir]) == 0
+    assert main(["load", store_dir, str(version), "--label", "survey\x852023"]) == 0
+    capsys.readouterr()
+    assert main(["stats", store_dir]) == 0
+    assert "versions=1" in capsys.readouterr().out
+    assert main(["query", store_dir, str(query)]) == 0
+    assert capsys.readouterr().out == 'o\n"a\u2028b"\n'
+    assert load_snapshot(store_dir).version_labels == {1: "survey\x852023"}
+
+
 def test_load_of_a_surrogate_escape_fails_and_keeps_the_snapshot(tmp_path, capsys):
     store_dir = pathlib.Path(_setup_buildings(tmp_path))
 

@@ -132,7 +132,7 @@ def test_write_version_files(tmp_path):
     lo, hi = cfg.rating_range
     for _, _, _, o in store.entries:
         term = store.dictionary.decode(o)
-        if term.is_literal and term.datatype == integer:
+        if term.datatype == integer:
             assert lo <= int(term.lexical) <= hi
 
 

@@ -148,7 +148,6 @@ def test_syntax_error_carries_position():
 def test_a_missing_select_states_the_expectation_once(text):
     with pytest.raises(ParseError) as exc:
         parse_query(text)
-    assert exc.value.expected == ("SELECT",)
     assert str(exc.value).count("SELECT") == 1
     assert str(exc.value).endswith(": expected SELECT")
 

@@ -674,6 +674,25 @@ def test_snapshot_preserves_labels_and_user_metadata(tmp_path):
     assert loaded == store
 
 
+# The line breaks of `str.splitlines` other than LF and CR, which
+# `serialize_term` escapes and a label may not hold.
+OTHER_LINE_BREAKS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+@pytest.mark.parametrize("char", OTHER_LINE_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+def test_another_line_break_in_a_literal_or_label_round_trips(tmp_path, char):
+    store = Store()
+    doc = parse_nquads(f'<urn:s> <urn:p> "a{char}b" <urn:g> .\n', require_graph=True)
+    store.ingest_version(doc, label=f"survey{char}2023")
+    store.add_metadata([(iri("urn:dataset"), iri("urn:note"), literal(f"x{char}y"))])
+    save_snapshot(store, tmp_path)
+    loaded = load_snapshot(tmp_path)
+    assert loaded == store
+    assert loaded.version_labels == {1: f"survey{char}2023"}
+    assert loaded.dictionary.lookup(literal(f"a{char}b")) is not None
+    assert loaded.user_metadata == [(iri("urn:dataset"), iri("urn:note"), literal(f"x{char}y"))]
+
+
 @pytest.mark.parametrize("predicate", [IS_IN_VERSION, IS_VERSION_OF], ids=["in-version", "version-of"])
 def test_add_metadata_rejects_linking_predicates(buildings_store, predicate):
     before = list(buildings_store.metadata_graph())
