@@ -150,8 +150,7 @@ def _cmd_init(args) -> int:
 def _cmd_load(args) -> int:
     store_dir, path = _resolve_positionals([args.store, args.file], ["store", "file"])
     with open(path, "rb") as fh:
-        data = fh.read()
-    doc = parse_nquads(data, require_graph=True)
+        doc = parse_nquads(_decode(fh.read(), path), require_graph=True)
     with _StoreLock(store_dir, exclusive=True):
         store = load_snapshot(store_dir)
         report = store.ingest_version(doc, label=args.label)

@@ -25,9 +25,10 @@ from typing import Iterable, Iterator, Optional
 from .dictionary import TermDictionary
 from .errors import IngestError, SnapshotError, UnknownVngError
 from .model import (
+    IRI,
     IS_IN_VERSION,
     IS_VERSION_OF,
-    VNG_NS,
+    LITERAL,
     Frozen,
     Quad,
     Term,
@@ -43,6 +44,14 @@ _SNAPSHOT_FILES = ("MANIFEST", "DICT", "VNG", "ENTRIES", "META")
 # Predicates of the linking triples the store derives from its vng records.
 _LINK_PREDICATES = (IS_IN_VERSION, IS_VERSION_OF)
 _NOT_A_BIT = re.compile("[^01]").search
+# MANIFEST's opening lines and a label line as `save_snapshot` writes them.
+# A count is ASCII digits, as `str()` writes it (`int()` also takes a sign,
+# spaces and "_"), 18 at most: more than any store's count needs.
+_COUNT = "([0-9]{1,18})"
+_MANIFEST_HEAD = re.compile(f"format-version={_COUNT}\nversion-count={_COUNT}\nvng-counter={_COUNT}\n").match
+_LABEL_LINE = re.compile(f"label {_COUNT} (.*)", re.DOTALL).fullmatch
+# Line breaks, which end a MANIFEST line, and lone surrogates, which UTF-8 cannot encode.
+_NOT_IN_A_LABEL = re.compile("[\n\r\ud800-\udfff]").search
 
 
 def bit_for(ordinal: int) -> int:
@@ -99,7 +108,8 @@ class Store:
 
     A store starts empty: `Store()` takes no arguments. `ingest_version`
     and `load_snapshot` fill it the same way, each entry through
-    `_index_entry` and each vng record through `_add_vng`.
+    `_index_entry` and each vng record through `_add_vng`. Record k holds
+    the vng numbered k, so the vng counter is `len(vng_records)`.
     """
 
     __slots__ = (
@@ -107,7 +117,6 @@ class Store:
         "entries",
         "vng_records",
         "version_count",
-        "vng_counter",
         "version_labels",
         "user_metadata",
         "_by_graph",
@@ -126,7 +135,6 @@ class Store:
         self.entries: dict[EntryKey, int] = {}
         self.vng_records: list[VngRecord] = []
         self.version_count = 0
-        self.vng_counter = 0
         self.version_labels: dict[int, str] = {}
         self.user_metadata: list[tuple[Term, Term, Term]] = []
         self._by_graph: dict[int, list[EntryKey]] = {}
@@ -151,8 +159,8 @@ class Store:
         the store untouched.
         """
         rows = doc.rows
-        if label is not None and ("\n" in label or "\r" in label):
-            raise IngestError("version label must be a single line")
+        if label is not None and _NOT_IN_A_LABEL(label):
+            raise IngestError("version label must be a single line of UTF-8 text")
         for row in rows:
             if row[3] is None:
                 raise IngestError(
@@ -218,8 +226,7 @@ class Store:
                 entries[key] = old | mask
         minted: list[VngRecord] = []
         for gid, graph in graph_order.items():
-            self.vng_counter += 1
-            rec = VngRecord(mint_vng_iri(self.vng_counter), graph, ordinal)
+            rec = VngRecord(mint_vng_iri(len(self.vng_records) + 1), graph, ordinal)
             self._add_vng(rec, gid)
             minted.append(rec)
         if __debug__:
@@ -385,7 +392,6 @@ class Store:
             return NotImplemented
         return (
             self.version_count == other.version_count
-            and self.vng_counter == other.vng_counter
             and self.version_labels == other.version_labels
             and self.dictionary == other.dictionary
             and list(self.entries.items()) == list(other.entries.items())
@@ -431,18 +437,15 @@ def save_snapshot(store: Store, directory) -> None:
     manifest = [
         f"format-version={SNAPSHOT_FORMAT_VERSION}",
         f"version-count={store.version_count}",
-        f"vng-counter={store.vng_counter}",
+        f"vng-counter={len(store.vng_records)}",
     ]
     for ordinal in sorted(store.version_labels):
         manifest.append(f"label {ordinal} {store.version_labels[ordinal]}")
     dict_lines = [
         f"{tid}\t{serialize_term(term)}" for tid, term in enumerate(store.dictionary)
     ]
-    vng_lines = []
-    for rec in store.vng_records:
-        counter = int(rec.vng_iri.lexical[len(VNG_NS):])
-        graph_id = store.dictionary.lookup(rec.graph)
-        vng_lines.append(f"{counter}\t{graph_id}\t{rec.ordinal}")
+    lookup = store.dictionary.lookup
+    vng_lines = [f"{k}\t{lookup(rec.graph)}\t{rec.ordinal}" for k, rec in enumerate(store.vng_records, 1)]
     entry_lines = [
         f"{g}\t{s}\t{p}\t{o}\t{render_bitmap(bits, store.version_count)}"
         for (g, s, p, o), bits in store.entries.items()
@@ -501,28 +504,25 @@ def require_snapshot(directory) -> str:
 
 
 def load_snapshot(directory) -> Store:
-    directory = os.fspath(directory)
+    """The store in `directory`, whose CHECKSUM must hold the five lines
+    `<name> <digest>` that `save_snapshot` writes, in its order."""
     with open(require_snapshot(directory), "rb") as fh:
-        checksum_text = _decoded("CHECKSUM", fh.read())
-    expected: dict[str, str] = {}
-    for line in _lines(checksum_text):
-        try:
-            name, digest = line.split(" ", 1)
-        except ValueError:
-            raise SnapshotError(f"malformed CHECKSUM line: {line!r}")
-        expected[name] = digest
+        checksums = _lines(_decoded("CHECKSUM", fh.read()))
     raw: dict[str, str] = {}
-    for name in _SNAPSHOT_FILES:
-        if name not in expected:
-            raise SnapshotError(f"CHECKSUM does not cover {name}")
+    for index, line in enumerate(checksums):
+        name, space, digest = line.partition(" ")
+        if index >= len(_SNAPSHOT_FILES) or name != _SNAPSHOT_FILES[index] or not space:
+            raise SnapshotError(f"malformed CHECKSUM line: {line!r}")
         path = os.path.join(directory, name)
         if not os.path.isfile(path):
             raise SnapshotError(f"snapshot file missing: {name}")
         with open(path, "rb") as fh:
             data = fh.read()
-        if _digest(data) != expected[name]:
+        if _digest(data) != digest:
             raise SnapshotError(f"checksum mismatch for {name}")
         raw[name] = _decoded(name, data)
+    if len(raw) < len(_SNAPSHOT_FILES):
+        raise SnapshotError(f"CHECKSUM does not cover {_SNAPSHOT_FILES[len(raw)]}")
     return _rebuild(raw)
 
 
@@ -544,34 +544,28 @@ def _lines(text: str) -> list[str]:
 
 def _rebuild(raw: dict[str, str]) -> Store:
     """A `Store()` filled from the decoded snapshot files, each section
-    checked as it goes into the maps that ingest fills."""
+    checked as it goes into the maps that ingest fills. Only what
+    `save_snapshot` writes opens: MANIFEST's three counts in order, labels
+    rising; VNG line k holds counter k, and vng-counter counts the lines."""
     store = Store()
-    manifest: dict[str, str] = {}
-    for line in _lines(raw["MANIFEST"]):
-        if line.startswith("label "):
-            try:
-                _, ordinal, text = line.split(" ", 2)
-                store.version_labels[int(ordinal)] = text
-            except ValueError:
-                raise SnapshotError(f"malformed MANIFEST label line: {line!r}")
-        elif "=" in line:
-            key, value = line.split("=", 1)
-            manifest[key] = value
-        else:
-            raise SnapshotError(f"malformed MANIFEST line: {line!r}")
-    try:
-        format_version = int(manifest["format-version"])
-        version_count = int(manifest["version-count"])
-        vng_counter = int(manifest["vng-counter"])
-    except (KeyError, ValueError) as exc:
-        raise SnapshotError(f"MANIFEST incomplete or malformed: {exc}")
+    head = _MANIFEST_HEAD(raw["MANIFEST"])
+    if head is None:
+        raise SnapshotError(
+            "MANIFEST incomplete or malformed: it must open with format-version=N, version-count=N and vng-counter=N"
+        )
+    format_version, version_count, vng_counter = map(int, head.groups())
     if format_version != SNAPSHOT_FORMAT_VERSION:
         raise SnapshotError(
             f"snapshot format {format_version} not supported (expected {SNAPSHOT_FORMAT_VERSION})"
         )
     store.version_count = version_count
-    store.vng_counter = vng_counter
-
+    last = 0
+    for line in _lines(raw["MANIFEST"][head.end():]):
+        label = _LABEL_LINE(line)
+        if label is None or not last < int(label[1]) <= version_count:
+            raise SnapshotError(f"malformed MANIFEST label line: {line!r}")
+        last = int(label[1])
+        store.version_labels[last] = label[2]
     dictionary = store.dictionary
     for lineno, line in enumerate(_lines(raw["DICT"])):
         try:
@@ -584,24 +578,29 @@ def _rebuild(raw: dict[str, str]) -> Store:
             raise SnapshotError(f"DICT ids are not dense at line {lineno + 1}")
     term_count = len(dictionary)
 
-    for lineno, line in enumerate(_lines(raw["VNG"])):
+    vng_lines = _lines(raw["VNG"])
+    for lineno, line in enumerate(vng_lines, 1):
         try:
             counter_text, graph_id_text, ordinal_text = line.split("\t")
             counter, graph_id, ordinal = int(counter_text), int(graph_id_text), int(ordinal_text)
         except ValueError:
-            raise SnapshotError(f"VNG line {lineno + 1} malformed")
-        if not 1 <= ordinal <= version_count or not 1 <= counter <= vng_counter:
-            raise SnapshotError(f"VNG line {lineno + 1} out of range")
-        vng_iri = mint_vng_iri(counter)
-        if vng_iri in store._vng_by_iri or (graph_id, ordinal) in store._vng_by_pair:
-            raise SnapshotError(f"VNG line {lineno + 1} duplicates a versioned graph")
+            raise SnapshotError(f"VNG line {lineno} malformed")
+        if counter != lineno or not 1 <= ordinal <= version_count:
+            raise SnapshotError(f"VNG line {lineno} out of range")
+        if (graph_id, ordinal) in store._vng_by_pair:
+            raise SnapshotError(f"VNG line {lineno} duplicates a versioned graph")
         if not 0 <= graph_id < term_count:
-            raise SnapshotError(f"VNG line {lineno + 1} names a term id outside the dictionary")
+            raise SnapshotError(f"VNG line {lineno} names a term id outside the dictionary")
         graph = dictionary.decode(graph_id)
         if not graph.is_iri:
-            raise SnapshotError(f"VNG line {lineno + 1} names graph id {graph_id}, which is not an IRI")
-        store._add_vng(VngRecord(vng_iri, graph, ordinal), graph_id)
+            raise SnapshotError(f"VNG line {lineno} names graph id {graph_id}, which is not an IRI")
+        store._add_vng(VngRecord(mint_vng_iri(counter), graph, ordinal), graph_id)
+    if vng_counter != len(vng_lines):
+        raise SnapshotError(f"MANIFEST vng-counter={vng_counter} does not match the {len(vng_lines)} VNG lines")
 
+    # Ids of the terms that no ingest puts in subject or predicate position.
+    literal_ids = {tid for tid, term in enumerate(dictionary.terms) if term.kind == LITERAL}
+    non_iri_ids = {tid for tid, term in enumerate(dictionary.terms) if term.kind != IRI}
     entries, minted = store.entries, store._minted
     for lineno, line in enumerate(_lines(raw["ENTRIES"])):
         try:
@@ -622,12 +621,12 @@ def _rebuild(raw: dict[str, str]) -> Store:
             raise SnapshotError(f"ENTRIES line {lineno + 1} duplicates a quad key")
         if min(key) < 0 or max(key) >= term_count:
             raise SnapshotError(f"ENTRIES line {lineno + 1} names a term id outside the dictionary")
+        if key[1] in literal_ids or key[2] in non_iri_ids:
+            raise SnapshotError(f"ENTRIES line {lineno + 1} names a term that cannot stand in its position")
         entries[key] = bits
         store._index_entry(key)
 
     for lineno, line in enumerate(_lines(raw["META"])):
-        if not line.strip():
-            continue
         try:
             doc = parse_nquads(line + "\n")
         except Exception as exc:

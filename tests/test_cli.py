@@ -375,12 +375,20 @@ def test_corrupt_snapshot_exits_2(tmp_path, capsys):
     [
         # graph id 2 is the literal "10.5"
         ("VNG", b"4\t7\t2\n", b"4\t2\t2\n", "not an IRI"),
-        # Gr-Lyon entries keep their version-2 bits
-        ("VNG", b"3\t3\t2\n", b"", "no versioned graph"),
+        # term 0 is urn:ex:bldg1; IGN's entry keeps its version-2 bit
+        ("VNG", b"4\t7\t2\n", b"4\t0\t2\n", "no versioned graph"),
         ("ENTRIES", b"3\t0\t1\t2\t11\n", b"3\t99999\t1\t2\t11\n", "ENTRIES line 1 names a term id outside the dictionary"),
         ("ENTRIES", b"3\t0\t1\t2\t11\n", b"3\t0\t1\t2\t1\xff\n", "ENTRIES is not UTF-8: invalid start byte at byte 9"),
+        # term 2 is the literal "10.5", here an entry's subject
+        ("ENTRIES", b"3\t0\t1\t2\t11\n", b"3\t2\t1\t2\t11\n", "ENTRIES line 1 names a term that cannot stand in its position"),
     ],
-    ids=["vng-graph-literal", "entry-bit-without-vng", "entry-term-outside-dictionary", "entries-not-utf8"],
+    ids=[
+        "vng-graph-literal",
+        "entry-bit-without-vng",
+        "entry-term-outside-dictionary",
+        "entries-not-utf8",
+        "entry-literal-subject",
+    ],
 )
 def test_inconsistent_snapshot_exits_2(tmp_path, capsys, name, old, new, message):
     store_dir = _setup_buildings(tmp_path)
@@ -469,6 +477,41 @@ def test_load_of_a_surrogate_escape_fails_and_keeps_the_snapshot(tmp_path, capsy
     assert main(["load", str(store_dir), str(bad)]) == 1
     assert "line 1, column 18" in capsys.readouterr().err
     assert snapshot_bytes() == before
+
+
+def test_load_on_a_store_with_a_negative_version_count_exits_2(tmp_path, capsys):
+    store_dir = tmp_path / "store"
+    assert main(["init", str(store_dir)]) == 0
+    (store_dir / "MANIFEST").write_text("format-version=1\nversion-count=-1\nvng-counter=0\n")
+    rewrite_checksums(store_dir)
+    capsys.readouterr()
+    assert main(["load", str(store_dir), fixture_path("buildings_v1.nq")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("converg load: MANIFEST incomplete or malformed")
+    assert "Traceback" not in err
+
+
+def test_load_of_a_label_that_is_not_utf8_exits_1(tmp_path, capsys):
+    store_dir = _setup_buildings(tmp_path)
+    # What Python makes of --label "$(printf 'x\377y')" under a UTF-8 locale.
+    label = "x\udcffy"
+    capsys.readouterr()
+    assert main(["load", store_dir, fixture_path("buildings_v1.nq"), "--label", label]) == 1
+    err = capsys.readouterr().err
+    assert err == "converg load: version label must be a single line of UTF-8 text\n"
+    assert main(["stats", store_dir]) == 0
+    assert capsys.readouterr().out.strip() == STATS_LINE
+
+
+def test_load_of_a_version_file_that_is_not_utf8_names_it(tmp_path, capsys, monkeypatch):
+    store_dir = _setup_buildings(tmp_path)
+    (tmp_path / "bad.nq").write_bytes(b'<urn:s> <urn:p> "\xff" <urn:g> .\n')
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(["load", store_dir, "bad.nq"]) == 1
+    assert capsys.readouterr().err == "converg load: bad.nq is not UTF-8 text: invalid start byte at byte 17\n"
+    assert main(["stats", store_dir]) == 0
+    assert capsys.readouterr().out.strip() == STATS_LINE
 
 
 def test_interrupted_save_leaves_prior_snapshot_loadable(tmp_path, capsys, monkeypatch):

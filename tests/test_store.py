@@ -1,6 +1,7 @@
 import gc
 import os
 import random
+import re
 import stat
 
 import pytest
@@ -575,11 +576,12 @@ def test_load_rejects_vng_whose_graph_is_not_an_iri(tmp_path, buildings_store):
 
 def test_load_rejects_entry_bit_without_a_vng(tmp_path, buildings_store):
     save_snapshot(buildings_store, tmp_path)
-    # Drop the record of (Gr-Lyon, version 2); Gr-Lyon entries still set bit 2.
-    vng = (tmp_path / "VNG").read_text().replace("3\t3\t2\n", "")
+    # Point the record of (IGN, version 2) at term 0, the IRI urn:ex:bldg1;
+    # IGN's entry on line 5 still sets bit 2.
+    vng = (tmp_path / "VNG").read_text().replace("4\t7\t2\n", "4\t0\t2\n")
     (tmp_path / "VNG").write_text(vng)
     rewrite_checksums(tmp_path)
-    with pytest.raises(SnapshotError, match="ENTRIES line 1 sets a version with no versioned graph"):
+    with pytest.raises(SnapshotError, match="ENTRIES line 5 sets a version with no versioned graph"):
         load_snapshot(tmp_path)
 
 
@@ -631,6 +633,115 @@ def test_load_rejects_inconsistent_entries(tmp_path, buildings_store, old, new, 
     (tmp_path / "ENTRIES").write_text(entries.replace(old, new))
     rewrite_checksums(tmp_path)
     with pytest.raises(SnapshotError, match=message):
+        load_snapshot(tmp_path)
+
+
+MALFORMED_MANIFEST = (
+    "MANIFEST incomplete or malformed: it must open with format-version=N, version-count=N and vng-counter=N"
+)
+
+
+# Headers the writer never writes, each over an empty store ("init") or the
+# buildings store, whose MANIFEST is format-version=1 / version-count=2 /
+# vng-counter=4 and whose VNG lines are 1 3 1 / 2 7 1 / 3 3 2 / 4 7 2.
+@pytest.mark.parametrize(
+    "init, name, old, new, message",
+    [
+        (True, "MANIFEST", "version-count=0", "version-count=-1", MALFORMED_MANIFEST),
+        (False, "MANIFEST", "version-count=2", "version-count=+2", MALFORMED_MANIFEST),
+        (False, "MANIFEST", "version-count=2", "version-count= 2", MALFORMED_MANIFEST),
+        (True, "MANIFEST", "version-count=0", "version-count=0_0", MALFORMED_MANIFEST),
+        (False, "MANIFEST", "vng-counter=4\n", "vng-counter=4\ncreated=2024\n", "malformed MANIFEST label line: 'created=2024'"),
+        (
+            False,
+            "MANIFEST",
+            "version-count=2\nvng-counter=4\n",
+            "vng-counter=4\nversion-count=2\n",
+            MALFORMED_MANIFEST,
+        ),
+        (
+            False,
+            "MANIFEST",
+            "version-count=2\n",
+            "version-count=2\nversion-count=2\n",
+            MALFORMED_MANIFEST,
+        ),
+        (False, "MANIFEST", "vng-counter=4\n", "vng-counter=4\nlabel 0 x\n", "malformed MANIFEST label line: 'label 0 x'"),
+        (False, "MANIFEST", "vng-counter=4\n", "vng-counter=4\nlabel 3 x\n", "malformed MANIFEST label line: 'label 3 x'"),
+        (True, "MANIFEST", "vng-counter=0\n", "vng-counter=0\nlabel 5 x\n", "malformed MANIFEST label line: 'label 5 x'"),
+        (
+            False,
+            "MANIFEST",
+            "vng-counter=4\n",
+            "vng-counter=4\nlabel 2 b\nlabel 1 a\n",
+            "malformed MANIFEST label line: 'label 1 a'",
+        ),
+        (
+            False,
+            "MANIFEST",
+            "vng-counter=4\n",
+            "vng-counter=4\nlabel 1 a\nlabel 1 b\n",
+            "malformed MANIFEST label line: 'label 1 b'",
+        ),
+        (False, "VNG", "3\t3\t2\n4\t7\t2\n", "4\t7\t2\n3\t3\t2\n", "VNG line 3 out of range"),
+        (False, "MANIFEST", "vng-counter=4", "vng-counter=5", "MANIFEST vng-counter=5 does not match the 4 VNG lines"),
+    ],
+    ids=[
+        "negative-version-count",
+        "signed-version-count",
+        "spaced-version-count",
+        "underscored-version-count",
+        "unknown-key",
+        "swapped-keys",
+        "repeated-key",
+        "label-0",
+        "label-past-version-count",
+        "label-on-no-versions",
+        "labels-out-of-order",
+        "label-repeated",
+        "vng-lines-swapped",
+        "vng-counter-past-the-lines",
+    ],
+)
+def test_load_rejects_a_header_the_writer_never_writes(tmp_path, buildings_store, init, name, old, new, message):
+    save_snapshot(Store() if init else buildings_store, tmp_path)
+    text = (tmp_path / name).read_text()
+    assert old in text
+    (tmp_path / name).write_text(text.replace(old, new))
+    rewrite_checksums(tmp_path)
+    with pytest.raises(SnapshotError) as info:
+        load_snapshot(tmp_path)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: lines + lines[-1:], "malformed CHECKSUM line: 'META "),
+        (lambda lines: [lines[1], lines[0], *lines[2:]], "malformed CHECKSUM line: 'DICT "),
+    ],
+    ids=["line-added", "lines-swapped"],
+)
+def test_load_rejects_checksum_lines_the_writer_never_writes(tmp_path, buildings_store, edit, message):
+    save_snapshot(buildings_store, tmp_path)
+    lines = (tmp_path / "CHECKSUM").read_text().splitlines()
+    (tmp_path / "CHECKSUM").write_text("".join(line + "\n" for line in edit(lines)))
+    with pytest.raises(SnapshotError) as info:
+        load_snapshot(tmp_path)
+    assert str(info.value).startswith(message)
+
+
+# Term 2 is the literal "10.5", which ingest never puts in subject or
+# predicate position.
+@pytest.mark.parametrize(
+    "new", ["3\t2\t1\t2\t11\n", "3\t0\t2\t2\t11\n"], ids=["literal-subject", "literal-predicate"]
+)
+def test_load_rejects_an_entry_term_that_cannot_stand_in_its_position(tmp_path, buildings_store, new):
+    save_snapshot(buildings_store, tmp_path)
+    entries = (tmp_path / "ENTRIES").read_text()
+    (tmp_path / "ENTRIES").write_text(entries.replace("3\t0\t1\t2\t11\n", new, 1))
+    rewrite_checksums(tmp_path)
+    with pytest.raises(SnapshotError, match="ENTRIES line 1 names a term that cannot stand in its position"):
         load_snapshot(tmp_path)
 
 
@@ -799,3 +910,118 @@ def test_snapshot_round_trip_random_stores(tmp_path):
         target = tmp_path / f"s{i}"
         save_snapshot(store, target)
         assert load_snapshot(target) == store
+
+
+# ------------------------------------------------------------------- fuzz
+
+_FUZZED_FILES = ("MANIFEST", "DICT", "VNG", "ENTRIES", "META")
+_FUZZ_EDITS = ("delete", "duplicate", "swap", "tab", "digits")
+_DIGIT_RUN = re.compile("[0-9]+")
+_EXTRA_VERSION = (
+    '<urn:ex:bldg4> <urn:ex:height> "12" <urn:ng:IGN> .\n'
+    '<urn:ex:bldg1> <urn:ex:height> "10.5"^^<http://www.w3.org/2001/XMLSchema#decimal> <urn:ng:Gr-Lyon> .\n'
+)
+
+
+def _fuzz_sources(tmp_path) -> dict:
+    """The lines of each snapshot file of an empty store and of the
+    buildings store with a label and a metadata triple."""
+    labelled = Store()
+    labelled.ingest_version(parse_nquads(read_fixture("buildings_v1.nq")), label="survey 2023")
+    labelled.ingest_version(parse_nquads(read_fixture("buildings_v2.nq")))
+    labelled.add_metadata([(iri("urn:dataset"), iri("urn:dc:created"), literal("2024", datatype=XSD + "gYear"))])
+    sources = {}
+    for name, store in (("init", Store()), ("buildings", labelled)):
+        save_snapshot(store, tmp_path / name)
+        sources[name] = {f: (tmp_path / name / f).read_text().split("\n")[:-1] for f in _FUZZED_FILES}
+    return sources
+
+
+def _fits(kind: str, lines: list, index: int) -> bool:
+    if kind == "swap":
+        return index + 1 < len(lines)
+    if kind == "tab":
+        return "\t" in lines[index]
+    if kind == "digits":
+        return _DIGIT_RUN.search(lines[index]) is not None
+    return True
+
+
+def _fuzz_edit(rng, files: dict) -> str:
+    """Edit one line of `files` in place, as one of `_FUZZ_EDITS`; returns
+    what was done."""
+    while True:
+        kind = rng.choice(_FUZZ_EDITS)
+        spots = [(f, i) for f in _FUZZED_FILES for i in range(len(files[f])) if _fits(kind, files[f], i)]
+        if spots:
+            break
+    name, index = rng.choice(spots)
+    lines = files[name]
+    line = lines[index]
+    if kind == "delete":
+        del lines[index]
+    elif kind == "duplicate":
+        lines.insert(index, line)
+    elif kind == "swap":
+        lines[index], lines[index + 1] = lines[index + 1], line
+    elif kind == "tab":
+        tabs = [m.start() for m in re.finditer("\t", line)]
+        at = rng.choice(tabs)
+        lines[index] = line[:at] + " " + line[at + 1 :]
+    else:
+        run = rng.choice(list(_DIGIT_RUN.finditer(line)))
+        value = int(run.group())
+        new = rng.choice((-1, 0, value - 1, value + 1, 2 * value))
+        lines[index] = line[: run.start()] + str(new) + line[run.end() :]
+    return f"{kind} {name} line {index + 1} {line!r} -> {lines[index:index + 2]!r}"
+
+
+def _check_fuzzed(directory, files: dict, resaved) -> bool:
+    """Write `files` and open them: True if the open raised SnapshotError,
+    False if the store it gave works and reopens equal once extended."""
+    for name, lines in files.items():
+        (directory / name).write_text("".join(line + "\n" for line in lines))
+    rewrite_checksums(directory)
+    try:
+        store = load_snapshot(directory)
+    except SnapshotError:
+        return True
+    store.stats()
+    list(store.export_flat())
+    store.ingest_version(parse_nquads(_EXTRA_VERSION, require_graph=True))
+    save_snapshot(store, resaved)
+    assert load_snapshot(resaved) == store
+    return False
+
+
+# Two edits that once opened and then failed in a later command: a negative
+# version count (ingest shifted by -1) and a literal as an entry's subject
+# (the flat export built a Quad it rejects).
+_FIXED_FUZZ_CASES = [
+    ("init", "MANIFEST", 1, "version-count=-1"),
+    ("buildings", "ENTRIES", 0, "3\t2\t1\t2\t11"),
+]
+
+
+def test_every_edited_snapshot_is_rejected_or_works(tmp_path):
+    sources = _fuzz_sources(tmp_path)
+    target, resaved = tmp_path / "edited", tmp_path / "resaved"
+    save_snapshot(Store(), target)
+    cases = []
+    for source, name, index, new in _FIXED_FUZZ_CASES:
+        files = {f: list(lines) for f, lines in sources[source].items()}
+        files[name][index] = new
+        cases.append((f"{source}: {name} line {index + 1} -> {new!r}", files))
+    rng = random.Random(2929)
+    for _ in range(500):
+        source = rng.choice(sorted(sources))
+        files = {f: list(lines) for f, lines in sources[source].items()}
+        cases.append((f"{source}: " + _fuzz_edit(rng, files), files))
+    rejected = 0
+    for what, files in cases:
+        try:
+            rejected += _check_fuzzed(target, files, resaved)
+        except Exception as exc:
+            raise AssertionError(f"after the edit {what}") from exc
+    assert _check_fuzzed(target, sources["buildings"], resaved) is False  # the unedited store works
+    assert 0 < rejected < len(cases)
