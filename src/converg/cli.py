@@ -29,8 +29,8 @@ from .errors import (
     SnapshotError,
     UnknownVngError,
 )
-from .model import iri
-from .nquads import parse_nquads, serialize_nquads, serialize_term
+from .model import Quad, iri
+from .nquads import parse_nquads, serialize_nquads
 from .store import Store, load_snapshot, require_snapshot, save_snapshot
 
 STORE_ENV = "CONVERG_STORE"
@@ -199,12 +199,8 @@ def _cmd_diff(args) -> int:
     a, b = _vng_argument(vng_a), _vng_argument(vng_b)
     with _StoreLock(store_dir, exclusive=False):
         store = load_snapshot(store_dir)
-    triples = store.diff_vng(a, b)
-    lines = sorted(
-        f"{serialize_term(s)} {serialize_term(p)} {serialize_term(o)} ."
-        for s, p, o in triples
-    )
-    for line in lines:
+    text = serialize_nquads(Quad(s, p, o) for s, p, o in store.diff_vng(a, b))
+    for line in sorted(text.split("\n")[:-1]):  # not splitlines: a literal may hold U+2028
         print(line)
     return 0
 

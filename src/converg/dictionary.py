@@ -12,8 +12,6 @@ from typing import Iterator, Optional
 from .errors import DictionaryError
 from .model import Term
 
-_MAX_ID = (1 << 63) - 1
-
 
 class TermDictionary:
     """Single-writer during ingestion; safe for shared reads afterwards."""
@@ -30,8 +28,6 @@ class TermDictionary:
         if tid is not None:
             return tid
         tid = len(self._reverse)
-        if tid > _MAX_ID:
-            raise DictionaryError("term id space exhausted")
         self._forward[term] = tid
         self._reverse.append(term)
         return tid

@@ -45,7 +45,7 @@ class UnknownVngError(ConvergError):
 
 
 class DictionaryError(ConvergError):
-    """Term-id lookup failure or id-space exhaustion; signals corruption."""
+    """Term-id lookup failure; signals corruption."""
 
 
 class SnapshotError(ConvergError):

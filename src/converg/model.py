@@ -51,6 +51,7 @@ _LANG_TAG_RE = re.compile(r"[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8})*$")
 _PLAIN_NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
 _BLANK_LABEL_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*$")
 _IRI_FORBIDDEN_RE = re.compile(r"[\s<>]")  # \s is exactly str.isspace()
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]").search
 
 
 def _check_iri(value: str, what: str) -> None:
@@ -114,6 +115,7 @@ class Term(Frozen):
     Equality is strictly syntactic: two literals are equal only if lexical
     form, datatype, and language tag all match ("1"^^xsd:int != "01"^^xsd:int).
     A language-tagged literal carries datatype None; rdf:langString is implied.
+    No lexical form or datatype holds a lone surrogate, which UTF-8 cannot encode.
 
     The hash is computed once, by the constructor, after its checks; pickling
     and copying go through the constructor, so a restored Term is checked
@@ -144,6 +146,10 @@ class Term(Frozen):
                 raise ValueError("only literals carry a datatype or language")
         else:
             raise ValueError(f"unknown term kind: {kind!r}")
+        if not lexical.isascii() and _LONE_SURROGATE(lexical) or (
+            datatype and not datatype.isascii() and _LONE_SURROGATE(datatype)
+        ):
+            raise ValueError("a term's text may not hold a lone surrogate, which UTF-8 cannot encode")
         _set_kind(self, kind)
         _set_lexical(self, lexical)
         _set_datatype(self, datatype)

@@ -84,16 +84,16 @@ class ParsedDocument:
     `rows` holds each statement as a ``(subject, predicate, object, graph)``
     tuple of `Term`s, graph None for the default graph, checked as `Quad`
     checks its fields; it is what `Store.ingest_version` reads. `quads` is
-    the same statements as `Quad`s. A document is made from either list and
-    builds the other on first read, then keeps it, so neither list may be
-    changed once the document is made.
+    the same statements as `Quad`s. A document is made from `Quad`s, or by
+    `parse_nquads` from rows, and builds the other list on first read, then
+    keeps it, so neither list may be changed once the document is made.
     """
 
     __slots__ = ("_rows", "_quads")
 
-    def __init__(self, quads: list[Quad] | None = None, *, rows: list[tuple] | None = None):
+    def __init__(self, quads: list[Quad] | None = None):
         self._quads = quads
-        self._rows = [] if quads is None and rows is None else rows
+        self._rows = [] if quads is None else None
 
     @property
     def rows(self) -> list[tuple]:
@@ -199,8 +199,8 @@ def parse_nquads(data, require_graph: bool = False) -> ParsedDocument:
             raise ParseError(f"input is not UTF-8: {exc}")
     if "\r" in data:  # CRLF lines take the fast tiers; lines and columns stay
         data = data.replace("\r\n", "\n")
-    rows: list[tuple] = []
-    append = rows.append
+    doc = ParsedDocument()
+    append = doc.rows.append
     known = _TERMS.get
     for lineno, line in enumerate(data.split("\n"), start=1):
         tokens = line.split(" ")
@@ -234,7 +234,7 @@ def parse_nquads(data, require_graph: bool = False) -> ParsedDocument:
         row = _parse_line(line.rstrip("\r"), lineno, require_graph)
         if row is not None:
             append(row)
-    return ParsedDocument(rows=rows)
+    return doc
 
 
 # Token text -> Term, shared by every document the process parses (Terms

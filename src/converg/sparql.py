@@ -534,8 +534,8 @@ class _Parser:
                 return self.term(tag, literal, tok.value, None, tag.value)
             if self.peek().kind == "HATHAT":
                 self.next()
-                return literal(tok.value, self.expect_iri().lexical)
-            return literal(tok.value)
+                return self.term(tok, literal, tok.value, self.expect_iri().lexical)
+            return self.term(tok, literal, tok.value)
         if tok.kind == "NUMBER" and allow_literal:
             self.next()
             return literal(tok.value, XSD + ("decimal" if "." in tok.value else "integer"))

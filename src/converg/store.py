@@ -23,7 +23,7 @@ import re
 from typing import Iterable, Iterator, Optional
 
 from .dictionary import TermDictionary
-from .errors import IngestError, SnapshotError, UnknownVngError
+from .errors import IngestError, ParseError, SnapshotError, UnknownVngError
 from .model import (
     IRI,
     IS_IN_VERSION,
@@ -37,7 +37,7 @@ from .model import (
     mint_vng_iri,
     version_iri,
 )
-from .nquads import parse_nquads, parse_term, serialize_term
+from .nquads import parse_nquads, parse_term, serialize_nquads, serialize_term
 
 SNAPSHOT_FORMAT_VERSION = 1
 _SNAPSHOT_FILES = ("MANIFEST", "DICT", "VNG", "ENTRIES", "META")
@@ -450,16 +450,12 @@ def save_snapshot(store: Store, directory) -> None:
         f"{g}\t{s}\t{p}\t{o}\t{render_bitmap(bits, store.version_count)}"
         for (g, s, p, o), bits in store.entries.items()
     ]
-    meta_lines = [
-        f"{serialize_term(s)} {serialize_term(p)} {serialize_term(o)} ."
-        for s, p, o in store.user_metadata
-    ]
     contents = {
         "MANIFEST": _joined(manifest),
         "DICT": _joined(dict_lines),
         "VNG": _joined(vng_lines),
         "ENTRIES": _joined(entry_lines),
-        "META": _joined(meta_lines),
+        "META": _meta_text(store.user_metadata),
     }
     checksum_lines = [f"{name} {_digest(contents[name].encode('utf-8'))}" for name in _SNAPSHOT_FILES]
     contents["CHECKSUM"] = _joined(checksum_lines)
@@ -492,6 +488,11 @@ def save_snapshot(store: Store, directory) -> None:
 
 def _joined(lines: list[str]) -> str:
     return "".join(line + "\n" for line in lines)
+
+
+def _meta_text(triples) -> str:
+    """META as `save_snapshot` writes it, and as it must be to open."""
+    return serialize_nquads(Quad(s, p, o) for s, p, o in triples)
 
 
 def require_snapshot(directory) -> str:
@@ -562,7 +563,7 @@ def _rebuild(raw: dict[str, str]) -> Store:
     last = 0
     for line in _lines(raw["MANIFEST"][head.end():]):
         label = _LABEL_LINE(line)
-        if label is None or not last < int(label[1]) <= version_count:
+        if label is None or _NOT_IN_A_LABEL(label[2]) or not last < int(label[1]) <= version_count:
             raise SnapshotError(f"malformed MANIFEST label line: {line!r}")
         last = int(label[1])
         store.version_labels[last] = label[2]
@@ -626,21 +627,21 @@ def _rebuild(raw: dict[str, str]) -> Store:
         entries[key] = bits
         store._index_entry(key)
 
-    for lineno, line in enumerate(_lines(raw["META"])):
-        try:
-            doc = parse_nquads(line + "\n")
-        except Exception as exc:
-            raise SnapshotError(f"META line {lineno + 1} malformed: {exc}")
-        for s, p, o, g in doc.rows:
-            if g is not None:
-                raise SnapshotError(f"META line {lineno + 1} must be a default-graph triple")
-            if p in _LINK_PREDICATES:
-                raise SnapshotError(
-                    f"META line {lineno + 1} uses the reserved predicate {serialize_term(p)}"
-                )
-            triple = (s, p, o)
-            if triple in store._user_metadata_set:
-                raise SnapshotError(f"META line {lineno + 1} duplicates a metadata triple")
-            store._user_metadata_set.add(triple)
-            store.user_metadata.append(triple)
+    meta = raw["META"]
+    try:
+        triples = [row[:3] for row in parse_nquads(meta).rows]
+    except ParseError as exc:
+        raise SnapshotError(f"META malformed at {exc}") from None
+    written = _meta_text(triples)
+    if meta != written:  # comments, blanks, a graph term or escapes the writer never writes
+        lineno = os.path.commonprefix([meta, written]).count("\n") + 1
+        line = meta.split("\n")[lineno - 1]
+        raise SnapshotError(f"META line {lineno} is not written as save_snapshot writes it: {line!r}")
+    for lineno, triple in enumerate(triples, 1):  # the writer's text: triple k is on line k
+        if triple[1] in _LINK_PREDICATES:
+            raise SnapshotError(f"META line {lineno} uses the reserved predicate {serialize_term(triple[1])}")
+        if triple in store._user_metadata_set:
+            raise SnapshotError(f"META line {lineno} duplicates a metadata triple")
+        store._user_metadata_set.add(triple)
+        store.user_metadata.append(triple)
     return store

@@ -295,6 +295,14 @@ def test_diff_prints_sorted_triples(tmp_path, capsys):
     )
 
 
+def test_diff_writes_the_fixture_bytes(tmp_path, capsys):
+    store_dir = _setup_buildings(tmp_path)
+    capsys.readouterr()
+    assert main(["diff", store_dir, "urn:converg:vng:1", "urn:converg:vng:3"]) == 0
+    with open(fixture_path("diff_vng1_vng3.nt"), encoding="utf-8", newline="") as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
 def test_diff_unknown_vng_exits_1(tmp_path, capsys):
     store_dir = _setup_buildings(tmp_path)
     capsys.readouterr()
@@ -381,6 +389,8 @@ def test_corrupt_snapshot_exits_2(tmp_path, capsys):
         ("ENTRIES", b"3\t0\t1\t2\t11\n", b"3\t0\t1\t2\t1\xff\n", "ENTRIES is not UTF-8: invalid start byte at byte 9"),
         # term 2 is the literal "10.5", here an entry's subject
         ("ENTRIES", b"3\t0\t1\t2\t11\n", b"3\t2\t1\t2\t11\n", "ENTRIES line 1 names a term that cannot stand in its position"),
+        # META is empty, so the edit is the whole file
+        ("META", b"", b'\n# a note\n<urn:d> <urn:p> "x" . # trailing\n', "META line 1 is not written as save_snapshot writes it"),
     ],
     ids=[
         "vng-graph-literal",
@@ -388,6 +398,7 @@ def test_corrupt_snapshot_exits_2(tmp_path, capsys):
         "entry-term-outside-dictionary",
         "entries-not-utf8",
         "entry-literal-subject",
+        "meta-with-comments",
     ],
 )
 def test_inconsistent_snapshot_exits_2(tmp_path, capsys, name, old, new, message):

@@ -8,6 +8,7 @@ from converg.errors import ParseError
 from converg.model import XSD, Quad, blank, iri, literal
 from converg.nquads import (
     _FAST_LINE,
+    ParsedDocument,
     _parse_line,
     parse_nquads,
     parse_term,
@@ -234,6 +235,30 @@ def test_every_term_error_is_pinned_with_its_position(text, message, column):
     with pytest.raises(ParseError) as exc:
         parse_term(text)
     assert (exc.value.message, exc.value.line, exc.value.column) == (message, 1, column)
+
+
+# A str, unlike UTF-8 bytes, can hold a lone surrogate, which no snapshot
+# can save: each is a positioned error, in every tier.
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        ('<urn:s> <urn:p> "a\ud800" <urn:g> .', 17),
+        ('<urn:s> <urn:p> "a\ud800\\n" .', 17),
+        ("<urn:s\udfff> <urn:p> <urn:o> .", 1),
+        ('<urn:s> <urn:p> "1"^^<urn:\udc00> .', 22),
+    ],
+    ids=["literal", "escaped-literal", "iri", "datatype"],
+)
+def test_a_lone_surrogate_in_a_str_document_is_a_positioned_parse_error(text, column):
+    with pytest.raises(ParseError) as exc:
+        parse_nquads(text)
+    message = "a term's text may not hold a lone surrogate, which UTF-8 cannot encode"
+    assert (exc.value.message, exc.value.line, exc.value.column) == (message, 1, column)
+
+
+def test_a_document_takes_no_rows_but_the_parsers():
+    with pytest.raises(TypeError):
+        ParsedDocument(rows=[])
 
 
 def test_parse_term_allows_blanks_around_the_term_and_a_comment_after_it():

@@ -374,6 +374,9 @@ MALFORMED_TERMS = [
     ("SELECT ?s WHERE { GRAPH <> { ?s ?p ?o . } }", 1, 25, "IRI must be non-empty"),
     ('SELECT ?s WHERE { ?s <urn:p> "\\U00110000" . }', 1, 30, "escape beyond the Unicode range"),
     ('SELECT ?s WHERE {\n  ?s <urn:p> "a\\uD800" . }', 2, 14, "escape names a surrogate code point"),
+    # a lone surrogate in the text itself: no term holds one
+    ('SELECT ?s WHERE { ?s <urn:p> "a\ud800" . }', 1, 30, "a term's text may not hold a lone surrogate"),
+    ('SELECT ?s WHERE { ?s <urn:p> "a\udfff"^^<urn:d> . }', 1, 30, "a term's text may not hold a lone surrogate"),
     # numbers are ASCII digits only: other Unicode digits are no term
     ("SELECT ?s WHERE { ?s <urn:p> \u00b2 . }", 1, 30, "expected an object"),
     ("SELECT ?s WHERE { ?s <urn:p> \u0663 . }", 1, 30, "expected an object"),

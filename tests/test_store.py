@@ -564,6 +564,61 @@ def test_load_rejects_duplicate_meta_line(tmp_path, buildings_store):
         load_snapshot(tmp_path)
 
 
+# META texts the writer never writes, each with the first line that differs
+# from what it would write for the triples they hold.
+@pytest.mark.parametrize(
+    "meta, message",
+    [
+        (
+            '\n# a note\n<urn:d> <urn:p> "x" . # trailing\n',
+            "META line 1 is not written as save_snapshot writes it: ''",
+        ),
+        ('<urn:d> <urn:p> "x" .\n\n', "META line 2 is not written as save_snapshot writes it: ''"),
+        (
+            '<urn:d>  <urn:p> "x" .\n',
+            "META line 1 is not written as save_snapshot writes it: '<urn:d>  <urn:p> \"x\" .'",
+        ),
+        (
+            '<urn:d> <urn:p> "a" .\n<urn:d> <urn:p> "\\u0078" .\n',
+            "META line 2 is not written as save_snapshot writes it: '<urn:d> <urn:p> \"\\\\u0078\" .'",
+        ),
+        (
+            '<urn:d> <urn:p> "x" <urn:g> .\n',
+            "META line 1 is not written as save_snapshot writes it: '<urn:d> <urn:p> \"x\" <urn:g> .'",
+        ),
+        ('<urn:d> <urn:p> "x" .', "META line 1 is not written as save_snapshot writes it: '<urn:d> <urn:p> \"x\" .'"),
+        ('<urn:d> <urn:p> "x .\n', "META malformed at line 1, column 21: unterminated literal"),
+    ],
+    ids=["comments-and-blank-line", "trailing-blank-line", "two-blanks", "escaped-x", "graph-term", "no-final-lf", "malformed"],
+)
+def test_load_rejects_meta_the_writer_never_writes(tmp_path, buildings_store, meta, message):
+    save_snapshot(buildings_store, tmp_path)
+    (tmp_path / "META").write_text(meta)
+    rewrite_checksums(tmp_path)
+    with pytest.raises(SnapshotError) as info:
+        load_snapshot(tmp_path)
+    assert str(info.value) == message
+
+
+def test_meta_holds_the_writers_bytes_and_reopens(tmp_path, buildings_store):
+    buildings_store.add_metadata(
+        [
+            (iri("urn:dataset"), iri("urn:dc:title"), literal('say "hi"\n\tthere\\')),
+            (iri("urn:dataset"), iri("urn:dc:title"), literal("b\u00e2timents", language="fr")),
+            (blank("n1"), iri("urn:note"), literal("a\u2028b\rc")),
+            (iri("urn:dataset"), iri("urn:dc:created"), literal("2024", datatype=XSD + "gYear")),
+        ]
+    )
+    save_snapshot(buildings_store, tmp_path)
+    assert (tmp_path / "META").read_bytes().decode("utf-8") == (
+        '<urn:dataset> <urn:dc:title> "say \\"hi\\"\\n\\tthere\\\\" .\n'
+        '<urn:dataset> <urn:dc:title> "b\u00e2timents"@fr .\n'
+        '_:n1 <urn:note> "a\u2028b\\rc" .\n'
+        '<urn:dataset> <urn:dc:created> "2024"^^<http://www.w3.org/2001/XMLSchema#gYear> .\n'
+    )
+    assert load_snapshot(tmp_path) == buildings_store
+
+
 def test_load_rejects_vng_whose_graph_is_not_an_iri(tmp_path, buildings_store):
     save_snapshot(buildings_store, tmp_path)
     literal_id = buildings_store.dictionary.lookup(literal("10.5", datatype=DECIMAL))
@@ -685,6 +740,7 @@ MALFORMED_MANIFEST = (
         ),
         (False, "VNG", "3\t3\t2\n4\t7\t2\n", "4\t7\t2\n3\t3\t2\n", "VNG line 3 out of range"),
         (False, "MANIFEST", "vng-counter=4", "vng-counter=5", "MANIFEST vng-counter=5 does not match the 4 VNG lines"),
+        (False, "MANIFEST", "vng-counter=4\n", "vng-counter=4\nlabel 1 a\rb\n", "malformed MANIFEST label line: 'label 1 a\\rb'"),
     ],
     ids=[
         "negative-version-count",
@@ -701,6 +757,7 @@ MALFORMED_MANIFEST = (
         "label-repeated",
         "vng-lines-swapped",
         "vng-counter-past-the-lines",
+        "label-holding-a-cr",
     ],
 )
 def test_load_rejects_a_header_the_writer_never_writes(tmp_path, buildings_store, init, name, old, new, message):
@@ -837,6 +894,29 @@ def test_add_metadata_rejects_a_malformed_datatype_iri(tmp_path, buildings_store
     assert buildings_store.user_metadata == []
     save_snapshot(buildings_store, tmp_path)
     assert load_snapshot(tmp_path) == buildings_store
+
+
+def test_add_metadata_rejects_a_lone_surrogate(tmp_path, buildings_store):
+    bad = object.__new__(Term)
+    for name, value in zip(("kind", "lexical", "datatype", "language"), ("literal", "a\ud800", None, None)):
+        object.__setattr__(bad, name, value)
+    with pytest.raises(IngestError, match="a term's text may not hold a lone surrogate"):
+        buildings_store.add_metadata([(iri("urn:dataset"), iri("urn:dc:title"), bad)])
+    assert buildings_store.user_metadata == []
+    save_snapshot(buildings_store, tmp_path)
+    assert load_snapshot(tmp_path) == buildings_store
+
+
+# A document built from Quads holds only Terms, and no Term holds what a
+# snapshot cannot save.
+@pytest.mark.parametrize(
+    "build",
+    [lambda: literal("a\ud800"), lambda: iri("urn:\udfff"), lambda: literal("x", datatype="urn:\udc00")],
+    ids=["literal", "iri", "datatype"],
+)
+def test_a_term_holding_a_lone_surrogate_is_rejected(build):
+    with pytest.raises(ValueError, match="a term's text may not hold a lone surrogate"):
+        build()
 
 
 @pytest.mark.parametrize(
